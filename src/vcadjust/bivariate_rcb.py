@@ -7,8 +7,14 @@ different slopes, and the implied conditional model for the response adds
 the block-mean covariate as a second regressor.  An orthonormal contrast
 transform of each block factorizes the likelihood into independent
 bivariate pieces, giving closed-form maximum likelihood: that is
-:func:`fit_bivariate_rcb_ml`.  Incomplete-block layouts fit the same
-conditional model iteratively via :func:`fit_conditional_ibd`.
+:func:`fit_bivariate_rcb_ml`.
+
+The iterative fits here are the package's one conditional builder,
+:func:`~.orthogonal_conditional.fit_orthogonal_conditional`, with random
+blocks and a chosen regressor list: :func:`fit_conditional_ibd` regresses
+on the covariate and its block mean (the two-slope model, for equal-size
+complete or incomplete blocks), and :func:`fit_naive_block_mixed` on the
+covariate alone (the single-slope model).
 """
 
 from __future__ import annotations
@@ -18,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset, DesignSpec, incidence, treatment_labels
+from .data_model import Dataset, DesignSpec
 from .design_algebra import helmert_matrix
 from .errors import SingularityError, ValidationError
-from .lmm import LmmFit, LmmSpec, fit_lmm
+from .lmm import LmmFit
+from .orthogonal_conditional import _fit_block_design
 from .rcb_classical import rcb_arrays
 
 
@@ -315,135 +322,57 @@ class BlockConditionalFit:
         return np.sqrt(np.diag(self.effect_cov))
 
 
-def _block_design_arrays(ds: Dataset, spec: DesignSpec):
-    if spec.m != 1:
-        raise ValidationError("block-design fitters need exactly one covariate")
-    if len(spec.blocking_factors) != 1:
-        raise ValidationError("block-design fitters need one blocking factor")
-    sub = ds.subset(ds.complete_mask)
-    labels, codes = treatment_labels(sub, spec)
-    bfac = spec.blocking_factors[0]
-    blocks = list(sub.factor_levels(bfac))
-    bindex = {l: i for i, l in enumerate(blocks)}
-    bcodes = np.array([bindex[v] for v in sub.factors[bfac]])
-    sizes = np.bincount(bcodes, minlength=len(blocks))
-    if sizes.min() != sizes.max():
-        raise ValidationError(
-            "blocks have unequal sizes; route this layout to the general engine"
-        )
-    _check_connected(codes, bcodes, len(labels), len(blocks))
-    return sub, labels, codes, blocks, bcodes
-
-
-def _check_connected(codes, bcodes, t, b):
-    """Union-find on the treatment/block bipartite graph."""
-    parent = list(range(t + b))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in zip(codes, bcodes):
-        ra, rb = find(i), find(t + j)
-        if ra != rb:
-            parent[ra] = rb
-    roots = {find(i) for i in range(t)}
-    if len(roots) > 1:
-        raise SingularityError(
-            "design is disconnected; treatment effects are inestimable"
-        )
-
-
-def _effects_from_cellmeans(fit: LmmFit, t: int):
+def _block_fit(ds, spec, block_means, method, tol, max_iter) -> BlockConditionalFit:
+    f = _fit_block_design(ds, spec, block_means, method, tol, max_iter)
+    t = len(f.treatments)
+    cov_name = ds.covariate_names[0]
+    block = spec.blocking_factors[0]
     L = np.eye(t) - np.full((t, t), 1.0 / t)
-    effects = L @ fit.beta_hat[:t]
-    cov = L @ fit.beta_cov[:t, :t] @ L.T
-    return effects, 0.5 * (cov + cov.T)
+    effect_cov = L @ f.lmm_fit.beta_cov[:t, :t] @ L.T
+    return BlockConditionalFit(
+        effects=L @ f.lmm_fit.beta_hat[:t],
+        effect_cov=0.5 * (effect_cov + effect_cov.T),
+        gamma_e=f.slopes[cov_name],
+        gamma_b=f.slopes.get(f"mean({cov_name}|{block})", 0.0),
+        adjusted_means=f.adjusted_means,
+        adjusted_se=f.adjusted_se,
+        treatments=f.treatments,
+        sigma_e2=f.lmm_fit.sigma_e2,
+        sigma_b2=float(f.lmm_fit.sigma2[0]),
+        loglik=f.loglik,
+        method=method,
+        lmm_fit=f.lmm_fit,
+        model="conditional" if block_means else "naive",
+    )
 
 
 def fit_conditional_ibd(
-    ds: Dataset, spec: DesignSpec, method: str = "reml"
+    ds: Dataset,
+    spec: DesignSpec,
+    method: str = "reml",
+    tol: float = 1e-10,
+    max_iter: int = 500,
 ) -> BlockConditionalFit:
     """Fit the two-slope conditional model on an equal-block-size design.
 
     Regressors are the cell covariate and its block mean, with a random
     block effect; treatment effects are reported on the sum-to-zero scale
     with their full covariance, since incomplete layouts leave them
-    correlated.
+    correlated.  A block-mean column with no variation is dropped, which
+    leaves ``gamma_b`` at zero.
     """
-    sub, labels, codes, _blocks, bcodes = _block_design_arrays(ds, spec)
-    t, b = len(labels), bcodes.max() + 1
-    z = sub.covariates[:, 0]
-    zbar_block = np.array([z[bcodes == j].mean() for j in range(b)])[bcodes]
-    T = incidence(codes, t)
-    W = incidence(bcodes, b)
-    X = np.column_stack([T, z, zbar_block])
-    fit = fit_lmm(
-        LmmSpec(y=sub.response, X=X, random=(W,), names=("block",)), method=method
-    )
-    gamma_e, gamma_b = float(fit.beta_hat[t]), float(fit.beta_hat[t + 1])
-    effects, cov = _effects_from_cellmeans(fit, t)
-    zbar = float(z.mean())
-    coef = np.zeros((t, X.shape[1]))
-    coef[:, :t] = np.eye(t)
-    coef[:, t] = zbar
-    coef[:, t + 1] = zbar
-    adj = coef @ fit.beta_hat
-    adj_cov = coef @ fit.beta_cov @ coef.T
-    return BlockConditionalFit(
-        effects=effects,
-        effect_cov=cov,
-        gamma_e=gamma_e,
-        gamma_b=gamma_b,
-        adjusted_means=adj,
-        adjusted_se=np.sqrt(np.diag(adj_cov)),
-        treatments=tuple(labels),
-        sigma_e2=fit.sigma_e2,
-        sigma_b2=float(fit.sigma2[0]),
-        loglik=fit.loglik,
-        method=method,
-        lmm_fit=fit,
-        model="conditional",
-    )
+    return _block_fit(ds, spec, True, method, tol, max_iter)
 
 
 def fit_naive_block_mixed(
-    ds: Dataset, spec: DesignSpec, method: str = "reml"
+    ds: Dataset,
+    spec: DesignSpec,
+    method: str = "reml",
+    tol: float = 1e-10,
+    max_iter: int = 500,
 ) -> BlockConditionalFit:
     """Single-slope random-blocks fit (no block-mean regressor), for comparison."""
-    sub, labels, codes, _blocks, bcodes = _block_design_arrays(ds, spec)
-    t, b = len(labels), bcodes.max() + 1
-    z = sub.covariates[:, 0]
-    T = incidence(codes, t)
-    W = incidence(bcodes, b)
-    X = np.column_stack([T, z])
-    fit = fit_lmm(
-        LmmSpec(y=sub.response, X=X, random=(W,), names=("block",)), method=method
-    )
-    effects, cov = _effects_from_cellmeans(fit, t)
-    zbar = float(z.mean())
-    coef = np.zeros((t, X.shape[1]))
-    coef[:, :t] = np.eye(t)
-    coef[:, t] = zbar
-    adj = coef @ fit.beta_hat
-    adj_cov = coef @ fit.beta_cov @ coef.T
-    return BlockConditionalFit(
-        effects=effects,
-        effect_cov=cov,
-        gamma_e=float(fit.beta_hat[t]),
-        gamma_b=0.0,
-        adjusted_means=adj,
-        adjusted_se=np.sqrt(np.diag(adj_cov)),
-        treatments=tuple(labels),
-        sigma_e2=fit.sigma_e2,
-        sigma_b2=float(fit.sigma2[0]),
-        loglik=fit.loglik,
-        method=method,
-        lmm_fit=fit,
-        model="naive",
-    )
+    return _block_fit(ds, spec, False, method, tol, max_iter)
 
 
 def direct_treatment_effects(

@@ -15,6 +15,8 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .orthogonal_conditional import (
     recipe_for,
     recipe_partition,
 )
-from .rcb_classical import fit_fixed_rcb, fit_mixed_rcb, rcb_arrays
+from .rcb_classical import fit_fixed_rcb, fit_mixed_rcb
 from .simulate import BivariateParams, SimConfig, bias_study, gen_bivariate_rcb
 
 MODELS = ("fixed", "mixed", "bivariate", "orthogonal", "mvc")
@@ -108,13 +110,16 @@ class Artifact:
         return "\n".join(lines) + "\n"
 
 
-def _emit(artifact: Artifact, req: RunRequest):
-    text = artifact.render(req.format)
+def _write(text: str, req: RunRequest):
     if req.output_path:
         with open(req.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(artifact: Artifact, req: RunRequest):
+    _write(artifact.render(req.format), req)
 
 
 def _load(req: RunRequest):
@@ -126,206 +131,150 @@ def _load(req: RunRequest):
 
 
 def _is_complete_rcb(ds, spec) -> bool:
+    """One covariate, one blocking factor, every treatment once in every block."""
     if spec.recipe != "rcb" or spec.m != 1 or len(spec.blocking_factors) != 1:
         return False
-    try:
-        rcb_arrays(ds, spec)
-        return True
-    except (ValidationError, SingularityError):
-        return False
+    sub = ds.subset(ds.complete_mask)
+    n_trt = len(set(zip(*(sub.factors[f] for f in spec.treatment_factors))))
+    n_blk = len(sub.factor_levels(spec.blocking_factors[0]))
+    cells = set(zip(*(sub.factors[f] for f in spec.factor_names)))
+    return len(cells) == sub.n_records == n_trt * n_blk
+
+
+def _iter_options(req: RunRequest) -> dict:
+    """``--tol``/``--max-iter`` when given; each fitter keeps its own defaults."""
+    opts = {"tol": req.tol, "max_iter": req.max_iter}
+    return {k: val for k, val in opts.items() if val is not None}
+
+
+def _fields(**paths):
+    """Scalar fields after ``method``: output name -> dotted fit attribute."""
+    getters = {name: attrgetter(path) for name, path in paths.items()}
+    return lambda f, req: {
+        "method": req.method, **{name: get(f) for name, get in getters.items()}
+    }
+
+
+def _fixed_scalars(f, req) -> dict:
+    n = len(f.treatments) * len(f.blocks)
+    loglik = -0.5 * n * (np.log(2 * np.pi) + np.log(f.sigma_e2_hat) + 1.0)
+    return {"gamma_ols": f.gamma_ols, "sigma_e2": f.sigma_e2_hat, "loglik": loglik}
+
+
+def _orthogonal_scalars(f, req) -> dict:
+    return {
+        "method": req.method,
+        "loglik": f.loglik,
+        **{f"slope[{name}]": val for name, val in f.slopes.items()},
+        **{f"varcomp[{name}]": val for name, val in f.var_comps.items()},
+        "converged": f.lmm_fit.converged,
+    }
+
+
+def _fit_bivariate_ml(ds, spec, req):
+    fit, params, cond = fit_bivariate_rcb_ml(ds, spec)
+    means, se = adjusted_means_bivariate(fit)
+    return SimpleNamespace(
+        fit=fit, params=params, cond=cond, treatments=fit.treatments,
+        adjusted_means=means, adjusted_se=se,
+    )
+
+
+def _fit_mvc(ds, spec, req):
+    if req.method == "reml":
+        raise ValidationError("reml unsupported for mvc")
+    stacked = build_stacked(ds, spec)
+    fit = fit_em(make_model(stacked), **_iter_options(req))
+    res = adjusted_means_mvc(fit)
+    return SimpleNamespace(
+        fit=fit, stacked=stacked, evaluated_at=res.evaluated_at,
+        treatments=res.treatments, adjusted_means=res.means, adjusted_se=res.se,
+    )
+
+
+def _mvc_scalars(f, req) -> dict:
+    out = {"method": req.method, "loglik": f.fit.loglik,
+           "iterations": f.fit.iterations, "converged": f.fit.converged}
+    # cov_mean_cols preserves covariate declaration order, matching
+    # the order of the evaluated-at vector
+    for j, name in enumerate(f.stacked.cov_mean_cols):
+        out[f"mu_z[{name}]"] = f.evaluated_at[j]
+    for i, S in enumerate(f.fit.params.Sigmas):
+        for j in range(S.shape[0]):
+            for k in range(j, S.shape[0]):
+                out[f"Sigma{i}[{j},{k}]"] = S[j, k]
+    return out
+
+
+_MEANS = (("adj_mean", "adjusted_means"), ("std_err", "adjusted_se"))
+_TAU = _MEANS + (("effect", "tau_hat"),)
+_EFFECTS = (
+    ("adj_mean", "adjusted_means"), ("adj_se", "adjusted_se"),
+    ("effect", "effects"), ("effect_se", "effect_se"),
+)
+_BLOCK = dict(sigma_e2="sigma_e2", sigma_b2="sigma_b2", loglik="loglik",
+              converged="lmm_fit.converged")
+
+# model -> (fitter(ds, spec, req), scalar fields after "model" (fit, req),
+# treatment-table columns after "treatment" as (header, fit attribute)).
+# A "<model>_rcb" row replaces its model's row on a complete RCB for the
+# methods in _RCB_METHODS.  A false "converged" field exits 3.
+_MODELS = {
+    "fixed": (lambda ds, spec, req: fit_fixed_rcb(ds, spec), _fixed_scalars, _TAU),
+    "mixed_rcb": (
+        lambda ds, spec, req: fit_mixed_rcb(ds, spec, req.method, **_iter_options(req)),
+        _fields(gamma_mixed="gamma_mixed", sigma_e2="sigma_e2_hat",
+                sigma_b2="sigma_b2_hat", rho="rho_hat", loglik="loglik",
+                converged="lmm_fit.converged"),
+        _TAU,
+    ),
+    "mixed": (
+        lambda ds, spec, req: fit_naive_block_mixed(
+            ds, spec, req.method, **_iter_options(req)),
+        _fields(gamma="gamma_e", **_BLOCK),
+        _EFFECTS,
+    ),
+    "bivariate_rcb": (
+        _fit_bivariate_ml,
+        _fields(gamma_e="fit.gamma_e_hat", gamma_be="fit.gamma_be_hat",
+                gamma_b="cond.gamma_b", sigma_e2="cond.sigma_e2",
+                sigma_b2="cond.sigma_b2", mu_z="fit.mu_z_hat",
+                loglik="fit.loglik", sigma_b_psd="params.sigma_b_psd"),
+        _MEANS,
+    ),
+    "bivariate": (
+        lambda ds, spec, req: fit_conditional_ibd(
+            ds, spec, req.method, **_iter_options(req)),
+        _fields(gamma_e="gamma_e", gamma_b="gamma_b", **_BLOCK),
+        _EFFECTS,
+    ),
+    "orthogonal": (
+        lambda ds, spec, req: fit_orthogonal_conditional(
+            recipe_for(spec), ds, req.method, **_iter_options(req)),
+        _orthogonal_scalars,
+        _MEANS,
+    ),
+    "mvc": (_fit_mvc, _mvc_scalars, _MEANS),
+}
+_RCB_METHODS = {"mixed": ("ml", "reml"), "bivariate": ("ml",)}
 
 
 def _fit_artifact(req: RunRequest, ds, spec) -> tuple[Artifact, int]:
-    code = EXIT_OK
-    if req.model == "fixed":
-        f = fit_fixed_rcb(ds, spec)
-        n = len(f.treatments) * len(f.blocks)
-        loglik = -0.5 * n * (np.log(2 * np.pi) + np.log(f.sigma_e2_hat) + 1.0)
-        scalars = {
-            "model": "fixed",
-            "gamma_ols": f.gamma_ols,
-            "sigma_e2": f.sigma_e2_hat,
-            "loglik": loglik,
-        }
-        rows = [
-            [lab, f.adjusted_means[i], f.adjusted_se[i], f.tau_hat[i]]
-            for i, lab in enumerate(f.treatments)
-        ]
-        return (
-            Artifact(scalars, {"treatments": (["treatment", "adj_mean", "std_err", "effect"], rows)}),
-            code,
-        )
-    if req.model == "mixed":
-        if _is_complete_rcb(ds, spec):
-            f = fit_mixed_rcb(ds, spec, method=req.method)
-            scalars = {
-                "model": "mixed",
-                "method": req.method,
-                "gamma_mixed": f.gamma_mixed,
-                "sigma_e2": f.sigma_e2_hat,
-                "sigma_b2": f.sigma_b2_hat,
-                "rho": f.rho_hat,
-                "loglik": f.loglik,
-                "converged": f.lmm_fit.converged,
-            }
-            rows = [
-                [lab, f.adjusted_means[i], f.adjusted_se[i], f.tau_hat[i]]
-                for i, lab in enumerate(f.treatments)
-            ]
-            if not f.lmm_fit.converged:
-                code = EXIT_NONCONVERGENCE
-            return (
-                Artifact(
-                    scalars,
-                    {"treatments": (["treatment", "adj_mean", "std_err", "effect"], rows)},
-                ),
-                code,
-            )
-        f = fit_naive_block_mixed(ds, spec, method=req.method)
-        scalars = {
-            "model": "mixed",
-            "method": req.method,
-            "gamma": f.gamma_e,
-            "sigma_e2": f.sigma_e2,
-            "sigma_b2": f.sigma_b2,
-            "loglik": f.loglik,
-            "converged": f.lmm_fit.converged,
-        }
-        rows = [
-            [lab, f.adjusted_means[i], f.adjusted_se[i], f.effects[i], f.effect_se[i]]
-            for i, lab in enumerate(f.treatments)
-        ]
-        if not f.lmm_fit.converged:
-            code = EXIT_NONCONVERGENCE
-        return (
-            Artifact(
-                scalars,
-                {
-                    "treatments": (
-                        ["treatment", "adj_mean", "adj_se", "effect", "effect_se"],
-                        rows,
-                    )
-                },
-            ),
-            code,
-        )
-    if req.model == "bivariate":
-        if req.method == "ml" and _is_complete_rcb(ds, spec):
-            fit, params, cond = fit_bivariate_rcb_ml(ds, spec)
-            means, se = adjusted_means_bivariate(fit)
-            scalars = {
-                "model": "bivariate",
-                "method": "ml",
-                "gamma_e": fit.gamma_e_hat,
-                "gamma_be": fit.gamma_be_hat,
-                "gamma_b": cond.gamma_b,
-                "sigma_e2": cond.sigma_e2,
-                "sigma_b2": cond.sigma_b2,
-                "mu_z": fit.mu_z_hat,
-                "loglik": fit.loglik,
-                "sigma_b_psd": params.sigma_b_psd,
-            }
-            rows = [
-                [lab, means[i], se[i]] for i, lab in enumerate(fit.treatments)
-            ]
-            return (
-                Artifact(
-                    scalars,
-                    {"treatments": (["treatment", "adj_mean", "std_err"], rows)},
-                ),
-                code,
-            )
-        f = fit_conditional_ibd(ds, spec, method=req.method)
-        scalars = {
-            "model": "bivariate",
-            "method": req.method,
-            "gamma_e": f.gamma_e,
-            "gamma_b": f.gamma_b,
-            "sigma_e2": f.sigma_e2,
-            "sigma_b2": f.sigma_b2,
-            "loglik": f.loglik,
-            "converged": f.lmm_fit.converged,
-        }
-        rows = [
-            [lab, f.adjusted_means[i], f.adjusted_se[i], f.effects[i], f.effect_se[i]]
-            for i, lab in enumerate(f.treatments)
-        ]
-        if not f.lmm_fit.converged:
-            code = EXIT_NONCONVERGENCE
-        return (
-            Artifact(
-                scalars,
-                {
-                    "treatments": (
-                        ["treatment", "adj_mean", "adj_se", "effect", "effect_se"],
-                        rows,
-                    )
-                },
-            ),
-            code,
-        )
-    if req.model == "orthogonal":
-        recipe = recipe_for(spec)
-        f = fit_orthogonal_conditional(recipe, ds, method=req.method)
-        scalars = {"model": "orthogonal", "method": req.method, "loglik": f.loglik}
-        for name, val in f.slopes.items():
-            scalars[f"slope[{name}]"] = val
-        for name, val in f.var_comps.items():
-            scalars[f"varcomp[{name}]"] = val
-        scalars["converged"] = f.lmm_fit.converged
-        rows = [
-            [lab, f.adjusted_means[i], f.adjusted_se[i]]
-            for i, lab in enumerate(f.treatments)
-        ]
-        if not f.lmm_fit.converged:
-            code = EXIT_NONCONVERGENCE
-        return (
-            Artifact(
-                scalars, {"treatments": (["treatment", "adj_mean", "std_err"], rows)}
-            ),
-            code,
-        )
-    if req.model == "mvc":
-        if req.method == "reml":
-            raise ValidationError("reml unsupported for mvc")
-        stacked = build_stacked(ds, spec)
-        fit = fit_em(
-            make_model(stacked),
-            tol=req.tol if req.tol is not None else 1e-8,
-            max_iter=req.max_iter if req.max_iter is not None else 2000,
-        )
-        res = adjusted_means_mvc(fit)
-        scalars = {
-            "model": "mvc",
-            "method": "ml",
-            "loglik": fit.loglik,
-            "iterations": fit.iterations,
-            "converged": fit.converged,
-        }
-        # cov_mean_cols preserves covariate declaration order, matching
-        # the order of the evaluated-at vector
-        for j, name in enumerate(stacked.cov_mean_cols):
-            scalars[f"mu_z[{name}]"] = res.evaluated_at[j]
-        S0 = fit.params.Sigmas[0]
-        for j in range(S0.shape[0]):
-            for k in range(j, S0.shape[0]):
-                scalars[f"Sigma0[{j},{k}]"] = S0[j, k]
-        for i, S in enumerate(fit.params.Sigmas[1:], start=1):
-            for j in range(S.shape[0]):
-                for k in range(j, S.shape[0]):
-                    scalars[f"Sigma{i}[{j},{k}]"] = S[j, k]
-        rows = [
-            [lab, res.means[i], res.se[i]] for i, lab in enumerate(res.treatments)
-        ]
-        if not fit.converged:
-            code = EXIT_NONCONVERGENCE
-        return (
-            Artifact(
-                scalars, {"treatments": (["treatment", "adj_mean", "std_err"], rows)}
-            ),
-            code,
-        )
-    raise ValidationError(f"unknown model {req.model!r}; expected one of {MODELS}")
+    if req.model not in MODELS:
+        raise ValidationError(f"unknown model {req.model!r}; expected one of {MODELS}")
+    key = req.model
+    if req.method in _RCB_METHODS.get(key, ()) and _is_complete_rcb(ds, spec):
+        key += "_rcb"
+    fitter, scalar_fields, columns = _MODELS[key]
+    f = fitter(ds, spec, req)
+    scalars = {"model": req.model, **scalar_fields(f, req)}
+    cols = ["treatment"] + [name for name, _ in columns]
+    rows = [
+        [lab] + [getattr(f, attr)[i] for _, attr in columns]
+        for i, lab in enumerate(f.treatments)
+    ]
+    code = EXIT_OK if scalars.get("converged", True) else EXIT_NONCONVERGENCE
+    return Artifact(scalars, {"treatments": (cols, rows)}), code
 
 
 def _cmd_fit(req: RunRequest) -> int:
@@ -338,18 +287,11 @@ def _cmd_fit(req: RunRequest) -> int:
 def _cmd_adjust(req: RunRequest) -> int:
     ds, spec = _load(req)
     artifact, code = _fit_artifact(req, ds, spec)
-    table = artifact.tables["treatments"]
-    cols, rows = table
-    keep = [cols.index(c) for c in cols if c in ("treatment", "adj_mean", "std_err", "adj_se")]
-    out_cols = ["treatment", "adj_mean", "std_err"]
-    out_rows = [[row[i] for i in keep] for row in rows]
-    _emit(
-        Artifact(
-            {"model": req.model, "method": req.method},
-            {"adjusted_means": (out_cols, out_rows)},
-        ),
-        req,
-    )
+    # every model's table starts with treatment, adjusted mean, standard error
+    rows = [row[:3] for row in artifact.tables["treatments"][1]]
+    table = (["treatment", "adj_mean", "std_err"], rows)
+    scalars = {"model": req.model, "method": req.method}
+    _emit(Artifact(scalars, {"adjusted_means": table}), req)
     return code
 
 
@@ -359,40 +301,27 @@ def _cmd_compare(req: RunRequest) -> int:
         raise ValidationError(
             "compare needs a complete randomized-blocks layout with one covariate"
         )
-    fx = fit_fixed_rcb(ds, spec)
-    mx = fit_mixed_rcb(ds, spec, method=req.method)
-    bv_fit, _bv_params, bv_cond = fit_bivariate_rcb_ml(ds, spec)
-    bv_means, bv_se = adjusted_means_bivariate(bv_fit)
+    fits = {
+        "fixed": fit_fixed_rcb(ds, spec),
+        "mixed": fit_mixed_rcb(ds, spec, req.method, **_iter_options(req)),
+        "bivariate": _fit_bivariate_ml(ds, spec, req),
+    }
+    fx, mx = fits["fixed"], fits["mixed"]
     scalars = {
         "gamma_ols": fx.gamma_ols,
         "gamma_mixed": mx.gamma_mixed,
-        "gamma_be": bv_fit.gamma_be_hat,
+        "gamma_be": fits["bivariate"].fit.gamma_be_hat,
         "sigma_e2_mixed": mx.sigma_e2_hat,
         "sigma_b2_mixed": mx.sigma_b2_hat,
         "rho_mixed": mx.rho_hat,
         "method": req.method,
     }
-    rows = []
-    for i, lab in enumerate(fx.treatments):
-        rows.append(
-            [
-                lab,
-                fx.adjusted_means[i],
-                fx.adjusted_se[i],
-                mx.adjusted_means[i],
-                mx.adjusted_se[i],
-                bv_means[i],
-                bv_se[i],
-            ]
-        )
-    cols = [
-        "treatment",
-        "fixed_adj_mean",
-        "fixed_std_err",
-        "mixed_adj_mean",
-        "mixed_std_err",
-        "bivariate_adj_mean",
-        "bivariate_std_err",
+    cols = ["treatment"]
+    for name in fits:
+        cols += [f"{name}_adj_mean", f"{name}_std_err"]
+    rows = [
+        [lab] + [v for f in fits.values() for v in (f.adjusted_means[i], f.adjusted_se[i])]
+        for i, lab in enumerate(fx.treatments)
     ]
     _emit(Artifact(scalars, {"comparison": (cols, rows)}), req)
     return EXIT_OK if mx.lmm_fit.converged else EXIT_NONCONVERGENCE
@@ -438,50 +367,32 @@ def _cmd_contrast(req: RunRequest) -> int:
     if not req.coeffs:
         raise ValidationError("--coeffs is required for contrast")
     ds, spec = _load(req)
-    if req.model == "mixed":
-        f = fit_naive_block_mixed(ds, spec, method=req.method)
-    elif req.model == "bivariate":
-        f = fit_conditional_ibd(ds, spec, method=req.method)
-    else:
+    fitters = {"mixed": fit_naive_block_mixed, "bivariate": fit_conditional_ibd}
+    if req.model not in fitters:
         raise ValidationError("contrast supports models 'mixed' and 'bivariate'")
+    f = fitters[req.model](ds, spec, req.method, **_iter_options(req))
     c = _parse_coeffs(req.coeffs, f.treatments)
     full = np.zeros(len(f.lmm_fit.beta_hat))
     full[: len(c)] = c
     est, se = lmm_contrast(f.lmm_fit, full)
-    _emit(
-        Artifact(
-            {
-                "model": req.model,
-                "method": req.method,
-                "contrast": req.coeffs,
-                "estimate": est,
-                "std_err": se,
-            },
-            {},
-        ),
-        req,
-    )
+    scalars = {"model": req.model, "method": req.method, "contrast": req.coeffs,
+               "estimate": est, "std_err": se}
+    _emit(Artifact(scalars, {}), req)
     return EXIT_OK if f.lmm_fit.converged else EXIT_NONCONVERGENCE
+
+
+def _sym2(v) -> np.ndarray:
+    """Symmetric 2x2 matrix from its (yy, yz, zz) entries."""
+    return np.array([[v[0], v[1]], [v[1], v[2]]])
 
 
 def _cmd_simulate(req: RunRequest) -> int:
     sim = req.sim
-    mu_y = np.full(sim["t"], sim.get("mu_y", 0.0))
     params = BivariateParams(
-        mu_y=mu_y,
+        mu_y=np.full(sim["t"], sim.get("mu_y", 0.0)),
         mu_z=sim.get("mu_z", 0.0),
-        Sigma_B=np.array(
-            [
-                [sim["sigma_b"][0], sim["sigma_b"][1]],
-                [sim["sigma_b"][1], sim["sigma_b"][2]],
-            ]
-        ),
-        Sigma_E=np.array(
-            [
-                [sim["sigma_e"][0], sim["sigma_e"][1]],
-                [sim["sigma_e"][1], sim["sigma_e"][2]],
-            ]
-        ),
+        Sigma_B=_sym2(sim["sigma_b"]),
+        Sigma_E=_sym2(sim["sigma_e"]),
     )
     cfg = SimConfig(
         t=sim["t"],
@@ -493,48 +404,20 @@ def _cmd_simulate(req: RunRequest) -> int:
     )
     if sim.get("study") == "bias":
         res = bias_study(cfg)
-        rows = [
-            [r.estimator, r.target, r.mc_mean, r.mc_se, r.bias, r.flag]
-            for r in res.rows
-        ]
-        _emit(
-            Artifact(
-                {
-                    "replicates": res.replicates,
-                    "gamma_e": res.gamma_e,
-                    "gamma_be": res.gamma_be,
-                    "rho": res.rho,
-                    "mixing_value": res.mixing_value,
-                },
-                {
-                    "study": (
-                        ["estimator", "target", "mc_mean", "mc_se", "bias", "flag"],
-                        rows,
-                    )
-                },
-            ),
-            req,
-        )
+        scalars = {"replicates": res.replicates, "gamma_e": res.gamma_e,
+                   "gamma_be": res.gamma_be, "rho": res.rho,
+                   "mixing_value": res.mixing_value}
+        cols = ["estimator", "target", "mc_mean", "mc_se", "bias", "flag"]
+        rows = [[getattr(r, c) for c in cols] for r in res.rows]
+        _emit(Artifact(scalars, {"study": (cols, rows)}), req)
         return EXIT_OK
     ds = gen_bivariate_rcb(cfg)[sim.get("rep", 0)]
-    lines = ["treatment,block,y,z"]
-    for i in range(ds.n_records):
-        lines.append(
-            ",".join(
-                [
-                    str(ds.factors["treatment"][i]),
-                    str(ds.factors["block"][i]),
-                    _fmt(float(ds.response[i])),
-                    _fmt(float(ds.covariates[i, 0])),
-                ]
-            )
-        )
-    text = "\n".join(lines) + "\n"
-    if req.output_path:
-        with open(req.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    records = zip(ds.factors["treatment"], ds.factors["block"], ds.response,
+                  ds.covariates[:, 0])
+    lines = ["treatment,block,y,z"] + [
+        f"{trt},{blk},{_fmt(float(y))},{_fmt(float(z))}" for trt, blk, y, z in records
+    ]
+    _write("\n".join(lines) + "\n", req)
     return EXIT_OK
 
 
@@ -559,10 +442,7 @@ def run(request: RunRequest) -> int:
         if request.method not in ("ml", "reml"):
             raise ValidationError(f"unknown method {request.method!r}")
         return handler(request)
-    except ValidationError as exc:
-        _diag(EXIT_INPUT, "input", exc)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         _diag(EXIT_INPUT, "input", exc)
         return EXIT_INPUT
     except SingularityError as exc:
@@ -642,18 +522,10 @@ def _request_from_args(args) -> RunRequest:
         coeffs=getattr(args, "coeffs", None),
     )
     if args.command == "simulate":
-        req.sim = {
-            "study": args.study,
-            "t": args.t,
-            "b": args.b,
-            "replicates": args.replicates,
-            "seed": args.seed,
-            "rep": args.rep,
-            "mu_y": args.mu_y,
-            "mu_z": args.mu_z,
-            "sigma_b": [float(v) for v in args.sigma_b.split(",")],
-            "sigma_e": [float(v) for v in args.sigma_e.split(",")],
-        }
+        names = ("study", "t", "b", "replicates", "seed", "rep", "mu_y", "mu_z")
+        req.sim = {name: getattr(args, name) for name in names}
+        for name in ("sigma_b", "sigma_e"):
+            req.sim[name] = [float(v) for v in getattr(args, name).split(",")]
     return req
 
 

@@ -6,6 +6,11 @@ a univariate mixed model whose extra regressors are stratum means of the
 covariates (block means, wholeplot means, row and column means).  Each
 shipped recipe knows which means to append, which random factors to keep,
 and which projector partition its replicate unit carries.
+
+:func:`fit_orthogonal_conditional` is the package's one conditional-LMM
+builder: every univariate mixed fit (the naive single-slope model, the
+two-slope block model and the recipes) is this function with a different
+regressor list.
 """
 
 from __future__ import annotations
@@ -105,15 +110,7 @@ def recipe_for(spec: DesignSpec) -> DesignRecipe:
     """Build the recipe for ``spec`` from its declared factor roles."""
     tf, bf = spec.treatment_factors, spec.blocking_factors
     if spec.recipe in ("rcb", "incomplete_block"):
-        block = bf[0]
-        return DesignRecipe(
-            name=spec.recipe,
-            treatment_factors=tf,
-            mean_groupings=((block,),),
-            random_groupings=((block, (block,)),),
-            replicate_factors=(block,),
-            unit_classifiers=(),
-        )
+        return _block_recipe(spec)
     if spec.recipe == "split_plot":
         wp_trt, _sp_trt = tf
         rep = bf[0]
@@ -156,6 +153,20 @@ def recipe_for(spec: DesignSpec) -> DesignRecipe:
         )
     raise ValidationError(
         f"recipe {spec.recipe!r} has no orthogonal-conditional expansion"
+    )
+
+
+def _block_recipe(spec: DesignSpec, block_means: bool = True) -> DesignRecipe:
+    """Random blocks from the first blocking factor; ``block_means=False``
+    leaves out the block-mean regressor (the single-slope model)."""
+    block = spec.blocking_factors[0]
+    return DesignRecipe(
+        name=spec.recipe,
+        treatment_factors=spec.treatment_factors,
+        mean_groupings=((block,),) if block_means else (),
+        random_groupings=((block, (block,)),),
+        replicate_factors=(block,),
+        unit_classifiers=(),
     )
 
 
@@ -266,64 +277,98 @@ class OrthogonalConditionalFit:
     dropped_regressors: tuple[str, ...]
 
 
+def _canonical_records(ds: Dataset, treatment_factors: tuple[str, ...]):
+    """Complete records sorted by treatment label, then by the levels of
+    every other factor in column order, with the labels and label codes.
+
+    Fitting in this one order makes the result independent of the row
+    order of the input.
+    """
+    sub = ds.subset(ds.complete_mask)
+    if sub.n_records == 0:
+        raise ValidationError("no complete cells")
+    labels, codes = np.unique(_group_keys(sub, treatment_factors), return_inverse=True)
+    keys = [codes]
+    for f in sub.factors:
+        if f not in treatment_factors:
+            index = {lev: i for i, lev in enumerate(sub.factor_levels(f))}
+            keys.append(np.array([index[v] for v in sub.factors[f]], dtype=int))
+    order = np.lexsort(keys[::-1])
+    return sub.subset(order), list(labels), codes[order]
+
+
+def _check_blocks(sub: Dataset, codes: np.ndarray, t: int, block: str):
+    """Equal block sizes and a connected treatment/block graph."""
+    _, bcodes, sizes = np.unique(
+        sub.factors[block], return_inverse=True, return_counts=True
+    )
+    if sizes.min() != sizes.max():
+        raise ValidationError(
+            "blocks have unequal sizes; route this layout to the general engine"
+        )
+    # treatments reachable from the first through shared blocks
+    N = incidence(codes, t).T @ incidence(bcodes, len(sizes))
+    reach = np.arange(t) == 0
+    for _ in range(t):
+        reach = N @ (N.T @ reach) > 0
+    if not reach.all():
+        raise SingularityError(
+            "design is disconnected; treatment effects are inestimable"
+        )
+
+
 def fit_orthogonal_conditional(
-    recipe: DesignRecipe, ds: Dataset, method: str = "ml"
+    recipe: DesignRecipe,
+    ds: Dataset,
+    method: str = "ml",
+    tol: float = 1e-10,
+    max_iter: int = 500,
 ) -> OrthogonalConditionalFit:
     """Fit the recipe's conditional model and adjust the treatment means.
 
     The fixed part is the full treatment-combination cell means plus one
     slope per covariate column (original and appended stratum means); the
     random part is the recipe's factor list.  Constant regressor columns
-    (for instance an identically-zero covariate) are dropped, pinning their
-    slopes at zero.  Means are evaluated with every covariate column at the
-    grand mean of its parent covariate.
+    (for instance an identically-zero covariate, or a covariate whose
+    block means are all equal) are dropped, pinning their slopes at zero.
+    Means are evaluated with every covariate column at the grand mean of
+    its parent covariate.  A recipe whose only random factor is its
+    replicate factor (random blocks) must have equal block sizes and a
+    connected design.  ``tol`` and ``max_iter`` go to :func:`fit_lmm`.
     """
-    aug = conditional_regressors(recipe, ds)
-    mask = aug.complete_mask
-    sub = aug.subset(mask)
-    n = sub.n_records
-
-    parts = [sub.factors[f] for f in recipe.treatment_factors]
-    combos = [":".join(v) for v in zip(*parts)]
-    labels = sorted(set(combos))
-    cindex = {lab: i for i, lab in enumerate(labels)}
-    T = incidence(np.array([cindex[c] for c in combos]), len(labels))
-    t = len(labels)
-
-    # parent covariate of each regressor column, for the plug-in values
-    n_orig = len(ds.covariate_names)
-    parents = list(range(n_orig))
-    for grouping in recipe.mean_groupings:
-        parents.extend(range(n_orig))
+    sub, labels, codes = _canonical_records(ds, recipe.treatment_factors)
+    rf = recipe.replicate_factors
+    if len(rf) == 1 and recipe.random_groupings == ((rf[0], rf),):
+        _check_blocks(sub, codes, len(labels), rf[0])
+    aug = conditional_regressors(recipe, sub)
+    t, n_orig = len(labels), sub.m
+    T = incidence(codes, t)
     grand = np.array([sub.covariates[:, j].mean() for j in range(n_orig)])
 
     keep, dropped = [], []
-    for r in range(sub.m):
-        col = sub.covariates[:, r]
+    for r in range(aug.m):
+        col = aug.covariates[:, r]
         if np.var(col) <= 1e-12 * max(1.0, float(np.mean(col**2))):
             dropped.append(aug.covariate_names[r])
         else:
             keep.append(r)
-    R = sub.covariates[:, keep]
+    R = aug.covariates[:, keep]
 
-    randoms, names = [], []
-    for nm, grouping in recipe.random_groupings:
-        keys = _group_keys(sub, grouping)
-        uniq = sorted(set(keys))
-        idx = {u: i for i, u in enumerate(uniq)}
-        randoms.append(incidence(np.array([idx[k] for k in keys]), len(uniq)))
-        names.append(nm)
+    randoms = []
+    for _name, grouping in recipe.random_groupings:
+        _, idx = np.unique(_group_keys(sub, grouping), return_inverse=True)
+        randoms.append(incidence(idx, idx.max() + 1))
 
     X = np.column_stack([T, R]) if R.size else T
-    fit = fit_lmm(
-        LmmSpec(y=sub.response, X=X, random=tuple(randoms), names=tuple(names)),
-        method=method,
-    )
+    names = tuple(name for name, _ in recipe.random_groupings)
+    lmm_spec = LmmSpec(y=sub.response, X=X, random=tuple(randoms), names=names)
+    fit = fit_lmm(lmm_spec, method=method, tol=tol, max_iter=max_iter)
 
+    # each appended column is evaluated at the grand mean of its parent
     coef = np.zeros((t, X.shape[1]))
     coef[:, :t] = np.eye(t)
     for pos, r in enumerate(keep):
-        coef[:, t + pos] = grand[parents[r]]
+        coef[:, t + pos] = grand[r % n_orig]
     adj = coef @ fit.beta_hat
     adj_cov = coef @ fit.beta_cov @ coef.T
     slopes = {aug.covariate_names[r]: float(fit.beta_hat[t + pos])
@@ -341,3 +386,15 @@ def fit_orthogonal_conditional(
         lmm_fit=fit,
         dropped_regressors=tuple(dropped),
     )
+
+
+def _fit_block_design(ds, spec, block_means, method, tol, max_iter):
+    """The random-blocks conditional fit behind the one-covariate block
+    fitters, with or without the block-mean regressor; any recipe with one
+    blocking factor, ``custom`` included."""
+    if spec.m != 1:
+        raise ValidationError("block-design fitters need exactly one covariate")
+    if len(spec.blocking_factors) != 1:
+        raise ValidationError("block-design fitters need one blocking factor")
+    recipe = _block_recipe(spec, block_means)
+    return fit_orthogonal_conditional(recipe, ds, method, tol=tol, max_iter=max_iter)

@@ -4,7 +4,8 @@ Two conventional fits for a complete-blocks experiment with one covariate:
 the fixed-blocks least-squares fit, and the naive univariate mixed fit that
 treats block effects as random but keeps a single covariate slope.  Both
 report treatment means adjusted to the grand covariate mean, with plug-in
-standard errors.
+standard errors.  The mixed fit is the conditional builder of
+:mod:`.orthogonal_conditional` with the block-mean regressor left out.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 from .data_model import Dataset, DesignSpec, treatment_labels
 from .design_algebra import centering_matrix, helmert_matrix
 from .errors import SingularityError, ValidationError
-from .lmm import LmmFit, LmmSpec, fit_lmm
+from .lmm import LmmFit
+from .orthogonal_conditional import _fit_block_design
 
 
 def rcb_arrays(ds: Dataset, spec: DesignSpec):
@@ -159,56 +161,37 @@ def gamma_mixed(Z: np.ndarray, Y: np.ndarray, rho: float) -> float:
     return _quad(Z, M, Cb, Y) / den
 
 
-def fit_mixed_rcb(ds: Dataset, spec: DesignSpec, method: str = "ml") -> MixedFitRCB:
+def fit_mixed_rcb(
+    ds: Dataset,
+    spec: DesignSpec,
+    method: str = "ml",
+    tol: float = 1e-10,
+    max_iter: int = 500,
+) -> MixedFitRCB:
     """Naive univariate mixed fit: random blocks, one covariate slope.
 
     Variance components, the slope, and the treatment means are estimated
-    jointly by (RE)ML; adjusted-mean variances add the block-sampling term
-    and the plug-in slope variance.
+    jointly by (RE)ML; the adjusted means carry their plug-in GLS standard
+    errors.  ``rho_hat`` is the fitted block correlation of a treatment
+    mean, ``sigma_b2 / (sigma_b2 + sigma_e2 / t)``.
     """
-    Y, Z, labels, _blocks = rcb_arrays(ds, spec)
-    t, b = Y.shape
-    y = Y.ravel()
-    z = Z.ravel()
-    T = np.kron(np.eye(t), np.ones((b, 1)))
-    W = np.kron(np.ones((t, 1)), np.eye(b))
-    fit = fit_lmm(
-        LmmSpec(y=y, X=np.column_stack([T, z]), random=(W,), names=("block",)),
-        method=method,
-    )
-    gamma = float(fit.beta_hat[t])
-    s2e, s2b = fit.sigma_e2, float(fit.sigma2[0])
-    rho = s2b / (s2b + s2e / t)
-    zbar_i = Z.mean(axis=1)
-    zbar = float(Z.mean())
-    adj = fit.beta_hat[:t] + gamma * zbar
-
-    # var(adjusted mean) = (s2e+s2b)/b + var(slope) * (zbar_i - zbar)^2 with
-    # var(slope) the quadratic form in the marginal covariance of y
-    M = np.eye(t) - rho * np.full((t, t), 1.0 / t)
-    Cb = centering_matrix(b)
-    Zm = M @ Z @ Cb
-    den = float(np.sum(Z * Zm))
-    if den <= 1e-12 * max(float(np.sum(Z * Z)), 1.0):
-        raise SingularityError("zero denominator in the GLS slope")
-    quad = s2e * float(np.sum(Zm * Zm)) + s2b * float(np.sum(Zm.sum(axis=0) ** 2))
-    var_slope = quad / den**2
-    se = np.sqrt((s2e + s2b) / b + var_slope * (zbar_i - zbar) ** 2)
-
-    mu = float(np.mean(adj) - gamma * zbar)
+    f = _fit_block_design(ds, spec, False, method, tol, max_iter)
+    t = len(f.treatments)
+    s2e, s2b = f.lmm_fit.sigma_e2, float(f.lmm_fit.sigma2[0])
+    adj = f.adjusted_means
     return MixedFitRCB(
-        mu_hat=mu,
+        mu_hat=float(np.mean(f.lmm_fit.beta_hat[:t])),
         tau_hat=adj - np.mean(adj),
-        gamma_mixed=gamma,
+        gamma_mixed=f.slopes[ds.covariate_names[0]],
         sigma_e2_hat=s2e,
         sigma_b2_hat=s2b,
-        rho_hat=float(rho),
+        rho_hat=float(s2b / (s2b + s2e / t)),
         adjusted_means=adj,
-        adjusted_se=se,
-        treatments=tuple(labels),
-        loglik=fit.loglik,
+        adjusted_se=f.adjusted_se,
+        treatments=f.treatments,
+        loglik=f.loglik,
         method=method,
-        lmm_fit=fit,
+        lmm_fit=f.lmm_fit,
     )
 
 

@@ -378,6 +378,31 @@ class TestConditionalIbd:
         with pytest.raises(ValidationError, match="general engine"):
             v.fit_conditional_ibd(ds, IBD_SPEC)
 
+    def test_equal_block_means_drop_the_block_mean_regressor(self):
+        # shift each plate's covariate so every block mean is 5: the
+        # block-mean column is constant, so the builder drops it and the
+        # two-slope fit becomes the single-slope fit
+        ds = _bib_dataset(seed=2)
+        z = ds.covariates[:, 0].copy()
+        for plate in set(ds.factors["plate"]):
+            sel = ds.factors["plate"] == plate
+            z[sel] += 5.0 - z[sel].mean()
+        ds = v.Dataset(
+            factors=dict(ds.factors),
+            response=ds.response,
+            covariates=z.reshape(-1, 1),
+            covariate_names=ds.covariate_names,
+            levels={},
+        )
+        fit = v.fit_conditional_ibd(ds, IBD_SPEC, method="reml")
+        naive = v.fit_naive_block_mixed(ds, IBD_SPEC, method="reml")
+        assert fit.gamma_b == 0.0
+        assert len(fit.lmm_fit.beta_hat) == 5  # four treatments and z
+        assert fit.gamma_e == naive.gamma_e
+        assert np.array_equal(fit.adjusted_se, naive.adjusted_se)
+        orth = v.fit_orthogonal_conditional(v.recipe_for(IBD_SPEC), ds, method="reml")
+        assert orth.dropped_regressors == ("mean(z|plate)",)
+
     def test_naive_mixed_single_slope(self):
         ds = _bib_dataset(seed=5)
         fit = v.fit_naive_block_mixed(ds, IBD_SPEC, method="reml")

@@ -1,6 +1,7 @@
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +184,13 @@ class TestAdjustAndFit:
         assert code == 0
         assert "slope[z]" in out
 
+    def test_lmm_max_iter_reaches_the_optimizer(self, tmp_path, capsys):
+        data, design = _write_rcb(tmp_path)
+        args = ["fit", "--model", "orthogonal", "--data", str(data), "--design", str(design)]
+        assert main(args) == 0
+        assert main(args + ["--max-iter", "1"]) == 3
+        assert "converged\tfalse" in capsys.readouterr().out
+
     def test_mvc_reml_rejected(self, tmp_path, capsys):
         data, design = _write_rcb(tmp_path)
         code = main(
@@ -241,6 +249,28 @@ class TestAdjustAndFit:
             ["fit", "--data", str(tmp_path / "nope.csv"), "--design", str(design)]
         )
         assert code == 2
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize("layout", ["rcb", "bib"])
+    def test_output_independent_of_record_order(self, layout, tmp_path, capsys):
+        golden = Path(__file__).parent / "fixtures" / "golden_cli"
+        design = golden / f"{layout}.json"
+        header, *rows = (golden / f"{layout}.csv").read_text().splitlines()
+        np.random.default_rng(7).shuffle(rows)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join([header] + rows) + "\n")
+        for model in (
+            ["--model", "orthogonal"],
+            ["--model", "bivariate", "--method", "reml"],
+            ["--model", "mixed"],
+        ):
+            outs = []
+            for data in (golden / f"{layout}.csv", shuffled):
+                args = ["adjust", *model, "--data", str(data), "--design", str(design)]
+                assert main(args) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1], model
 
 
 class TestCheckDesign:
