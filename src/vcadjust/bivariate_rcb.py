@@ -4,10 +4,10 @@ The response and covariate of a complete-blocks experiment share block
 effects and residual errors, each with its own 2x2 covariance.  Under that
 joint model the within-block and block-mean covariate regressions carry
 different slopes, and the implied conditional model for the response adds
-the block-mean covariate as a second regressor.  An orthonormal contrast
-transform of each block factorizes the likelihood into independent
-bivariate pieces, giving closed-form maximum likelihood: that is
-:func:`fit_bivariate_rcb_ml`.
+the block-mean covariate as a second regressor.  On a complete layout the
+likelihood factorizes over the block and residual strata, so maximum
+likelihood is closed form in the two strata's 2x2 sums of squares and
+products: that is :func:`fit_bivariate_rcb_ml`.
 
 The iterative fits here are the package's one conditional builder,
 :func:`~.orthogonal_conditional.fit_orthogonal_conditional`, with random
@@ -29,7 +29,7 @@ from .design_algebra import helmert_matrix
 from .errors import SingularityError, ValidationError
 from .lmm import LmmFit
 from .orthogonal_conditional import _fit_block_design
-from .rcb_classical import rcb_arrays
+from .rcb_classical import _rcb_sscp, rcb_arrays
 
 
 class HiddenExtrapolationWarning(UserWarning):
@@ -125,11 +125,13 @@ def conditional_from_bivariate(p: BivariateParams, t: int) -> ConditionalParams:
 
 @dataclass
 class HelmertFit:
-    """Closed-form ML pieces from the per-block contrast transform.
+    """Closed-form ML pieces from the block- and residual-stratum SSCPs.
 
-    The first contrast row (scaled block means) estimates the block-mean
-    regression; the remaining rows pool into the cell-level regression.
-    Sample moments of the data needed by the adjusted means ride along.
+    The block stratum (scaled block means, ``theta_1*``) estimates the
+    block-mean regression; the residual stratum gives the cell-level
+    regression, whose treatment coordinates in an orthonormal contrast basis
+    are ``theta_iy``.  Sample moments of the data needed by the adjusted
+    means ride along.
     """
 
     theta_1y: float
@@ -170,98 +172,68 @@ class HelmertFit:
         return (self.sigma_be2 - self.sigma_e2) / self.t
 
 
-def _bivariate_logpdf(y, z, mean_y, mean_z, S):
-    det = S[0, 0] * S[1, 1] - S[0, 1] ** 2
-    if det <= 0:
-        raise SingularityError("degenerate 2x2 covariance in the likelihood")
-    dy, dz = y - mean_y, z - mean_z
-    quad = (S[1, 1] * dy**2 - 2 * S[0, 1] * dy * dz + S[0, 0] * dz**2) / det
-    return -0.5 * (2 * np.log(2 * np.pi) + np.log(det) + quad)
-
-
 def fit_bivariate_rcb_ml(
     ds: Dataset, spec: DesignSpec
 ) -> tuple[HelmertFit, BivariateParams, ConditionalParams]:
     """Closed-form ML for the joint model on a complete RCB with one covariate.
 
-    Works on the orthonormal contrast transform of each block: the scaled
-    block-mean pairs carry the block-mean regression, the contrast pairs
-    carry the cell-level regression, and the per-piece variance MLEs
-    (divisor b) reassemble into the block and residual covariances.
+    The block-stratum SSCP carries the block-mean regression, the
+    residual-stratum SSCP the cell-level regression, and the per-stratum
+    variance MLEs (divisor b for blocks, b(t-1) for residuals) reassemble
+    into the block and residual covariances.  The covariate's residual
+    variance takes its within-block sum of squares unswept, since the
+    covariate mean carries no treatment effects.
     """
     Y, Z, labels, _blocks = rcb_arrays(ds, spec)
     t, b = Y.shape
     if b <= 1:
         raise ValidationError("need at least two blocks for inter-block information")
-    H = helmert_matrix(t)
-    Ys, Zs = H.T @ Y, H.T @ Z
-
+    block, resid, within = _rcb_sscp(Y, Z)
     scale = max(float(np.sum(Z * Z)), 1.0)
-    y1, z1 = Ys[0], Zs[0]
-    z1bar = float(z1.mean())
-    den0 = float(np.sum((z1 - z1bar) ** 2))
-    if den0 <= 1e-12 * scale:
-        raise SingularityError("block-mean covariate carries no variation")
-    gamma_be = float(np.sum((z1 - z1bar) * y1) / den0)
-    theta_1y = float(y1.mean())
-    theta_1yz = theta_1y - gamma_be * z1bar
-    sigma_be2 = float(np.mean((y1 - theta_1yz - gamma_be * z1) ** 2))
-    g0_zz = den0 / b
-
-    zc = Zs[1:] - Zs[1:].mean(axis=1, keepdims=True)
-    den1 = float(np.sum(zc * zc))
-    if den1 <= 1e-12 * scale:
+    if block[1, 1] <= 1e-12 * scale:
+        raise SingularityError(
+            "block-mean covariate carries no variation: the block-stratum "
+            "covariate variance estimate is 0, so the joint likelihood is "
+            "unbounded; fit the conditional model instead (--model orthogonal, "
+            "or --model bivariate --method reml)"
+        )
+    if resid[1, 1] <= 1e-12 * scale:
         raise SingularityError("within-block covariate carries no variation")
-    gamma_e = float(np.sum(zc * Ys[1:]) / den1)
-    theta_iy = Ys[1:].mean(axis=1) - gamma_e * Zs[1:].mean(axis=1)
-    resid = Ys[1:] - theta_iy[:, None] - gamma_e * Zs[1:]
-    sigma_e2 = float(np.sum(resid**2) / (b * (t - 1)))
-    g1_zz = float(np.sum(Zs[1:] ** 2) / (b * (t - 1)))
+    n_e = b * (t - 1)
+    gamma_be = float(block[0, 1] / block[1, 1])
+    gamma_e = float(resid[0, 1] / resid[1, 1])
+    sigma_be2 = float(block[0, 0] - gamma_be * block[0, 1]) / b
+    sigma_e2 = float(resid[0, 0] - gamma_e * resid[0, 1]) / n_e
+    g0_zz = float(block[1, 1]) / b
+    g1_zz = float(within[1, 1]) / n_e
     if sigma_be2 <= 1e-12 * max(float(np.sum(Y * Y)), 1.0):
         raise SingularityError(
             "inter-block residual variance is zero (need b >= 3 blocks for "
             "a proper block-mean regression)"
         )
+    if sigma_e2 <= 0:
+        raise SingularityError("degenerate 2x2 covariance in the likelihood")
 
-    Sigma_E = np.array(
-        [
-            [sigma_e2 + gamma_e**2 * g1_zz, gamma_e * g1_zz],
-            [gamma_e * g1_zz, g1_zz],
-        ]
-    )
-    G0 = np.array(
-        [
-            [sigma_be2 + gamma_be**2 * g0_zz, gamma_be * g0_zz],
-            [gamma_be * g0_zz, g0_zz],
-        ]
-    )
-    Sigma_B = (G0 - Sigma_E) / t
+    # Sigma_E is the covariance of (gamma_e z + e, z); the block-stratum
+    # covariance of the scaled block means is G0 = block / b
+    a = np.array([gamma_e, 1.0])
+    Sigma_E = g1_zz * np.outer(a, a) + np.diag([sigma_e2, 0.0])
+    Sigma_B = (block / b - Sigma_E) / t
 
     zbar_i, ybar_i = Z.mean(axis=1), Y.mean(axis=1)
     zbar = float(Z.mean())
-    szz_within = float(np.sum((Z - zbar_i[:, None] - Z.mean(axis=0) + zbar) ** 2))
 
-    # observed-data log-likelihood: sum of the independent transformed pieces
-    ll = float(np.sum(_bivariate_logpdf(y1, z1, theta_1y, z1bar * np.ones(b), G0)))
-    for idx in range(t - 1):
-        ll += float(
-            np.sum(
-                _bivariate_logpdf(
-                    Ys[idx + 1], Zs[idx + 1], theta_iy[idx], 0.0, Sigma_E
-                )
-            )
-        )
-
-    def _norm_ll(x, mean, var):
-        return -0.5 * (np.log(2 * np.pi * var) + (x - mean) ** 2 / var)
-
-    ll_z = float(np.sum(_norm_ll(z1, z1bar, g0_zz)))
-    ll_z += float(np.sum(_norm_ll(Zs[1:], 0.0, g1_zz)))
+    # At the MLE each stratum's quadratic form is twice its record count, and
+    # |G0| = sigma_be2 g0_zz, |Sigma_E| = sigma_e2 g1_zz: the joint likelihood
+    # is the covariate marginal times the conditional.
+    c = t * (np.log(2 * np.pi) + 1)
+    ll_z = float(-0.5 * b * (c + np.log(g0_zz) + (t - 1) * np.log(g1_zz)))
+    ll = ll_z - float(0.5 * b * (c + np.log(sigma_be2) + (t - 1) * np.log(sigma_e2)))
 
     fit = HelmertFit(
-        theta_1y=theta_1y,
-        theta_1z=z1bar,
-        theta_iy=theta_iy,
+        theta_1y=float(np.sqrt(t) * Y.mean()),
+        theta_1z=float(np.sqrt(t) * zbar),
+        theta_iy=helmert_matrix(t)[:, 1:].T @ (ybar_i - gamma_e * zbar_i),
         gamma_be_hat=gamma_be,
         gamma_e_hat=gamma_e,
         sigma_be2=sigma_be2,
@@ -274,7 +246,7 @@ def fit_bivariate_rcb_ml(
         ybar_i=ybar_i,
         zbar_i=zbar_i,
         zbar=zbar,
-        szz_within=szz_within,
+        szz_within=float(resid[1, 1]),
         loglik=ll,
         loglik_z=ll_z,
     )

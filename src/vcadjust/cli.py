@@ -441,7 +441,11 @@ def run(request: RunRequest) -> int:
             raise ValidationError(f"unknown format {request.format!r}")
         if request.method not in ("ml", "reml"):
             raise ValidationError(f"unknown method {request.method!r}")
-        return handler(request)
+        code = handler(request)
+        if code == EXIT_NONCONVERGENCE:
+            _diag(code, "non-convergence", "the fit stopped before converging; "
+                  "raise --max-iter or loosen --tol")
+        return code
     except (ValidationError, FileNotFoundError) as exc:
         _diag(EXIT_INPUT, "input", exc)
         return EXIT_INPUT
@@ -453,8 +457,8 @@ def run(request: RunRequest) -> int:
         return EXIT_NONCONVERGENCE
 
 
-def _diag(code: int, kind: str, exc: Exception):
-    msg = str(exc).replace("\n", " ")
+def _diag(code: int, kind: str, detail: Exception | str):
+    msg = str(detail).replace("\n", " ")
     sys.stderr.write(f'vcadjust: code={code} kind={kind} msg="{msg}"\n')
 
 

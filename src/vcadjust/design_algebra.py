@@ -4,8 +4,9 @@ The covariance of one replicate unit (block, wholeplot, Latin square) in an
 orthogonal blocking design can be written as ``V = sum_l G_l (x) A_l`` where
 the ``A_l`` are mutually orthogonal idempotents summing to the identity and
 each ``G_l`` is a small symmetric matrix over the variables (response first,
-then covariates).  Everything downstream — stratum regressions, closed-form
-ML, the structured inverse — runs through the two value types defined here.
+then covariates).  Stratum regressions and the structured inverse run
+through the two value types defined here; the complete-RCB closed forms use
+the same strata as sums of squares and products (:mod:`.rcb_classical`).
 """
 
 from __future__ import annotations

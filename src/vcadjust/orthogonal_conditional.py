@@ -170,9 +170,12 @@ def _block_recipe(spec: DesignSpec, block_means: bool = True) -> DesignRecipe:
     )
 
 
-def _group_keys(ds: Dataset, grouping: tuple[str, ...]) -> np.ndarray:
-    parts = [ds.factors[f] for f in grouping]
-    return np.array([":".join(v) for v in zip(*parts)], dtype=object)
+def _codes(ds: Dataset, grouping: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted labels of the groups of ``grouping`` (levels joined by ``:``)
+    and each record's integer group code; ``()`` puts every record in one group."""
+    parts = [ds.factors[f] for f in grouping] or [np.full(ds.n_records, "", object)]
+    keys = np.array([":".join(v) for v in zip(*parts)], dtype=object)
+    return np.unique(keys, return_inverse=True)
 
 
 def conditional_regressors(recipe: DesignRecipe, ds: Dataset) -> Dataset:
@@ -186,10 +189,9 @@ def conditional_regressors(recipe: DesignRecipe, ds: Dataset) -> Dataset:
     new_cols = []
     new_names = []
     for grouping in recipe.mean_groupings:
-        keys = _group_keys(ds, grouping)
-        complete_keys = keys[mask]
-        uniq, counts = np.unique(complete_keys, return_counts=True)
-        if len(uniq) == 0:
+        _, codes = _codes(ds, grouping)
+        groups, counts = np.unique(codes[mask], return_counts=True)
+        if len(groups) == 0:
             raise ValidationError("no complete cells to average")
         if counts.min() != counts.max():
             raise ValidationError(
@@ -198,15 +200,10 @@ def conditional_regressors(recipe: DesignRecipe, ds: Dataset) -> Dataset:
             )
         for j, cov in enumerate(ds.covariate_names):
             vals = ds.covariates[:, j]
-            means = {
-                u: float(np.mean(vals[mask & (keys == u)])) for u in uniq
-            }
-            col = np.array(
-                [
-                    means[k] if ok and k in means else np.nan
-                    for k, ok in zip(keys, mask)
-                ]
-            )
+            col = np.full(ds.n_records, np.nan)
+            for g in groups:
+                members = mask & (codes == g)
+                col[members] = vals[members].mean()
             new_cols.append(col)
             new_names.append(f"mean({cov}|{','.join(grouping)})")
     covs = np.column_stack([ds.covariates] + [c.reshape(-1, 1) for c in new_cols])
@@ -226,28 +223,23 @@ def recipe_partition(recipe: DesignRecipe, ds: Dataset) -> OrthogonalPartition:
     the grand-mean projector, one centered averaging projector per unit
     classifier, and the residual.  The result is validated before return.
     """
-    mask = ds.complete_mask
-    if recipe.replicate_factors:
-        unit_keys = _group_keys(ds, recipe.replicate_factors)[mask]
-    else:
-        unit_keys = np.array(["<all>"] * int(mask.sum()), dtype=object)
-    uniq, counts = np.unique(unit_keys, return_counts=True)
+    sub = ds.subset(ds.complete_mask)
+    _, units = _codes(sub, recipe.replicate_factors)
+    counts = np.bincount(units)
     if counts.min() != counts.max():
         raise ValidationError(
             "replicate units have unequal cell counts; not an orthogonal layout"
         )
     k = int(counts[0])
-    unit = uniq[0]
-    in_unit = np.zeros(len(mask), dtype=bool)
-    in_unit[np.where(mask)[0]] = unit_keys == unit
+    unit = sub.subset(units == 0)
 
     A0 = averaging_matrix(k)
     projs = [A0]
     for classifier in recipe.unit_classifiers:
-        keys = _group_keys(ds, classifier)[in_unit]
+        _, codes = _codes(unit, classifier)
         P = np.zeros((k, k))
-        for u in np.unique(keys):
-            idx = np.where(keys == u)[0]
+        for g in range(codes.max() + 1):
+            idx = np.where(codes == g)[0]
             P[np.ix_(idx, idx)] = 1.0 / len(idx)
         projs.append(P - A0)
     resid = np.eye(k) - sum(projs)
@@ -287,7 +279,7 @@ def _canonical_records(ds: Dataset, treatment_factors: tuple[str, ...]):
     sub = ds.subset(ds.complete_mask)
     if sub.n_records == 0:
         raise ValidationError("no complete cells")
-    labels, codes = np.unique(_group_keys(sub, treatment_factors), return_inverse=True)
+    labels, codes = _codes(sub, treatment_factors)
     keys = [codes]
     for f in sub.factors:
         if f not in treatment_factors:
@@ -299,9 +291,8 @@ def _canonical_records(ds: Dataset, treatment_factors: tuple[str, ...]):
 
 def _check_blocks(sub: Dataset, codes: np.ndarray, t: int, block: str):
     """Equal block sizes and a connected treatment/block graph."""
-    _, bcodes, sizes = np.unique(
-        sub.factors[block], return_inverse=True, return_counts=True
-    )
+    _, bcodes = _codes(sub, (block,))
+    sizes = np.bincount(bcodes)
     if sizes.min() != sizes.max():
         raise ValidationError(
             "blocks have unequal sizes; route this layout to the general engine"
@@ -356,8 +347,8 @@ def fit_orthogonal_conditional(
 
     randoms = []
     for _name, grouping in recipe.random_groupings:
-        _, idx = np.unique(_group_keys(sub, grouping), return_inverse=True)
-        randoms.append(incidence(idx, idx.max() + 1))
+        groups, idx = _codes(sub, grouping)
+        randoms.append(incidence(idx, len(groups)))
 
     X = np.column_stack([T, R]) if R.size else T
     names = tuple(name for name, _ in recipe.random_groupings)

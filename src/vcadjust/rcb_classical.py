@@ -6,6 +6,9 @@ treats block effects as random but keeps a single covariate slope.  Both
 report treatment means adjusted to the grand covariate mean, with plug-in
 standard errors.  The mixed fit is the conditional builder of
 :mod:`.orthogonal_conditional` with the block-mean regressor left out.
+
+Every complete-RCB closed form here and in :mod:`.bivariate_rcb` comes from
+the stratum sums of squares and products of :func:`_rcb_sscp`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset, DesignSpec, treatment_labels
-from .design_algebra import centering_matrix, helmert_matrix
+from .design_algebra import helmert_matrix
 from .errors import SingularityError, ValidationError
 from .lmm import LmmFit
 from .orthogonal_conditional import _fit_block_design
@@ -31,8 +34,9 @@ def rcb_arrays(ds: Dataset, spec: DesignSpec):
         raise ValidationError("classical RCB estimators need exactly one covariate")
     if len(spec.blocking_factors) != 1:
         raise ValidationError("classical RCB estimators need one blocking factor")
-    mask = ds.complete_mask
-    sub = ds.subset(mask)
+    sub = ds.subset(ds.complete_mask)
+    if sub.n_records == 0:
+        raise ValidationError("no complete cells")
     labels, codes = treatment_labels(sub, spec)
     bfac = spec.blocking_factors[0]
     blocks = list(sub.factor_levels(bfac))
@@ -58,9 +62,20 @@ def rcb_arrays(ds: Dataset, spec: DesignSpec):
     return Y, Z, labels, blocks
 
 
-def _quad(Z: np.ndarray, M_t: np.ndarray, M_b: np.ndarray, Y: np.ndarray) -> float:
-    """``vec(Z)' (M_t kron M_b) vec(Y)`` for treatment-major vec."""
-    return float(np.sum(Z * (M_t @ Y @ M_b)))
+def _rcb_sscp(Y: np.ndarray, Z: np.ndarray):
+    """Block, residual and within-block 2x2 SSCPs of (y, z) on a complete RCB.
+
+    ``Y`` and ``Z`` are (t, b) arrays.  The three forms are
+    ``vec(.)' P vec(.)`` for P = J_t/t (x) C_b (block stratum),
+    C_t (x) C_b (residual stratum) and C_t (x) I_b (within blocks, treatment
+    means not swept), each built from row, column and grand means.
+    """
+    D = np.stack([Y, Z])
+    col = D.mean(axis=1, keepdims=True)
+    grand = D.mean(axis=(1, 2), keepdims=True)
+    block = np.broadcast_to(col - grand, D.shape)
+    resid = D - D.mean(axis=2, keepdims=True) - col + grand
+    return tuple(np.einsum("itb,jtb->ij", R, R) for R in (block, resid, D - col))
 
 
 @dataclass
@@ -102,15 +117,13 @@ def fit_fixed_rcb(ds: Dataset, spec: DesignSpec, divisor: str = "ml") -> FixedFi
     """
     Y, Z, labels, blocks = rcb_arrays(ds, spec)
     t, b = Y.shape
-    Ct, Cb = centering_matrix(t), centering_matrix(b)
-    szz = _quad(Z, Ct, Cb, Z)
+    resid = _rcb_sscp(Y, Z)[1]
+    syy, szy, szz = resid[0, 0], resid[0, 1], resid[1, 1]
     if szz <= 1e-12 * max(float(np.sum(Z * Z)), 1.0):
         raise SingularityError(
             "covariate has no within-treatment-within-block variation; "
             "the regression is singular"
         )
-    szy = _quad(Z, Ct, Cb, Y)
-    syy = _quad(Y, Ct, Cb, Y)
     gamma = szy / szz
     zbar_i, ybar_i = Z.mean(axis=1), Y.mean(axis=1)
     zbar_j, ybar_j = Z.mean(axis=0), Y.mean(axis=0)
@@ -135,7 +148,7 @@ def fit_fixed_rcb(ds: Dataset, spec: DesignSpec, divisor: str = "ml") -> FixedFi
         adjusted_se=se,
         treatments=tuple(labels),
         blocks=tuple(blocks),
-        szz_within=szz,
+        szz_within=float(szz),
     )
 
 
@@ -152,13 +165,12 @@ def gamma_mixed(Z: np.ndarray, Y: np.ndarray, rho: float) -> float:
         raise ValidationError("Z and Y must be (t, b) arrays of equal shape")
     if not 0.0 <= rho <= 1.0:
         raise ValidationError(f"rho must lie in [0, 1], got {rho}")
-    t, b = Z.shape
-    M = np.eye(t) - rho * np.full((t, t), 1.0 / t)
-    Cb = centering_matrix(b)
-    den = _quad(Z, M, Cb, Z)
-    if den <= 1e-12 * max(float(np.sum(Z * Z)), 1.0):
+    # (I_t - rho J_t/t) (x) C_b is the residual plus (1 - rho) times the block stratum
+    block, resid, _ = _rcb_sscp(Y, Z)
+    S = resid + (1.0 - rho) * block
+    if S[1, 1] <= 1e-12 * max(float(np.sum(Z * Z)), 1.0):
         raise SingularityError("zero denominator in the GLS slope")
-    return _quad(Z, M, Cb, Y) / den
+    return float(S[0, 1] / S[1, 1])
 
 
 def fit_mixed_rcb(
@@ -211,31 +223,26 @@ class IntraInterDecomposition:
 def intra_inter_decompose(ds: Dataset, spec: DesignSpec) -> IntraInterDecomposition:
     """Split a complete RCB into contrast-space and block-mean regressions.
 
-    The contrast rows are the orthonormal within-block contrasts of each
-    block's observation vector; regressing their responses on their
-    covariates (centered per contrast) reproduces the fixed-blocks slope,
-    while the block-mean regression gives the inter-block slope.
+    The intra-block slope is the residual-stratum regression (the
+    fixed-blocks slope), the inter-block slope the block-stratum regression
+    of block means.  The contrast rows returned are the orthonormal
+    within-block contrasts of each block's observation vector.
     """
     Y, Z, _labels, _blocks = rcb_arrays(ds, spec)
-    t, b = Y.shape
-    H = helmert_matrix(t)
-    Ys = H.T @ Y
-    Zs = H.T @ Z
-    intra_y, intra_z = Ys[1:], Zs[1:]
-    zc = intra_z - intra_z.mean(axis=1, keepdims=True)
-    den = float(np.sum(zc * zc))
-    if den <= 1e-12 * max(float(np.sum(Z * Z)), 1.0):
+    t = Y.shape[0]
+    block, resid, _ = _rcb_sscp(Y, Z)
+    if resid[1, 1] <= 1e-12 * max(float(np.sum(Z * Z)), 1.0):
         raise SingularityError("no within-block covariate variation")
-    intra_slope = float(np.sum(zc * intra_y)) / den
+    intra_slope = float(resid[0, 1] / resid[1, 1])
 
     inter_y, inter_z = Y.mean(axis=0), Z.mean(axis=0)
-    zd = inter_z - inter_z.mean()
-    inter_den = float(np.sum(zd * zd))
-    defined = inter_den > 1e-12 * max(float(np.sum(inter_z**2)), 1.0)
-    inter_slope = float(np.sum(zd * inter_y) / inter_den) if defined else float("nan")
+    # the block stratum sums t copies of each block-mean deviation
+    defined = block[1, 1] / t > 1e-12 * max(float(np.sum(inter_z**2)), 1.0)
+    inter_slope = float(block[0, 1] / block[1, 1]) if defined else float("nan")
+    H = helmert_matrix(t)[:, 1:]
     return IntraInterDecomposition(
-        intra_y=intra_y,
-        intra_z=intra_z,
+        intra_y=H.T @ Y,
+        intra_z=H.T @ Z,
         inter_y=inter_y,
         inter_z=inter_z,
         intra_slope=intra_slope,

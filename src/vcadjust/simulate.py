@@ -14,10 +14,9 @@ import numpy as np
 
 from .bivariate_rcb import BivariateParams, conditional_from_bivariate
 from .data_model import Dataset, DesignSpec
-from .design_algebra import averaging_matrix, centering_matrix
 from .errors import ValidationError
 from .mvc_em import MultivariateModel, assemble_V
-from .rcb_classical import gamma_mixed
+from .rcb_classical import _rcb_sscp, gamma_mixed
 
 
 def _stream(seed: int, rep: int) -> np.random.Generator:
@@ -228,10 +227,9 @@ def bias_study(cfg: SimConfig) -> BiasStudyResult:
     rho = cond.sigma_b2 / (cond.sigma_b2 + cond.sigma_e2 / t)
 
     Z = _draw_z(cfg, _stream(cfg.seed, 0))
-    Ct, Cb = centering_matrix(t), centering_matrix(b)
-    Jt = averaging_matrix(t)
-    w_intra = float(np.sum(Z * (Ct @ Z @ Cb)))
-    w_inter = float(np.sum(Z * (Jt @ Z @ Cb)))
+    # covariate sums of squares of the residual and block strata
+    block, resid, _ = _rcb_sscp(Z, Z)
+    w_intra, w_inter = float(resid[1, 1]), float(block[1, 1])
     mix = (w_intra * cond.gamma_e + (1 - rho) * w_inter * cond.gamma_be) / (
         w_intra + (1 - rho) * w_inter
     )

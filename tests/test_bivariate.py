@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import vcadjust as v
 from vcadjust.bivariate_rcb import HiddenExtrapolationWarning
 from vcadjust.errors import SingularityError, ValidationError
+from vcadjust.mvc_em import MVCParams, make_model, observed_loglik
 from vcadjust.rcb_classical import rcb_arrays
 
 from conftest import interior_bivariate_params
@@ -192,6 +193,21 @@ class TestClosedFormML:
                         cov = np.mean(x * w)
                         bound = 5.0 * np.sqrt(np.mean(x**2) * np.mean(w**2) / b)
                         assert abs(cov) < bound
+
+    @pytest.mark.parametrize("seed,t,b", [(0, 2, 3), (1, 3, 4), (2, 4, 6), (3, 6, 5), (4, 5, 12)])
+    def test_loglik_equals_stacked_density(self, seed, t, b):
+        cfg = v.SimConfig(t=t, b=b, params=interior_bivariate_params(t), seed=seed)
+        ds = v.gen_bivariate_rcb(cfg)[0]
+        hf, params, _ = v.fit_bivariate_rcb_ml(ds, cfg.design_spec)
+        assert params.sigma_b_psd
+        sd = v.build_stacked(ds, cfg.design_spec)
+        assert sd.treatments == hf.treatments
+        beta = np.zeros(sd.X.shape[1])
+        beta[sd.treat_cols] = params.mu_y
+        beta[sd.cov_mean_cols["z"]] = params.mu_z
+        at_fit = MVCParams(beta=beta, sigma2=np.zeros(0), Sigmas=(params.Sigma_E, params.Sigma_B))
+        dense = observed_loglik(make_model(sd, at_fit))
+        assert abs(hf.loglik - dense) <= 1e-10 * abs(dense)
 
 
 class TestAdjustedMeansBivariate:

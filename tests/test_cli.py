@@ -186,10 +186,41 @@ class TestAdjustAndFit:
 
     def test_lmm_max_iter_reaches_the_optimizer(self, tmp_path, capsys):
         data, design = _write_rcb(tmp_path)
-        args = ["fit", "--model", "orthogonal", "--data", str(data), "--design", str(design)]
-        assert main(args) == 0
-        assert main(args + ["--max-iter", "1"]) == 3
-        assert "converged\tfalse" in capsys.readouterr().out
+        files = ["--data", str(data), "--design", str(design)]
+        assert main(["fit", "--model", "orthogonal"] + files) == 0
+        capsys.readouterr()
+        # an exit 3 prints its output and one diagnostic line on stderr
+        for model, max_iter in (("orthogonal", "1"), ("mvc", "3")):
+            assert main(["fit", "--model", model, "--max-iter", max_iter] + files) == 3
+            out, err = capsys.readouterr()
+            assert "converged\tfalse" in out
+            assert err.startswith("vcadjust: code=3 kind=non-convergence msg=")
+            assert err.count("\n") == 1
+
+    def test_equal_block_means_name_the_conditional_route(self, tmp_path, capsys):
+        golden = Path(__file__).parent / "fixtures" / "golden_cli"
+        rows = [line.split(",") for line in (golden / "rcb.csv").read_text().split()]
+        z = np.array([float(r[3]) for r in rows[1:]])
+        blocks = np.array([r[1] for r in rows[1:]])
+        for blk in set(blocks):
+            z[blocks == blk] += 5.0 - z[blocks == blk].mean()
+        lines = [",".join(rows[0])] + [
+            ",".join(r[:3] + [repr(float(v))]) for r, v in zip(rows[1:], z)
+        ]
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+        files = ["--data", str(data), "--design", str(golden / "rcb.json")]
+        for cmd in (["fit", "--model", "bivariate"], ["compare"]):
+            assert main(cmd + files) == 4
+            err = capsys.readouterr().err
+            assert 'kind=singularity msg="block-mean covariate carries no variation' in err
+            assert "block-stratum covariate variance estimate is 0" in err
+            assert "likelihood is unbounded" in err
+            assert "--model orthogonal" in err and "--model bivariate --method reml" in err
+        # the conditional routes it names fit the same file
+        for cmd in (["fit", "--model", "orthogonal"],
+                    ["fit", "--model", "bivariate", "--method", "reml"]):
+            assert main(cmd + files) == 0
 
     def test_mvc_reml_rejected(self, tmp_path, capsys):
         data, design = _write_rcb(tmp_path)

@@ -1,13 +1,19 @@
-"""CLI outputs checked against goldens captured before the LMM fitters merged.
+"""CLI outputs checked against goldens captured before the code they cover changed.
 
-``tests/fixtures/golden_cli/`` holds two inputs in canonical record order
-(treatments, then blocks): a complete RCB (``rcb``) and a balanced
-incomplete-block layout (``bib``).  ``golden.json`` holds the exit code and
-stdout of ``fit`` and ``adjust`` for each of the mixed, bivariate and
-orthogonal models under ML and REML, of ``contrast`` for the mixed and
-bivariate models, and of ``compare``, as the CLI printed them when every
-model still had its own fitting code.  Text fields must match exactly and
-numbers to 1e-9 relative.
+``tests/fixtures/golden_cli/`` holds four inputs with their JSON designs: a
+complete RCB (``rcb``) and a balanced incomplete-block layout (``bib``),
+both in canonical record order (treatments, then blocks), a split plot
+(``split_plot``) and a 4x4 Latin square (``latin_square``).  ``golden.json``
+holds the exit code and stdout of each case.  The first 29 cases (``fit``
+and ``adjust`` for each of the mixed, bivariate and orthogonal models under
+ML and REML, ``contrast`` for the mixed and bivariate models, and
+``compare``) were captured when every model still had its own fitting code.
+The cases after them (``check-design`` on all four inputs, ``fit --model
+fixed``, ``fit``/``adjust --model orthogonal`` under ML and REML on the split
+plot and the Latin square, and ``simulate --study bias``) were captured
+before the complete-RCB closed forms moved onto stratum sums of squares and
+products.  A case whose ``data`` is null passes no ``--data``/``--design``.
+Text fields must match exactly and numbers to 1e-9 relative.
 """
 
 import json
@@ -34,9 +40,12 @@ def _field_matches(expected: str, got: str) -> bool:
     "case", CASES, ids=[f"{c['data']}-{'-'.join(c['args'][:5])}" for c in CASES]
 )
 def test_cli_output_matches_golden(case, capsys):
-    data = GOLDEN_DIR / f"{case['data']}.csv"
-    design = GOLDEN_DIR / f"{case['data']}.json"
-    code = main(case["args"] + ["--data", str(data), "--design", str(design)])
+    args = list(case["args"])
+    if case["data"] is not None:
+        data = GOLDEN_DIR / f"{case['data']}.csv"
+        design = GOLDEN_DIR / f"{case['data']}.json"
+        args += ["--data", str(data), "--design", str(design)]
+    code = main(args)
     out, err = capsys.readouterr()
     assert code == case["code"], err
     want, got = case["stdout"].split("\n"), out.split("\n")

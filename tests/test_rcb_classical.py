@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import vcadjust as v
-from vcadjust.errors import SingularityError
-from vcadjust.rcb_classical import rcb_arrays
+from vcadjust.errors import SingularityError, ValidationError
+from vcadjust.rcb_classical import _rcb_sscp, rcb_arrays
 
 from conftest import interior_bivariate_params
 
@@ -52,6 +52,12 @@ class TestFixedFit:
         fit = v.fit_fixed_rcb(ds, spec)
         assert np.isclose(fit.gamma_ols, 1.0)
         assert np.allclose(fit.adjusted_means, Z.mean())
+
+    def test_no_complete_cells_is_an_input_error(self):
+        ds = _dataset_from_matrices(np.full((3, 4), np.nan), np.full((3, 4), np.nan))
+        for fitter in (v.fit_fixed_rcb, v.fit_bivariate_rcb_ml, v.intra_inter_decompose):
+            with pytest.raises(ValidationError, match="no complete cells"):
+                fitter(ds, SPEC)
 
     def test_constant_covariate_rejected(self):
         rng = np.random.default_rng(1)
@@ -210,6 +216,22 @@ class TestMixedFit:
         for i in range(6):
             r = np.corrcoef(slopes, means[:, i])[0, 1]
             assert abs(r) < 4.0 / np.sqrt(len(reps))
+
+
+class TestStratumSscp:
+    @pytest.mark.parametrize("t,b", [(2, 2), (2, 7), (6, 2), (3, 4), (5, 9), (8, 3)])
+    def test_matches_dense_quadratic_forms(self, t, b):
+        rng = np.random.default_rng(10 * t + b)
+        Y = 4.0 + rng.normal(size=(t, b)) + rng.normal(size=(1, b))
+        Z = -2.0 + 3.0 * rng.normal(size=(t, b)) + rng.normal(size=(t, 1))
+        D = np.column_stack([Y.ravel(), Z.ravel()])  # treatment-major vec
+        Jt = np.full((t, t), 1.0 / t)
+        Ct, Cb = v.centering_matrix(t), v.centering_matrix(b)
+        strata = (np.kron(Jt, Cb), np.kron(Ct, Cb), np.kron(Ct, np.eye(b)))
+        scale = float(np.sum(D * D))
+        for got, P in zip(_rcb_sscp(Y, Z), strata, strict=True):
+            assert got.shape == (2, 2)
+            np.testing.assert_allclose(got, D.T @ P @ D, rtol=1e-12, atol=1e-13 * scale)
 
 
 class TestIntraInter:
