@@ -4,9 +4,10 @@ The covariance of one replicate unit (block, wholeplot, Latin square) in an
 orthogonal blocking design can be written as ``V = sum_l G_l (x) A_l`` where
 the ``A_l`` are mutually orthogonal idempotents summing to the identity and
 each ``G_l`` is a small symmetric matrix over the variables (response first,
-then covariates).  Stratum regressions and the structured inverse run
-through the two value types defined here; the complete-RCB closed forms use
-the same strata as sums of squares and products (:mod:`.rcb_classical`).
+then covariates).  Stratum regressions run through the two value types
+defined here, the tested reference for the stratum algebra; the complete-RCB
+closed forms use the same strata as sums of squares and products
+(:mod:`.rcb_classical`).  The EM engine does not use them (:mod:`.mvc_em`).
 """
 
 from __future__ import annotations

@@ -7,6 +7,16 @@ The EM iteration alternates conditional moments of the random effects given
 the data with closed-form complete-data updates, handles all-or-none cell
 missingness by simply dropping the empty cells, and reports treatment means
 adjusted at the estimated covariate means with a plug-in covariance.
+
+Every quantity of a parameter point comes from one factorisation of
+Henderson's mixed-model equations, in the form lme4 uses.  The stacked
+covariance is V = R + M Psi M' with R = Sigma_0 (x) I_n, M the incidence of
+all random effects and Psi their block-diagonal prior covariance.  With L0
+the Cholesky factor of Sigma_0 and Lambda a symmetric square root of Psi,
+A = (L0^-1 (x) I_n) M Lambda and Lc = chol(I + A'A) is q x q, q the number
+of random effects.  The log-determinant, the quadratic forms, the posterior
+of the random effects, the GLS fixed effects and the SEs of the adjusted
+means all go through L0 and Lc; no N x N matrix is formed.
 """
 
 from __future__ import annotations
@@ -17,12 +27,6 @@ import numpy as np
 from scipy import linalg
 
 from .data_model import StackedData
-from .design_algebra import (
-    KroneckerCovariance,
-    kron_cov_dense,
-    kron_cov_inverse,
-    rcb_partition,
-)
 from .errors import SingularityError
 
 _CLIP_FRAC = 1e-12  # eigenvalue floor relative to trace, float-noise guard
@@ -100,52 +104,86 @@ def assemble_V(model: MultivariateModel) -> np.ndarray:
     return V
 
 
-def _v_inverse_logdet(model: MultivariateModel):
-    """(V^-1, log det V); structured per-block inverse on a complete RCB."""
+def _whiten(L0: np.ndarray, y: np.ndarray, trans: bool = False) -> np.ndarray:
+    """(L0^-1 (x) I_n) y, or (L0^-T (x) I_n) y when ``trans``, for a stacked
+    vector or the columns of a stacked matrix."""
+    blocks = y.reshape(len(L0), -1)  # one row of blocks per variable
+    out = linalg.solve_triangular(L0, blocks, lower=True, trans=int(trans))
+    return out.reshape(y.shape)
+
+
+def _component_root(S: np.ndarray, name: str) -> np.ndarray:
+    """Symmetric square root of a covariance component (PSD, may be singular)."""
+    vals, vecs = np.linalg.eigh(np.atleast_2d(S))
+    if vals.min() < -_CLIP_FRAC * np.abs(vals).max():
+        raise SingularityError(
+            f"{name} is not positive semidefinite; it lies outside the parameter space"
+        )
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
+@dataclass(frozen=True)
+class _Factor:
+    """Mixed-model-equations factorisation of V at one parameter point."""
+
+    L0: np.ndarray  # Cholesky factor of Sigma_0
+    root: np.ndarray  # Lambda, q x q: Lambda Lambda' = Psi
+    G: np.ndarray  # M Lambda, N x q
+    A: np.ndarray  # (L0^-1 (x) I_n) M Lambda
+    Lc: np.ndarray  # lower Cholesky factor of I + A'A
+    logdet: float  # log det V
+
+    def core(self, yw: np.ndarray) -> np.ndarray:
+        """Lc^-1 A' yw for a whitened vector or matrix yw."""
+        return linalg.solve_triangular(self.Lc, self.A.T @ yw, lower=True)
+
+    def quad(self, r: np.ndarray) -> float:
+        """r' V^-1 r = |rw|^2 - |Lc^-1 A' rw|^2 with rw the whitened r."""
+        rw = _whiten(self.L0, r)
+        s = self.core(rw)
+        return float(rw @ rw - s @ s)
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """V^-1 y = (L0^-T (x) I)(I - A (I + A'A)^-1 A')(L0^-1 (x) I) y."""
+        yw = _whiten(self.L0, y)
+        w = linalg.solve_triangular(self.Lc, self.core(yw), lower=True, trans="T")
+        return _whiten(self.L0, yw - self.A @ w, trans=True)
+
+    def loglik(self, r: np.ndarray) -> float:
+        """Gaussian log-density of the stacked residual r."""
+        return -0.5 * (len(r) * np.log(2 * np.pi) + self.logdet + self.quad(r))
+
+
+def _factorise(model: MultivariateModel) -> _Factor:
+    """Build the one factorisation every EM quantity is taken from."""
     sd, p = model.stacked, model.params
-    if sd.rcb is not None and model.r == 0 and model.q == 1:
-        return _rcb_inverse(sd, p)
-    V = assemble_V(model)
     try:
-        c, low = linalg.cho_factor(V, lower=True)
-    except linalg.LinAlgError as exc:
-        raise SingularityError("stacked covariance is not positive definite") from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-    Vinv = linalg.cho_solve((c, low), np.eye(V.shape[0]))
-    return 0.5 * (Vinv + Vinv.T), logdet
-
-
-def _rcb_inverse(sd: StackedData, p: MVCParams):
-    """Block-diagonal inverse through the two-stratum Kronecker structure."""
-    t, b = sd.rcb.t, sd.rcb.b
-    n, m = sd.n_obs, sd.m
-    G0 = p.Sigmas[0] + t * p.Sigmas[1]
-    G1 = p.Sigmas[0]
-    kc = KroneckerCovariance(partition=rcb_partition(t), strata=(G0, G1))
-    block_inv = kron_cov_dense(kron_cov_inverse(kc))
-    sign0, ld0 = np.linalg.slogdet(G0)
-    sign1, ld1 = np.linalg.slogdet(G1)
-    if sign0 <= 0 or sign1 <= 0:
-        raise SingularityError("stacked covariance is not positive definite")
-    logdet = b * (ld0 + (t - 1) * ld1)
-    Vinv = np.zeros((n * (m + 1), n * (m + 1)))
-    order = np.lexsort((sd.rcb.treat_of_record, sd.rcb.block_of_record))
-    for j in range(b):
-        recs = order[j * t : (j + 1) * t]
-        pos = np.concatenate([v * n + recs for v in range(m + 1)])
-        Vinv[np.ix_(pos, pos)] = block_inv
-    return Vinv, float(logdet)
+        L0 = np.linalg.cholesky(p.Sigmas[0])
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError("Sigma0 is not positive definite") from exc
+    roots, cols = [], []
+    for j, (s2, C) in enumerate(zip(p.sigma2, sd.C_list)):
+        sd_j = _component_root(s2, f"sigma2[{j}]")[0, 0]
+        roots.append(sd_j * np.eye(C.shape[1]))
+        cols.append(sd_j * C)
+    for i, (S, W) in enumerate(zip(p.Sigmas[1:], sd.W_list), start=1):
+        Q = _component_root(S, f"Sigma{i}")
+        roots.append(np.kron(Q, np.eye(W.shape[1])))
+        cols.append(np.kron(Q, W))  # D_i (Q (x) I) with D_i = I (x) W
+    G = np.hstack(cols) if cols else np.zeros((sd.n_stacked, 0))
+    A = _whiten(L0, G)
+    Lc = np.linalg.cholesky(np.eye(A.shape[1]) + A.T @ A)
+    # log det V = n log det Sigma_0 + log det (I + A'A)
+    logdet = 2.0 * (sd.n_obs * np.log(np.diag(L0)).sum() + np.log(np.diag(Lc)).sum())
+    root = linalg.block_diag(*roots)
+    return _Factor(L0=L0, root=root, G=G, A=A, Lc=Lc, logdet=float(logdet))
 
 
 def observed_loglik(model: MultivariateModel, z: np.ndarray | None = None) -> float:
     """Exact Gaussian log-density of the stacked data at the current params."""
     sd, p = model.stacked, model.params
     zz = sd.z if z is None else np.asarray(z, dtype=float)
-    Vinv, logdet = _v_inverse_logdet(model)
-    r = zz - sd.X @ p.beta
-    quad = float(r @ Vinv @ r)
-    n_tot = sd.n_stacked
-    return -0.5 * (n_tot * np.log(2 * np.pi) + logdet + quad)
+    return _factorise(model).loglik(zz - sd.X @ p.beta)
 
 
 @dataclass
@@ -162,92 +200,57 @@ class EStepMoments:
     b0_trace: np.ndarray = field(repr=False)  # trace matrix of var(B_0 | z)
 
 
+def _block_gram(x: np.ndarray, k: int) -> np.ndarray:
+    """k x k Gram matrix of the k variable blocks of a variable-major
+    vector, or of the rows of a matrix: entry (j, l) is sum x_j * x_l."""
+    R = x.reshape(k, -1)
+    return R @ R.T
+
+
 def e_step(
     model: MultivariateModel,
     z: np.ndarray | None = None,
-    _vinv: np.ndarray | None = None,
+    _factor: _Factor | None = None,
 ) -> EStepMoments:
     """Conditional means and second moments of the random factors.
 
-    Second moments add the trace of the conditional covariance block to the
-    outer product of conditional means; the residual factor's moments come
-    from the identity that it equals the data minus fixed effects minus
-    every other random term.
+    The random effects are u = Lambda v with v | z ~ N(Lc^-T s, Lc^-T Lc^-1),
+    s = Lc^-1 A' times the whitened residual; their covariance factor is
+    K = Lambda Lc^-T.  Second moments add the trace of the conditional
+    covariance block to the outer product of conditional means; the
+    residual factor's moments come from the identity that it equals the
+    data minus fixed effects minus every other random term.
     """
     sd, p = model.stacked, model.params
     zz = sd.z if z is None else np.asarray(z, dtype=float)
-    n, m = sd.n_obs, sd.m
-    mp1 = m + 1
-    Vinv = _vinv if _vinv is not None else _v_inverse_logdet(model)[0]
-    resid = zz - sd.X @ p.beta
-    w = Vinv @ resid
-
-    # cross-covariance columns of every factor with the data
-    gam_cols: list[np.ndarray] = []
-    prior_blocks: list[np.ndarray] = []
-    M_cols: list[np.ndarray] = []
-    for s2, C in zip(p.sigma2, sd.C_list):
-        gam_cols.append(s2 * C)
-        prior_blocks.append(s2 * np.eye(C.shape[1]))
-        M_cols.append(C)
-    for S, W, D in zip(p.Sigmas[1:], sd.W_list, sd.D_list):
-        gam_cols.append(np.kron(S, W))
-        prior_blocks.append(np.kron(S, np.eye(W.shape[1])))
-        M_cols.append(D)
+    mp1 = sd.m + 1
+    f = _factor if _factor is not None else _factorise(model)
+    s = f.core(_whiten(f.L0, zz - sd.X @ p.beta))
+    v_mean = linalg.solve_triangular(f.Lc, s, lower=True, trans="T")
+    u_mean = f.root @ v_mean
+    K = linalg.solve_triangular(f.Lc, f.root.T, lower=True).T
 
     t_mean, t_sq, b_mean, b_sq = [], [], [], []
-    if gam_cols:
-        Gam = np.hstack(gam_cols)
-        M = np.hstack(M_cols)
-        Psi = linalg.block_diag(*prior_blocks)
-        u_mean = Gam.T @ w
-        var_u = Psi - Gam.T @ Vinv @ Gam
-        var_u = 0.5 * (var_u + var_u.T)
-    else:
-        Gam = M = np.zeros((n * mp1, 0))
-        u_mean = np.zeros(0)
-        var_u = np.zeros((0, 0))
-
     off = 0
-    for i, C in enumerate(sd.C_list):
+    for C in sd.C_list:
         ci = C.shape[1]
         mu = u_mean[off : off + ci]
-        tr = float(np.trace(var_u[off : off + ci, off : off + ci]))
         t_mean.append(mu)
-        t_sq.append(float(mu @ mu) + tr)
+        t_sq.append(float(mu @ mu) + float(np.sum(K[off : off + ci] ** 2)))
         off += ci
-    for i, W in enumerate(sd.W_list):
-        di = W.shape[1]
-        tot = mp1 * di
+    for W in sd.W_list:
+        tot = mp1 * W.shape[1]
         mu = u_mean[off : off + tot]
-        vb = var_u[off : off + tot, off : off + tot]
-        sq = np.zeros((mp1, mp1))
-        for j in range(mp1):
-            for k in range(mp1):
-                mj = mu[j * di : (j + 1) * di]
-                mk = mu[k * di : (k + 1) * di]
-                sq[j, k] = mj @ mk + np.trace(
-                    vb[j * di : (j + 1) * di, k * di : (k + 1) * di]
-                )
+        sq = _block_gram(mu, mp1) + _block_gram(K[off : off + tot], mp1)
         b_mean.append(mu)
         b_sq.append(0.5 * (sq + sq.T))
         off += tot
 
-    # residual factor via its defining identity
-    reduced = zz - M @ u_mean
+    # residual factor via its defining identity; M K = G Lc^-T
+    reduced = zz - f.G @ v_mean
     b0_mean = reduced - sd.X @ p.beta
-    var_b0 = M @ var_u @ M.T
-    b0_trace = np.zeros((mp1, mp1))
-    for j in range(mp1):
-        for k in range(mp1):
-            b0_trace[j, k] = np.trace(var_b0[j * n : (j + 1) * n, k * n : (k + 1) * n])
-    b0_sq = np.zeros((mp1, mp1))
-    for j in range(mp1):
-        for k in range(mp1):
-            b0_sq[j, k] = (
-                b0_mean[j * n : (j + 1) * n] @ b0_mean[k * n : (k + 1) * n]
-                + b0_trace[j, k]
-            )
+    b0_trace = _block_gram(linalg.solve_triangular(f.Lc, f.G.T, lower=True).T, mp1)
+    b0_sq = _block_gram(b0_mean, mp1) + b0_trace
     return EStepMoments(
         t_mean=tuple(t_mean),
         t_sq=tuple(t_sq),
@@ -272,31 +275,22 @@ def m_step(
     event reported.
     """
     sd, p = model.stacked, model.params
-    n, m = sd.n_obs, sd.m
-    mp1 = m + 1
+    n, mp1 = sd.n_obs, sd.m + 1
     events: list[str] = []
 
-    S0_cur = p.Sigmas[0]
     try:
-        S0_inv = np.linalg.inv(S0_cur)
+        L0 = np.linalg.cholesky(p.Sigmas[0])
     except np.linalg.LinAlgError as exc:
-        raise SingularityError("current residual covariance is singular") from exc
-    Wt = np.kron(S0_inv, np.eye(n))
-    XtW = sd.X.T @ Wt
-    A = XtW @ sd.X
+        raise SingularityError("current Sigma0 is not positive definite") from exc
+    Xw = _whiten(L0, sd.X)
+    yw = _whiten(L0, moments.resid_less_effects)
     try:
-        beta = np.linalg.solve(A, XtW @ moments.resid_less_effects)
+        beta = np.linalg.solve(Xw.T @ Xw, Xw.T @ yw)
     except np.linalg.LinAlgError as exc:
         raise SingularityError("weighted normal equations are singular") from exc
 
     b0 = moments.resid_less_effects - sd.X @ beta
-    S0 = np.zeros((mp1, mp1))
-    for j in range(mp1):
-        for k in range(mp1):
-            S0[j, k] = (
-                b0[j * n : (j + 1) * n] @ b0[k * n : (k + 1) * n]
-                + moments.b0_trace[j, k]
-            )
+    S0 = _block_gram(b0, mp1) + moments.b0_trace
     S0 = 0.5 * (S0 + S0.T) / n
 
     sigma2 = np.array(
@@ -372,23 +366,20 @@ def fit_em(
     """
     sd = model_init.stacked
     zz = sd.z if z is None else np.asarray(z, dtype=float)
-    n_tot = sd.n_stacked
     model = model_init
     trace: list[float] = []
     events: list[str] = []
     converged = False
     it = 0
     for it in range(max_iter + 1):
-        Vinv, logdet = _v_inverse_logdet(model)
-        r = zz - sd.X @ model.params.beta
-        ll = -0.5 * (n_tot * np.log(2 * np.pi) + logdet + float(r @ Vinv @ r))
-        trace.append(ll)
+        factor = _factorise(model)
+        trace.append(factor.loglik(zz - sd.X @ model.params.beta))
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
             converged = True
             break
         if it == max_iter:
             break
-        moments = e_step(model, zz, _vinv=Vinv)
+        moments = e_step(model, zz, _factor=factor)
         params, ev = m_step(moments, model)
         events.extend(ev)
         model = model.with_params(params)
@@ -421,30 +412,31 @@ def adjusted_means_mvc(fit: MVCFit) -> AdjustedMeansResult:
     fitted fixed effects.  The covariance treats the fitted covariance as
     known and conditions on the covariates: the response block of the
     stacked covariance is replaced by its covariate-conditional Schur
-    complement inside the GLS sandwich.
+    complement inside the GLS sandwich.  That complement is the inverse of
+    the response block of V^-1, which the factorisation gives as an n x n
+    matrix.
     """
     model = fit.model
     sd, p = model.stacked, model.params
     n, m = sd.n_obs, sd.m
-    Vinv, _ = _v_inverse_logdet(model)
-    A = sd.X.T @ Vinv @ sd.X
+    f = _factorise(model)
+    VinvX = f.solve(sd.X)
     try:
-        Ainv = np.linalg.inv(A)
+        Ainv = np.linalg.inv(sd.X.T @ VinvX)
     except np.linalg.LinAlgError as exc:
         raise SingularityError("information matrix is singular") from exc
     if m == 0:
         full = Ainv
     else:
-        V = assemble_V(model)
-        V00 = V[:n, :n]
-        V0r = V[:n, n:]
-        Vrr = V[n:, n:]
+        # (V^-1)_00 = (Sigma0^-1)_00 I_n - A0 (I + A'A)^-1 A0'
+        A0 = _whiten(f.L0, f.A, trans=True)[:n]
+        H = linalg.solve_triangular(f.Lc, A0.T, lower=True)
+        s00 = linalg.cho_solve((f.L0, True), np.eye(m + 1)[:, 0])[0]
+        U0 = VinvX[:n]
         try:
-            Vstar = V00 - V0r @ np.linalg.solve(Vrr, V0r.T)
+            full = Ainv @ (U0.T @ np.linalg.solve(s00 * np.eye(n) - H.T @ H, U0)) @ Ainv
         except np.linalg.LinAlgError as exc:
-            raise SingularityError("covariate block of V is singular") from exc
-        U0 = (Vinv @ sd.X)[:n, :]
-        full = Ainv @ (U0.T @ Vstar @ U0) @ Ainv
+            raise SingularityError("response block of V^-1 is singular") from exc
     full = 0.5 * (full + full.T)
     idx = sd.treat_cols
     return AdjustedMeansResult(

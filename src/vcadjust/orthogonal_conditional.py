@@ -224,6 +224,8 @@ def recipe_partition(recipe: DesignRecipe, ds: Dataset) -> OrthogonalPartition:
     classifier, and the residual.  The result is validated before return.
     """
     sub = ds.subset(ds.complete_mask)
+    if sub.n_records == 0:
+        raise ValidationError("no complete cells")
     _, units = _codes(sub, recipe.replicate_factors)
     counts = np.bincount(units)
     if counts.min() != counts.max():

@@ -312,6 +312,15 @@ class TestCheckDesign:
         assert code == 0
         assert "partition\tpass" in out
 
+    def test_no_complete_cells_is_an_input_error(self, tmp_path, capsys):
+        data, design = _write_rcb(tmp_path, t=2, b=2)
+        blank = [l.split(",")[:2] for l in data.read_text().splitlines()[1:]]
+        data.write_text("treatment,block,y,z\n" + "".join(f"{t},{b},,\n" for t, b in blank))
+        code = main(["check-design", "--data", str(data), "--design", str(design)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert 'code=2 kind=input msg="no complete cells"' in err
+
 
 class TestContrast:
     def test_contrast_estimate_and_se(self, tmp_path, capsys):

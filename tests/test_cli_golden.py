@@ -1,18 +1,24 @@
 """CLI outputs checked against goldens captured before the code they cover changed.
 
-``tests/fixtures/golden_cli/`` holds four inputs with their JSON designs: a
+``tests/fixtures/golden_cli/`` holds five inputs with their JSON designs: a
 complete RCB (``rcb``) and a balanced incomplete-block layout (``bib``),
-both in canonical record order (treatments, then blocks), a split plot
+both in canonical record order (treatments, then blocks), a copy of the RCB
+with two whole cells blanked (``rcb_missing``), a split plot
 (``split_plot``) and a 4x4 Latin square (``latin_square``).  ``golden.json``
 holds the exit code and stdout of each case.  The first 29 cases (``fit``
 and ``adjust`` for each of the mixed, bivariate and orthogonal models under
 ML and REML, ``contrast`` for the mixed and bivariate models, and
 ``compare``) were captured when every model still had its own fitting code.
-The cases after them (``check-design`` on all four inputs, ``fit --model
+The 14 cases after them (``check-design`` on all four inputs, ``fit --model
 fixed``, ``fit``/``adjust --model orthogonal`` under ML and REML on the split
 plot and the Latin square, and ``simulate --study bias``) were captured
 before the complete-RCB closed forms moved onto stratum sums of squares and
-products.  A case whose ``data`` is null passes no ``--data``/``--design``.
+products.  The last 11 cases (``fit`` and ``adjust --model mvc`` on all five
+inputs, and ``fit --model mvc --max-iter 3`` on ``rcb``, which exits 3)
+were captured while the EM engine still had a separate complete-RCB
+inverse and a dense one for every other layout; the split plot's fit stops
+at ``max_iter`` on the PSD boundary and exits 3.  A case whose ``data`` is
+null passes no ``--data``/``--design``.
 Text fields must match exactly and numbers to 1e-9 relative.
 """
 

@@ -8,7 +8,7 @@ from vcadjust.errors import SingularityError
 from vcadjust.mvc_em import (
     EStepMoments,
     MVCParams,
-    _v_inverse_logdet,
+    _factorise,
     initial_params,
     make_model,
 )
@@ -149,10 +149,104 @@ class TestObservedLoglik:
         )
         model = make_model(sd, params)
         assert sd.rcb is not None
-        Vinv, logdet = _v_inverse_logdet(model)  # structured path
+        factor = _factorise(model)
         V = v.assemble_V(model)
+        Vinv = factor.solve(np.eye(V.shape[0]))
         assert np.max(np.abs(Vinv - np.linalg.inv(V))) < 1e-9
-        assert np.isclose(logdet, np.linalg.slogdet(V)[1], atol=1e-9)
+        assert np.isclose(factor.logdet, np.linalg.slogdet(V)[1], atol=1e-9)
+
+
+def _random_cov(rng, k):
+    L = rng.normal(size=(k, k))
+    return L @ L.T + 0.5 * np.eye(k)
+
+
+def _latin_square_stacked(seed=0, b=4, m=2):
+    """A b x b Latin square with m covariates: two blocking factors."""
+    rng = np.random.default_rng(seed)
+    rows, cols, trts = zip(
+        *[(f"r{i}", f"c{j}", f"T{(i + j) % b}") for i in range(b) for j in range(b)]
+    )
+    names = tuple(f"z{j + 1}" for j in range(m))
+    spec = v.DesignSpec(
+        response="y",
+        treatment_factors=("trt",),
+        blocking_factors=("row", "col"),
+        covariates=names,
+        recipe="latin_square",
+    )
+    ds = v.Dataset(
+        factors={
+            "trt": np.array(trts, dtype=object),
+            "row": np.array(rows, dtype=object),
+            "col": np.array(cols, dtype=object),
+        },
+        response=rng.normal(size=b * b),
+        covariates=rng.normal(size=(b * b, m)),
+        covariate_names=names,
+        levels={},
+    )
+    return v.build_stacked(ds, spec)
+
+
+class TestFactorisation:
+    """The one factorisation of V against the dense covariance."""
+
+    def _check_against_dense(self, sd, params, seed=0):
+        model = make_model(sd, params)
+        factor = _factorise(model)
+        V = v.assemble_V(model)
+        Vinv = np.linalg.inv(V)
+        rng = np.random.default_rng(seed)
+        Y = rng.normal(size=(V.shape[0], 3))
+        r = sd.z - sd.X @ params.beta
+        assert np.max(np.abs(factor.solve(Y) - Vinv @ Y)) < 1e-9
+        assert np.isclose(factor.logdet, np.linalg.slogdet(V)[1], atol=1e-9)
+        assert np.isclose(factor.quad(r), r @ Vinv @ r, rtol=1e-9, atol=1e-9)
+
+    def test_rcb_with_blanked_cells_and_random_interaction(self):
+        ds, spec, _ = _rcb_stacked(seed=3)
+        ds = drop_cells(ds, [("T01", "B01"), ("T04", "B03")])
+        sd = v.build_stacked(ds, spec, random_treatment_terms=[("treatment", "block")])
+        assert sd.rcb is None and len(sd.C_list) == 1
+        rng = np.random.default_rng(3)
+        params = MVCParams(
+            beta=rng.normal(size=sd.X.shape[1]),
+            sigma2=np.array([0.7]),
+            Sigmas=(_random_cov(rng, 2), _random_cov(rng, 2)),
+        )
+        self._check_against_dense(sd, params)
+
+    def test_latin_square_with_two_covariates(self):
+        sd = _latin_square_stacked()
+        assert sd.m == 2 and len(sd.W_list) == 2
+        rng = np.random.default_rng(5)
+        params = MVCParams(
+            beta=rng.normal(size=sd.X.shape[1]),
+            sigma2=np.zeros(0),
+            Sigmas=tuple(_random_cov(rng, 3) for _ in range(3)),
+        )
+        self._check_against_dense(sd, params, seed=5)
+
+    def test_components_outside_the_parameter_space_rejected(self):
+        ds, spec, _ = _rcb_stacked()
+        sd = v.build_stacked(ds, spec, random_treatment_terms=[("treatment", "block")])
+        # V stays positive definite: the residual outweighs either defect
+        indefinite = MVCParams(
+            beta=np.zeros(sd.X.shape[1]),
+            sigma2=np.array([0.1]),
+            Sigmas=(10.0 * np.eye(2), np.diag([1.0, -0.1])),
+        )
+        negative = MVCParams(
+            beta=np.zeros(sd.X.shape[1]),
+            sigma2=np.array([-0.1]),
+            Sigmas=(10.0 * np.eye(2), np.eye(2)),
+        )
+        for params, name in ((indefinite, "Sigma1"), (negative, r"sigma2\[0\]")):
+            model = make_model(sd, params)
+            assert np.linalg.eigvalsh(v.assemble_V(model)).min() > 0
+            with pytest.raises(SingularityError, match=name):
+                v.observed_loglik(model)
 
 
 class TestEStep:
