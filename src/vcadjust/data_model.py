@@ -329,7 +329,16 @@ class StackedData:
     variable ``v`` of complete cell ``c``.  ``X`` carries treatment-mean
     columns acting on the response block and one grand-mean column per
     covariate (plus treatment columns on covariate blocks when treatments
-    affect the covariates).  ``D_list[i] = I_{m+1} (x) W_list[i]``.
+    affect the covariates).
+
+    Every random term is a Kronecker product ``c (x) Z`` whose incidence Z
+    is fixed by one integer code per complete cell: blocking factor i has
+    ``c = I_{m+1}`` and codes ``block_codes[i]`` over ``block_levels[i]``
+    levels; random treatment term j acts on the response block only
+    (``c = e_0``), or on every variable when treatments affect the
+    covariates (``c = 1``).  The dense incidences ``W_list``, ``D_list``
+    (``D_list[i] = I_{m+1} (x) W_list[i]``) and ``C_list`` are built from
+    the codes on access; the fitting engine reads only the codes.
     """
 
     z: np.ndarray
@@ -338,11 +347,13 @@ class StackedData:
     treatments: tuple[str, ...]
     treat_cols: np.ndarray  # response-block treatment-mean column indices
     cov_mean_cols: dict[str, int]  # covariate name -> grand-mean column
-    W_list: tuple[np.ndarray, ...]
-    D_list: tuple[np.ndarray, ...]
+    block_codes: tuple[np.ndarray, ...]  # level of each complete cell
+    block_levels: tuple[int, ...]
     blocking_names: tuple[str, ...]
-    C_list: tuple[np.ndarray, ...]
+    treatment_random_codes: tuple[np.ndarray, ...]
+    treatment_random_levels: tuple[int, ...]
     treatment_random_names: tuple[str, ...]
+    treatments_affect_covariates: bool
     n_obs: int
     m: int
     record_index: np.ndarray  # original record number of each complete cell
@@ -351,6 +362,22 @@ class StackedData:
     @property
     def n_stacked(self) -> int:
         return self.n_obs * (self.m + 1)
+
+    @property
+    def W_list(self) -> tuple[np.ndarray, ...]:
+        return tuple(incidence(c, d) for c, d in zip(self.block_codes, self.block_levels))
+
+    @property
+    def D_list(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.kron(np.eye(self.m + 1), W) for W in self.W_list)
+
+    @property
+    def C_list(self) -> tuple[np.ndarray, ...]:
+        on = np.ones(self.m + 1) if self.treatments_affect_covariates else np.eye(self.m + 1)[0]
+        return tuple(
+            np.kron(on[:, None], incidence(c, d))
+            for c, d in zip(self.treatment_random_codes, self.treatment_random_levels)
+        )
 
     def position(self, record: int, variable: int) -> int:
         """Stacked position of (complete-cell index, variable index)."""
@@ -366,7 +393,7 @@ def build_stacked(
     spec: DesignSpec,
     random_treatment_terms: Sequence[tuple[str, ...]] = (),
 ) -> StackedData:
-    """Assemble the stacked vector, fixed design, and incidence matrices.
+    """Assemble the stacked vector, fixed design, and random-term codes.
 
     ``random_treatment_terms`` lists factor-name tuples whose crossed levels
     enter as random treatment-associated factors; their incidence acts on
@@ -430,31 +457,28 @@ def build_stacked(
     # stacked observation vector
     z = np.concatenate([sub.response] + [sub.covariates[:, j] for j in range(m)])
 
-    # blocking incidence, replicated across variables
-    W_list, D_list = [], []
+    # blocking-factor codes over each factor's levels
+    block_codes, block_levels = [], []
     for fac in spec.blocking_factors:
         lv = list(sub.factor_levels(fac))
         lv_index = {l: i for i, l in enumerate(lv)}
-        codes_f = np.array([lv_index[v] for v in sub.factors[fac]])
-        W = incidence(codes_f, len(lv))
-        W_list.append(W)
-        D_list.append(np.kron(np.eye(m + 1), W))
+        block_codes.append(np.array([lv_index[v] for v in sub.factors[fac]], dtype=np.intp))
+        block_levels.append(len(lv))
 
-    # random treatment-associated terms (response block only by default)
-    C_list, C_names = [], []
+    # random treatment-associated terms: codes of the crossed levels present
+    C_codes, C_levels, C_names = [], [], []
     for term in random_treatment_terms:
         parts = [sub.factors[f] for f in term]
         combo = [":".join(v) for v in zip(*parts)]
         lv = sorted(set(combo))
         lv_index = {l: i for i, l in enumerate(lv)}
-        U = incidence(np.array([lv_index[c] for c in combo]), len(lv))
-        stack = [U] + [np.zeros_like(U)] * m
-        if spec.treatments_affect_covariates:
-            stack = [U] * (m + 1)
-        C_list.append(np.vstack(stack))
+        C_codes.append(np.array([lv_index[c] for c in combo], dtype=np.intp))
+        C_levels.append(len(lv))
         C_names.append("*".join(term))
 
-    rcb = _detect_rcb(sub, spec, codes, t) if spec.recipe == "rcb" else None
+    rcb = None
+    if spec.recipe == "rcb":
+        rcb = _detect_rcb(codes, t, block_codes[0], block_levels[0])
 
     return StackedData(
         z=z,
@@ -463,11 +487,13 @@ def build_stacked(
         treatments=tuple(labels),
         treat_cols=np.arange(t),
         cov_mean_cols=cov_mean_cols,
-        W_list=tuple(W_list),
-        D_list=tuple(D_list),
+        block_codes=tuple(block_codes),
+        block_levels=tuple(block_levels),
         blocking_names=tuple(spec.blocking_factors),
-        C_list=tuple(C_list),
+        treatment_random_codes=tuple(C_codes),
+        treatment_random_levels=tuple(C_levels),
         treatment_random_names=tuple(C_names),
+        treatments_affect_covariates=spec.treatments_affect_covariates,
         n_obs=n,
         m=m,
         record_index=np.where(mask)[0],
@@ -475,18 +501,8 @@ def build_stacked(
     )
 
 
-def _detect_rcb(sub: Dataset, spec: DesignSpec, codes: np.ndarray, t: int):
+def _detect_rcb(codes: np.ndarray, t: int, bcodes: np.ndarray, b: int):
     """Tag the layout when every treatment appears once in every block."""
-    fac = spec.blocking_factors[0]
-    lv = list(sub.factor_levels(fac))
-    lv_index = {l: i for i, l in enumerate(lv)}
-    bcodes = np.array([lv_index[v] for v in sub.factors[fac]])
-    b = len(lv)
-    if sub.n_records != t * b:
-        return None
-    counts = np.zeros((t, b), dtype=int)
-    for i, j in zip(codes, bcodes):
-        counts[i, j] += 1
-    if not np.all(counts == 1):
+    if len(codes) != t * b or not np.all(np.bincount(codes * b + bcodes, minlength=t * b) == 1):
         return None
     return RcbLayout(t=t, b=b, treat_of_record=codes, block_of_record=bcodes)

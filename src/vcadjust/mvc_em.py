@@ -10,13 +10,21 @@ adjusted at the estimated covariate means with a plug-in covariance.
 
 Every quantity of a parameter point comes from one factorisation of
 Henderson's mixed-model equations, in the form lme4 uses.  The stacked
-covariance is V = R + M Psi M' with R = Sigma_0 (x) I_n, M the incidence of
-all random effects and Psi their block-diagonal prior covariance.  With L0
-the Cholesky factor of Sigma_0 and Lambda a symmetric square root of Psi,
-A = (L0^-1 (x) I_n) M Lambda and Lc = chol(I + A'A) is q x q, q the number
-of random effects.  The log-determinant, the quadratic forms, the posterior
-of the random effects, the GLS fixed effects and the SEs of the adjusted
-means all go through L0 and Lc; no N x N matrix is formed.
+covariance is V = Sigma_0 (x) I_n + M Psi M', M the incidence of all random
+effects and Psi their block-diagonal prior covariance with symmetric root
+Lambda.  Every random term is a Kronecker product: blocking factor i spans
+Q_i (x) W_i (Q_i the root of Sigma_i), random treatment term j spans
+sigma_j c_j (x) U_j (c_j = e_0, or 1 when treatments affect the covariates),
+and each incidence is fixed by one integer code per cell.  With L0 the
+Cholesky factor of Sigma_0 and whitened loadings L0^-1 a_k,
+A = (L0^-1 (x) I_n) M Lambda = [L0^-1 a_k (x) Z_k], so I + A'A has blocks
+(a_i' L0^-T L0^-1 a_k) (x) (Z_i'Z_k), whose count matrices Z_i'Z_k are formed
+once per fit, and Lc = chol(I + A'A) is q x q, q the number of random
+effects.  Products with A and A' are gathers and per-level sums over the
+codes.  The log-determinant, the quadratic forms, the posterior of the
+random effects, the GLS fixed effects and the SEs of the adjusted means all
+go through L0 and Lc: an iteration costs O(q^3 + N (m+1)^2) and forms no
+N x q, n x n or N x N array.
 """
 
 from __future__ import annotations
@@ -57,11 +65,11 @@ class MultivariateModel:
 
     @property
     def r(self) -> int:
-        return len(self.stacked.C_list)
+        return len(self.stacked.treatment_random_codes)
 
     @property
     def q(self) -> int:
-        return len(self.stacked.D_list)
+        return len(self.stacked.block_codes)
 
     def with_params(self, params: MVCParams) -> "MultivariateModel":
         return replace(self, params=params)
@@ -80,8 +88,8 @@ def initial_params(stacked: StackedData) -> MVCParams:
     R = (z - X @ beta).reshape(m + 1, n).T
     S0 = R.T @ R / n
     S0 += np.eye(m + 1) * (1e-10 * np.trace(S0) + 1e-12)
-    Sigmas = [S0] + [0.1 * S0 for _ in stacked.D_list]
-    s2 = np.full(len(stacked.C_list), 0.1 * S0[0, 0])
+    Sigmas = [S0] + [0.1 * S0 for _ in stacked.block_codes]
+    s2 = np.full(len(stacked.treatment_random_codes), 0.1 * S0[0, 0])
     return MVCParams(beta=beta, sigma2=s2, Sigmas=tuple(Sigmas))
 
 
@@ -104,12 +112,15 @@ def assemble_V(model: MultivariateModel) -> np.ndarray:
     return V
 
 
+def _tri(L: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
+    """L^-1 b, or L^-T b when ``trans``, for a lower-triangular factor L."""
+    return linalg.solve_triangular(L, b, lower=True, trans=int(trans), check_finite=False)
+
+
 def _whiten(L0: np.ndarray, y: np.ndarray, trans: bool = False) -> np.ndarray:
     """(L0^-1 (x) I_n) y, or (L0^-T (x) I_n) y when ``trans``, for a stacked
     vector or the columns of a stacked matrix."""
-    blocks = y.reshape(len(L0), -1)  # one row of blocks per variable
-    out = linalg.solve_triangular(L0, blocks, lower=True, trans=int(trans))
-    return out.reshape(y.shape)
+    return _tri(L0, y.reshape(len(L0), -1), trans).reshape(y.shape)
 
 
 def _component_root(S: np.ndarray, name: str) -> np.ndarray:
@@ -123,19 +134,110 @@ def _component_root(S: np.ndarray, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _Terms:
+    """The random terms ``c_k (x) Z_k`` of a stacked model, in the order of u.
+
+    Random treatment terms come first, then blocking factors.  Each Z_k is
+    given by one level code per complete cell, and the count matrices
+    ``counts[i, k] = Z_i'Z_k`` (i <= k) are formed once from the codes.  A
+    term with loading a_k (its rows the variables, its p_k columns those of
+    c_k) spans the stacked columns a_k (x) Z_k, ordered p * d_k + level:
+    the positions ``slices[k]`` of u.
+    """
+
+    n: int  # complete cells
+    mp1: int  # variables, m + 1
+    codes: tuple[np.ndarray, ...]
+    levels: tuple[int, ...]
+    carriers: tuple[np.ndarray, ...]  # c_k: e_0 or 1 (one column) or I_{m+1}
+    slices: tuple[slice, ...]
+    counts: dict[tuple[int, int], np.ndarray]
+
+    def apply(self, loads, w: np.ndarray) -> np.ndarray:
+        """sum_k (a_k (x) Z_k) w_k for a vector or the columns of a matrix w:
+        a gather of a_k w_k at each cell's level."""
+        tail = w.shape[1:]
+        out = np.zeros((self.mp1, self.n * int(np.prod(tail))))
+        for a, g, d, sl in zip(loads, self.codes, self.levels, self.slices):
+            out += a @ w[sl].reshape((a.shape[1], d) + tail)[:, g].reshape(a.shape[1], -1)
+        return out.reshape((-1,) + tail)
+
+    def scatter(self, loads, y: np.ndarray) -> np.ndarray:
+        """[(a_k (x) Z_k)' y]_k for a stacked vector or matrix y: per-level
+        sums (one bincount) of the rows of a_k' Y, Y the variable blocks of y."""
+        tail = y.shape[1:]
+        s = int(np.prod(tail))
+        Y = y.reshape(-1, self.n * s)
+        parts = [np.zeros((0,) + tail)]
+        for a, g, d in zip(loads, self.codes, self.levels):
+            p = a.shape[1]
+            T = (a.T @ Y).reshape(p, self.n, s)
+            idx = (g[:, None] + d * np.arange(p))[:, :, None] * s + np.arange(s)
+            T = T.transpose(1, 0, 2).ravel()  # record-major, like idx
+            sums = np.bincount(idx.ravel(), weights=T, minlength=p * d * s)
+            parts.append(sums.reshape((p * d,) + tail))
+        return np.concatenate(parts)
+
+    def gram(self, loads) -> np.ndarray:
+        """[a_k (x) Z_k]'[a_k (x) Z_k]: blocks (a_i'a_k) (x) (Z_i'Z_k)."""
+        q = self.slices[-1].stop if self.slices else 0
+        out = np.zeros((q, q))
+        for (i, k), N in self.counts.items():
+            blk = np.kron(loads[i].T @ loads[k], N)
+            out[self.slices[i], self.slices[k]] = blk
+            out[self.slices[k], self.slices[i]] = blk.T
+        return out
+
+    def trace(self, loads, P: np.ndarray) -> np.ndarray:
+        """sum over cells of the variable blocks of G P G', G = [a_k (x) Z_k]:
+        sum_{i,k} a_i [sum_ab P_(i,a),(k,b) (Z_i'Z_k)_ab] a_k'."""
+        out = np.zeros((self.mp1, self.mp1))
+        for (i, k), N in self.counts.items():
+            pi, pk = loads[i].shape[1], loads[k].shape[1]
+            blk = P[self.slices[i], self.slices[k]].reshape(pi, N.shape[0], pk, N.shape[1])
+            S = blk.transpose(0, 2, 1, 3).reshape(pi * pk, N.size) @ N.ravel()
+            part = loads[i] @ S.reshape(pi, pk) @ loads[k].T
+            out += part if i == k else part + part.T
+        return out
+
+
+def _terms(sd: StackedData) -> _Terms:
+    """The random terms of a stacked layout, from its codes."""
+    mp1 = sd.m + 1
+    on = np.ones((mp1, 1)) if sd.treatments_affect_covariates else np.eye(mp1)[:, :1]
+    codes = sd.treatment_random_codes + sd.block_codes
+    levels = sd.treatment_random_levels + sd.block_levels
+    carriers = (on,) * len(sd.treatment_random_codes) + (np.eye(mp1),) * len(sd.block_codes)
+    ends = np.cumsum([0] + [c.shape[1] * d for c, d in zip(carriers, levels)])
+    counts = {
+        (i, k): np.bincount(
+            codes[i] * levels[k] + codes[k], minlength=levels[i] * levels[k]
+        ).reshape(levels[i], levels[k]).astype(float)
+        for i in range(len(codes))
+        for k in range(i, len(codes))
+    }
+    return _Terms(
+        n=sd.n_obs, mp1=mp1, codes=codes, levels=levels, carriers=carriers,
+        slices=tuple(slice(int(lo), int(hi)) for lo, hi in zip(ends[:-1], ends[1:])),
+        counts=counts,
+    )
+
+
+@dataclass(frozen=True)
 class _Factor:
     """Mixed-model-equations factorisation of V at one parameter point."""
 
     L0: np.ndarray  # Cholesky factor of Sigma_0
-    root: np.ndarray  # Lambda, q x q: Lambda Lambda' = Psi
-    G: np.ndarray  # M Lambda, N x q
-    A: np.ndarray  # (L0^-1 (x) I_n) M Lambda
+    terms: _Terms
+    roots: tuple[np.ndarray, ...]  # Q_k, p_k x p_k: Lambda = diag(Q_k (x) I)
+    loads: tuple[np.ndarray, ...]  # a_k = c_k Q_k: M Lambda = [a_k (x) Z_k]
+    wloads: tuple[np.ndarray, ...]  # L0^-1 a_k: A = [L0^-1 a_k (x) Z_k]
     Lc: np.ndarray  # lower Cholesky factor of I + A'A
     logdet: float  # log det V
 
     def core(self, yw: np.ndarray) -> np.ndarray:
         """Lc^-1 A' yw for a whitened vector or matrix yw."""
-        return linalg.solve_triangular(self.Lc, self.A.T @ yw, lower=True)
+        return _tri(self.Lc, self.terms.scatter(self.wloads, yw))
 
     def quad(self, r: np.ndarray) -> float:
         """r' V^-1 r = |rw|^2 - |Lc^-1 A' rw|^2 with rw the whitened r."""
@@ -146,37 +248,41 @@ class _Factor:
     def solve(self, y: np.ndarray) -> np.ndarray:
         """V^-1 y = (L0^-T (x) I)(I - A (I + A'A)^-1 A')(L0^-1 (x) I) y."""
         yw = _whiten(self.L0, y)
-        w = linalg.solve_triangular(self.Lc, self.core(yw), lower=True, trans="T")
-        return _whiten(self.L0, yw - self.A @ w, trans=True)
+        w = _tri(self.Lc, self.core(yw), trans=True)
+        return _whiten(self.L0, yw - self.terms.apply(self.wloads, w), trans=True)
 
     def loglik(self, r: np.ndarray) -> float:
         """Gaussian log-density of the stacked residual r."""
         return -0.5 * (len(r) * np.log(2 * np.pi) + self.logdet + self.quad(r))
 
+    def posterior(self) -> np.ndarray:
+        """(I + A'A)^-1 = var(v | z), from Lc (LAPACK rejects q = 0)."""
+        if not len(self.Lc):
+            return self.Lc
+        low, _ = linalg.lapack.dpotri(self.Lc, lower=1)
+        return np.tril(low) + np.tril(low, -1).T
 
-def _factorise(model: MultivariateModel) -> _Factor:
+
+def _factorise(model: MultivariateModel, terms: _Terms | None = None) -> _Factor:
     """Build the one factorisation every EM quantity is taken from."""
     sd, p = model.stacked, model.params
+    terms = terms if terms is not None else _terms(sd)
     try:
         L0 = np.linalg.cholesky(p.Sigmas[0])
     except np.linalg.LinAlgError as exc:
         raise SingularityError("Sigma0 is not positive definite") from exc
-    roots, cols = [], []
-    for j, (s2, C) in enumerate(zip(p.sigma2, sd.C_list)):
-        sd_j = _component_root(s2, f"sigma2[{j}]")[0, 0]
-        roots.append(sd_j * np.eye(C.shape[1]))
-        cols.append(sd_j * C)
-    for i, (S, W) in enumerate(zip(p.Sigmas[1:], sd.W_list), start=1):
-        Q = _component_root(S, f"Sigma{i}")
-        roots.append(np.kron(Q, np.eye(W.shape[1])))
-        cols.append(np.kron(Q, W))  # D_i (Q (x) I) with D_i = I (x) W
-    G = np.hstack(cols) if cols else np.zeros((sd.n_stacked, 0))
-    A = _whiten(L0, G)
-    Lc = np.linalg.cholesky(np.eye(A.shape[1]) + A.T @ A)
+    roots = [_component_root(s2, f"sigma2[{j}]") for j, s2 in enumerate(p.sigma2)]
+    roots += [_component_root(S, f"Sigma{i}") for i, S in enumerate(p.Sigmas[1:], start=1)]
+    loads = [c @ Q for c, Q in zip(terms.carriers, roots)]
+    wloads = [_tri(L0, a) for a in loads]
+    gram = terms.gram(wloads)
+    Lc = np.linalg.cholesky(np.eye(len(gram)) + gram)
     # log det V = n log det Sigma_0 + log det (I + A'A)
     logdet = 2.0 * (sd.n_obs * np.log(np.diag(L0)).sum() + np.log(np.diag(Lc)).sum())
-    root = linalg.block_diag(*roots)
-    return _Factor(L0=L0, root=root, G=G, A=A, Lc=Lc, logdet=float(logdet))
+    return _Factor(
+        L0=L0, terms=terms, roots=tuple(roots), loads=tuple(loads),
+        wloads=tuple(wloads), Lc=Lc, logdet=float(logdet),
+    )
 
 
 def observed_loglik(model: MultivariateModel, z: np.ndarray | None = None) -> float:
@@ -214,42 +320,40 @@ def e_step(
 ) -> EStepMoments:
     """Conditional means and second moments of the random factors.
 
-    The random effects are u = Lambda v with v | z ~ N(Lc^-T s, Lc^-T Lc^-1),
-    s = Lc^-1 A' times the whitened residual; their covariance factor is
-    K = Lambda Lc^-T.  Second moments add the trace of the conditional
-    covariance block to the outer product of conditional means; the
-    residual factor's moments come from the identity that it equals the
-    data minus fixed effects minus every other random term.
+    The random effects are u = Lambda v with v | z ~ N(Lc^-T s, P),
+    s = Lc^-1 A' times the whitened residual and P = (I + A'A)^-1.  Second
+    moments add the per-level sum of the conditional covariance blocks,
+    Q_k [sum_l P_kk(., l), (., l)] Q_k', to the outer product of conditional
+    means; the residual factor's moments come from the identity that it
+    equals the data minus fixed effects minus every other random term,
+    whose conditional covariance M Lambda P Lambda M' is summed over cells
+    through the count matrices.
     """
     sd, p = model.stacked, model.params
     zz = sd.z if z is None else np.asarray(z, dtype=float)
-    mp1 = sd.m + 1
+    mp1, r = sd.m + 1, len(sd.treatment_random_codes)
     f = _factor if _factor is not None else _factorise(model)
     s = f.core(_whiten(f.L0, zz - sd.X @ p.beta))
-    v_mean = linalg.solve_triangular(f.Lc, s, lower=True, trans="T")
-    u_mean = f.root @ v_mean
-    K = linalg.solve_triangular(f.Lc, f.root.T, lower=True).T
+    v_mean = _tri(f.Lc, s, trans=True)
+    P = f.posterior()
 
     t_mean, t_sq, b_mean, b_sq = [], [], [], []
-    off = 0
-    for C in sd.C_list:
-        ci = C.shape[1]
-        mu = u_mean[off : off + ci]
-        t_mean.append(mu)
-        t_sq.append(float(mu @ mu) + float(np.sum(K[off : off + ci] ** 2)))
-        off += ci
-    for W in sd.W_list:
-        tot = mp1 * W.shape[1]
-        mu = u_mean[off : off + tot]
-        sq = _block_gram(mu, mp1) + _block_gram(K[off : off + tot], mp1)
-        b_mean.append(mu)
-        b_sq.append(0.5 * (sq + sq.T))
-        off += tot
+    for k, (Q, d, sl) in enumerate(zip(f.roots, f.terms.levels, f.terms.slices)):
+        p_k = len(Q)
+        U = Q @ v_mean[sl].reshape(p_k, d)  # E[u_k], one row per variable
+        var = Q @ P[sl, sl].reshape(p_k, d, p_k, d).trace(axis1=1, axis2=3) @ Q.T
+        sq = U @ U.T + var
+        if k < r:
+            t_mean.append(U.ravel())
+            t_sq.append(float(sq[0, 0]))
+        else:
+            b_mean.append(U.ravel())
+            b_sq.append(0.5 * (sq + sq.T))
 
-    # residual factor via its defining identity; M K = G Lc^-T
-    reduced = zz - f.G @ v_mean
+    # residual factor via its defining identity; M u = M Lambda v
+    reduced = zz - f.terms.apply(f.loads, v_mean)
     b0_mean = reduced - sd.X @ p.beta
-    b0_trace = _block_gram(linalg.solve_triangular(f.Lc, f.G.T, lower=True).T, mp1)
+    b0_trace = f.terms.trace(f.loads, P)
     b0_sq = _block_gram(b0_mean, mp1) + b0_trace
     return EStepMoments(
         t_mean=tuple(t_mean),
@@ -294,11 +398,11 @@ def m_step(
     S0 = 0.5 * (S0 + S0.T) / n
 
     sigma2 = np.array(
-        [sq / C.shape[1] for sq, C in zip(moments.t_sq, sd.C_list)]
+        [sq / d for sq, d in zip(moments.t_sq, sd.treatment_random_levels)]
     )
     Sigmas = [S0]
-    for sq, W in zip(moments.b_sq, sd.W_list):
-        Sigmas.append(sq / W.shape[1])
+    for sq, d in zip(moments.b_sq, sd.block_levels):
+        Sigmas.append(sq / d)
 
     clipped = []
     for i, S in enumerate(Sigmas):
@@ -371,8 +475,9 @@ def fit_em(
     events: list[str] = []
     converged = False
     it = 0
+    terms = _terms(sd)
     for it in range(max_iter + 1):
-        factor = _factorise(model)
+        factor = _factorise(model, terms)
         trace.append(factor.loglik(zz - sd.X @ model.params.beta))
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
             converged = True
@@ -413,31 +518,28 @@ def adjusted_means_mvc(fit: MVCFit) -> AdjustedMeansResult:
     known and conditions on the covariates: the response block of the
     stacked covariance is replaced by its covariate-conditional Schur
     complement inside the GLS sandwich.  That complement is the inverse of
-    the response block of V^-1, which the factorisation gives as an n x n
-    matrix.
+    the response block S = s00 I_n - B0 P B0' of V^-1 (s00 = (Sigma0^-1)_00,
+    B0 = [h_k (x) Z_k] with h_k row 0 of Sigma0^-1 a_k), taken by Woodbury
+    as S^-1 = (I + B0 H^-1 B0') / s00 with H = s00 (I + A'A) - B0'B0, q x q.
     """
     model = fit.model
     sd, p = model.stacked, model.params
-    n, m = sd.n_obs, sd.m
     f = _factorise(model)
     VinvX = f.solve(sd.X)
     try:
-        Ainv = np.linalg.inv(sd.X.T @ VinvX)
+        info = np.linalg.cholesky(sd.X.T @ VinvX)
     except np.linalg.LinAlgError as exc:
         raise SingularityError("information matrix is singular") from exc
-    if m == 0:
-        full = Ainv
-    else:
-        # (V^-1)_00 = (Sigma0^-1)_00 I_n - A0 (I + A'A)^-1 A0'
-        A0 = _whiten(f.L0, f.A, trans=True)[:n]
-        H = linalg.solve_triangular(f.Lc, A0.T, lower=True)
-        s00 = linalg.cho_solve((f.L0, True), np.eye(m + 1)[:, 0])[0]
-        U0 = VinvX[:n]
-        try:
-            full = Ainv @ (U0.T @ np.linalg.solve(s00 * np.eye(n) - H.T @ H, U0)) @ Ainv
-        except np.linalg.LinAlgError as exc:
-            raise SingularityError("response block of V^-1 is singular") from exc
-    full = 0.5 * (full + full.T)
+    Y = linalg.cho_solve((info, True), VinvX[: sd.n_obs].T)  # info^-1 U0'
+    s0 = linalg.cho_solve((f.L0, True), np.eye(sd.m + 1)[:, 0])
+    h = [(s0 @ a)[None, :] for a in f.loads]
+    H = s0[0] * (np.eye(len(f.Lc)) + f.terms.gram(f.wloads)) - f.terms.gram(h)
+    try:
+        Lh = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError("response block of V^-1 is singular") from exc
+    R = _tri(Lh, f.terms.scatter(h, Y.T))
+    full = (Y @ Y.T + R.T @ R) / s0[0]
     idx = sd.treat_cols
     return AdjustedMeansResult(
         means=p.beta[idx].copy(),

@@ -68,7 +68,7 @@ def _gram_blocks(sd: StackedData):
 def _whiten(vec, sd: StackedData, grams):
     """Cholesky factor L of V at ``vec`` and L^-1 [X z]; None when V is not
     positive definite."""
-    Sigmas, sigma2 = _unpack(vec, sd.m + 1, len(sd.W_list), len(sd.C_list))
+    Sigmas, sigma2 = _unpack(vec, sd.m + 1, len(sd.block_codes), len(sd.treatment_random_codes))
     theta = np.concatenate([np.ravel(Sigmas), sigma2])
     N = sd.n_stacked
     # raw LAPACK: the scipy.linalg wrappers' checks cost more than the
@@ -141,7 +141,7 @@ def direct_max_loglik(sd: StackedData, extra_starts=()):
         )
         if best is None or res.fun < best.fun:
             best = res
-    Sigmas, sigma2 = _unpack(best.x, sd.m + 1, len(sd.W_list), len(sd.C_list))
+    Sigmas, sigma2 = _unpack(best.x, sd.m + 1, len(sd.block_codes), len(sd.treatment_random_codes))
     beta = _beta_at(best.x, sd, grams)
     return -best.fun, MVCParams(beta=beta, sigma2=sigma2, Sigmas=Sigmas)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import linalg, stats
 
 import vcadjust as v
 from vcadjust.data_model import StackedData
@@ -161,13 +161,20 @@ def _random_cov(rng, k):
     return L @ L.T + 0.5 * np.eye(k)
 
 
-def _latin_square_stacked(seed=0, b=4, m=2):
-    """A b x b Latin square with m covariates: two blocking factors."""
+def _latin_square_stacked(seed=0, b=4, m=2, blank=()):
+    """A b x b Latin square with m covariates: two blocking factors.
+
+    ``blank`` lists (row, column) cells whose response and covariates are
+    missing.
+    """
     rng = np.random.default_rng(seed)
     rows, cols, trts = zip(
         *[(f"r{i}", f"c{j}", f"T{(i + j) % b}") for i in range(b) for j in range(b)]
     )
     names = tuple(f"z{j + 1}" for j in range(m))
+    y, Z = rng.normal(size=b * b), rng.normal(size=(b * b, m))
+    for i, j in blank:
+        y[i * b + j], Z[i * b + j] = np.nan, np.nan
     spec = v.DesignSpec(
         response="y",
         treatment_factors=("trt",),
@@ -181,8 +188,8 @@ def _latin_square_stacked(seed=0, b=4, m=2):
             "row": np.array(rows, dtype=object),
             "col": np.array(cols, dtype=object),
         },
-        response=rng.normal(size=b * b),
-        covariates=rng.normal(size=(b * b, m)),
+        response=y,
+        covariates=Z,
         covariate_names=names,
         levels={},
     )
@@ -247,6 +254,109 @@ class TestFactorisation:
             assert np.linalg.eigvalsh(v.assemble_V(model)).min() > 0
             with pytest.raises(SingularityError, match=name):
                 v.observed_loglik(model)
+
+
+def _dense_random_terms(sd, params):
+    """Dense incidence M = [C_j, D_i] and prior covariance Psi of u."""
+    M = np.hstack(sd.C_list + sd.D_list)
+    Psi = linalg.block_diag(
+        *[s2 * np.eye(C.shape[1]) for s2, C in zip(params.sigma2, sd.C_list)],
+        *[np.kron(S, np.eye(W.shape[1])) for S, W in zip(params.Sigmas[1:], sd.W_list)],
+    )
+    return M, Psi
+
+
+def _assert_close(a, b, tol=1e-9):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b), initial=0.0) <= tol * max(1.0, np.max(np.abs(b), initial=0.0))
+
+
+class TestKroneckerTermsAgainstDense:
+    """E-step moments and adjusted-means covariance, taken from group codes
+    and count matrices, against the dense posterior built from assemble_V
+    and the dense incidences."""
+
+    def _rcb(self):
+        ds, spec, _ = _rcb_stacked(seed=3)
+        ds = drop_cells(ds, [("T01", "B01"), ("T04", "B03")])
+        sd = v.build_stacked(ds, spec, random_treatment_terms=[("treatment", "block")])
+        rng = np.random.default_rng(11)
+        params = MVCParams(
+            beta=rng.normal(size=sd.X.shape[1]),
+            sigma2=np.array([0.7]),
+            Sigmas=(_random_cov(rng, 2), _random_cov(rng, 2)),
+        )
+        return sd, params
+
+    def _latin_square(self):
+        # a blanked off-diagonal cell makes the row x column count matrix
+        # asymmetric, so a transposed count matrix shows
+        sd = _latin_square_stacked(seed=2, blank=[(0, 1)])
+        rng = np.random.default_rng(12)
+        params = MVCParams(
+            beta=rng.normal(size=sd.X.shape[1]),
+            sigma2=np.zeros(0),
+            Sigmas=tuple(_random_cov(rng, 3) for _ in range(3)),
+        )
+        return sd, params
+
+    @pytest.mark.parametrize("layout", ["_rcb", "_latin_square"])
+    def test_e_step_matches_dense_posterior(self, layout):
+        sd, params = getattr(self, layout)()
+        model = make_model(sd, params)
+        mp1 = sd.m + 1
+        M, Psi = _dense_random_terms(sd, params)
+        Vinv = np.linalg.inv(v.assemble_V(model))
+        r = sd.z - sd.X @ params.beta
+        Eu = Psi @ M.T @ Vinv @ r
+        Vu = Psi - Psi @ M.T @ Vinv @ M @ Psi
+
+        factor = _factorise(model)
+        root = linalg.block_diag(
+            *[np.kron(Q, np.eye(d)) for Q, d in zip(factor.roots, factor.terms.levels)]
+        )
+        _assert_close(root @ factor.posterior() @ root.T, Vu)
+
+        mom = v.e_step(model, _factor=factor)
+        off = 0
+        for C, mu, sq in zip(sd.C_list, mom.t_mean, mom.t_sq):
+            sl = slice(off, off + C.shape[1])
+            _assert_close(mu, Eu[sl])
+            _assert_close(sq, Eu[sl] @ Eu[sl] + np.trace(Vu[sl, sl]))
+            off = sl.stop
+        for W, mu, sq in zip(sd.W_list, mom.b_mean, mom.b_sq):
+            d = W.shape[1]
+            sl = slice(off, off + mp1 * d)
+            E = Eu[sl].reshape(mp1, d)
+            blocks = Vu[sl, sl].reshape(mp1, d, mp1, d)
+            _assert_close(mu, Eu[sl])
+            _assert_close(sq, E @ E.T + np.einsum("aibi->ab", blocks))
+            off = sl.stop
+        assert off == len(Eu)
+        _assert_close(mom.resid_less_effects, sd.z - M @ Eu)
+        cell = (M @ Vu @ M.T).reshape(mp1, sd.n_obs, mp1, sd.n_obs)
+        _assert_close(mom.b0_trace, np.einsum("aibi->ab", cell))
+
+    @pytest.mark.parametrize("layout", ["_rcb", "_latin_square"])
+    def test_adjusted_means_covariance_matches_dense_sandwich(self, layout):
+        sd, params = getattr(self, layout)()
+        model = make_model(sd, params)
+        fit = v.MVCFit(
+            model=model, loglik_trace=np.array([0.0]), iterations=0, converged=True
+        )
+        res = v.adjusted_means_mvc(fit)
+        V = v.assemble_V(model)
+        n, X = sd.n_obs, sd.X
+        Vinv = np.linalg.inv(V)
+        info_inv = np.linalg.inv(X.T @ Vinv @ X)
+        # response block replaced by its covariate-conditional Schur complement
+        cond = V[:n, :n] - V[:n, n:] @ np.linalg.solve(V[n:, n:], V[n:, :n])
+        U0 = (Vinv @ X)[:n]
+        full = info_inv @ U0.T @ cond @ U0 @ info_inv
+        idx = sd.treat_cols
+        _assert_close(res.covariance, full[np.ix_(idx, idx)])
+        assert np.array_equal(res.means, params.beta[idx])
 
 
 class TestEStep:
