@@ -36,6 +36,7 @@ from scipy import linalg
 
 from .data_model import StackedData
 from .errors import SingularityError
+from .lmm import _tri
 
 _CLIP_FRAC = 1e-12  # eigenvalue floor relative to trace, float-noise guard
 
@@ -110,11 +111,6 @@ def assemble_V(model: MultivariateModel) -> np.ndarray:
     for S, W in zip(p.Sigmas[1:], sd.W_list):
         V += np.kron(S, W @ W.T)
     return V
-
-
-def _tri(L: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
-    """L^-1 b, or L^-T b when ``trans``, for a lower-triangular factor L."""
-    return linalg.solve_triangular(L, b, lower=True, trans=int(trans), check_finite=False)
 
 
 def _whiten(L0: np.ndarray, y: np.ndarray, trans: bool = False) -> np.ndarray:
@@ -239,11 +235,12 @@ class _Factor:
         """Lc^-1 A' yw for a whitened vector or matrix yw."""
         return _tri(self.Lc, self.terms.scatter(self.wloads, yw))
 
-    def quad(self, r: np.ndarray) -> float:
-        """r' V^-1 r = |rw|^2 - |Lc^-1 A' rw|^2 with rw the whitened r."""
+    def quad(self, r: np.ndarray) -> tuple[float, np.ndarray]:
+        """r' V^-1 r = |rw|^2 - |s|^2 with rw the whitened r, and
+        s = Lc^-1 A' rw."""
         rw = _whiten(self.L0, r)
         s = self.core(rw)
-        return float(rw @ rw - s @ s)
+        return float(rw @ rw - s @ s), s
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """V^-1 y = (L0^-T (x) I)(I - A (I + A'A)^-1 A')(L0^-1 (x) I) y."""
@@ -251,9 +248,11 @@ class _Factor:
         w = _tri(self.Lc, self.core(yw), trans=True)
         return _whiten(self.L0, yw - self.terms.apply(self.wloads, w), trans=True)
 
-    def loglik(self, r: np.ndarray) -> float:
-        """Gaussian log-density of the stacked residual r."""
-        return -0.5 * (len(r) * np.log(2 * np.pi) + self.logdet + self.quad(r))
+    def loglik(self, r: np.ndarray) -> tuple[float, np.ndarray]:
+        """Gaussian log-density of the stacked residual r, and the core
+        vector s of :meth:`quad`."""
+        quad, s = self.quad(r)
+        return -0.5 * (len(r) * np.log(2 * np.pi) + self.logdet + quad), s
 
     def posterior(self) -> np.ndarray:
         """(I + A'A)^-1 = var(v | z), from Lc (LAPACK rejects q = 0)."""
@@ -289,7 +288,7 @@ def observed_loglik(model: MultivariateModel, z: np.ndarray | None = None) -> fl
     """Exact Gaussian log-density of the stacked data at the current params."""
     sd, p = model.stacked, model.params
     zz = sd.z if z is None else np.asarray(z, dtype=float)
-    return _factorise(model).loglik(zz - sd.X @ p.beta)
+    return _factorise(model).loglik(zz - sd.X @ p.beta)[0]
 
 
 @dataclass
@@ -317,6 +316,7 @@ def e_step(
     model: MultivariateModel,
     z: np.ndarray | None = None,
     _factor: _Factor | None = None,
+    _core: np.ndarray | None = None,
 ) -> EStepMoments:
     """Conditional means and second moments of the random factors.
 
@@ -333,7 +333,7 @@ def e_step(
     zz = sd.z if z is None else np.asarray(z, dtype=float)
     mp1, r = sd.m + 1, len(sd.treatment_random_codes)
     f = _factor if _factor is not None else _factorise(model)
-    s = f.core(_whiten(f.L0, zz - sd.X @ p.beta))
+    s = _core if _core is not None else f.core(_whiten(f.L0, zz - sd.X @ p.beta))
     v_mean = _tri(f.Lc, s, trans=True)
     P = f.posterior()
 
@@ -478,13 +478,14 @@ def fit_em(
     terms = _terms(sd)
     for it in range(max_iter + 1):
         factor = _factorise(model, terms)
-        trace.append(factor.loglik(zz - sd.X @ model.params.beta))
+        ll, core = factor.loglik(zz - sd.X @ model.params.beta)
+        trace.append(ll)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
             converged = True
             break
         if it == max_iter:
             break
-        moments = e_step(model, zz, _factor=factor)
+        moments = e_step(model, zz, _factor=factor, _core=core)
         params, ev = m_step(moments, model)
         events.extend(ev)
         model = model.with_params(params)

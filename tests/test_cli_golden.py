@@ -19,6 +19,17 @@ were captured while the EM engine still had a separate complete-RCB
 inverse and a dense one for every other layout; the split plot's fit stops
 at ``max_iter`` on the PSD boundary and exits 3.  A case whose ``data`` is
 null passes no ``--data``/``--design``.
+
+The 35 cases that reach ``fit_lmm`` (the first 29 except ``fit`` and
+``adjust --model bivariate --method ml`` on ``rcb``, plus the eight
+``orthogonal`` split-plot and Latin-square cases) were re-captured when
+``fit_lmm`` moved to the mixed-model equations with an analytic gradient
+and a Newton finish.  Before that they held the point where L-BFGS-B with
+finite-difference gradients stopped, up to 9e-7 (relative) from the
+likelihood's stationary point; now they hold that point, which
+``test_lmm.py::test_golden_variance_components_are_stationary`` checks.
+Exit codes and text fields did not change, numbers moved by at most
+8.4e-7 relative and the log-likelihoods by at most 1.5e-13.
 Text fields must match exactly and numbers to 1e-9 relative.
 """
 

@@ -1,10 +1,18 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import linalg
 
 import vcadjust as v
+from vcadjust import lmm, orthogonal_conditional
+from vcadjust.cli import main
 from vcadjust.errors import ValidationError
 from vcadjust.rcb_classical import rcb_arrays
+
+GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden_cli"
 
 
 def _one_factor_instance(seed=0, n=30, p=2, d=5, s2e=1.0, s2b=2.0):
@@ -162,3 +170,186 @@ class TestContrast:
         fit = v.fit_lmm(spec, method="ml")
         with pytest.raises(ValidationError):
             v.contrast(fit, np.ones(5))
+
+
+def _dense_neg_loglik(theta, spec, method):
+    """Reference objective: dense V = s2_e I + sum s2_l Z_l Z_l', its Cholesky
+    factor, GLS by solves with it; 1e30 where V is not numerically PD."""
+    y, X = spec.y, spec.X
+    n, p = X.shape
+    V = np.exp(theta[0]) * np.eye(n)
+    for th, Z in zip(theta[1:], spec.random):
+        V += np.exp(th) * (Z @ Z.T)
+    try:
+        c = linalg.cholesky(V, lower=True)
+    except linalg.LinAlgError:
+        return 1e30
+    ViX = linalg.cho_solve((c, True), X)
+    A = X.T @ ViX
+    beta = np.linalg.solve(A, ViX.T @ y)
+    r = y - X @ beta
+    ll = 2.0 * np.sum(np.log(np.diag(c))) + r @ linalg.cho_solve((c, True), r)
+    if method == "ml":
+        return 0.5 * (n * np.log(2 * np.pi) + ll)
+    return 0.5 * ((n - p) * np.log(2 * np.pi) + ll + np.linalg.slogdet(A)[1])
+
+
+def _central_gradient(f, theta, h):
+    e = np.eye(len(theta)) * h
+    return np.array([(f(theta + d) - f(theta - d)) / (2 * h) for d in e])
+
+
+def _incidence(codes):
+    Z = np.zeros((len(codes), codes.max() + 1))
+    Z[np.arange(len(codes)), codes] = 1.0
+    return Z
+
+
+def _layout(name, rng):
+    """Response, fixed design and random incidences of one test layout."""
+    if name == "split_plot":  # replicates, wholeplots nested in them
+        rep, wp, sp = np.meshgrid(range(3), range(2), range(3), indexing="ij")
+        rep, wp, sp = rep.ravel(), wp.ravel(), sp.ravel()
+        trt = wp * 3 + sp
+        random = (_incidence(rep), _incidence(rep * 2 + wp))
+        y = trt * 0.3 + rng.normal(size=3)[rep] + rng.normal(size=6)[rep * 2 + wp]
+    elif name == "latin_square":  # crossed rows and columns, one cell blanked
+        row, col = (a.ravel() for a in np.meshgrid(range(4), range(4), indexing="ij"))
+        keep = np.arange(16) != 6
+        row, col = row[keep], col[keep]
+        trt = (row + col) % 4
+        random = (_incidence(row), _incidence(col))
+        y = trt * 0.5 + rng.normal(size=4)[row] + rng.normal(size=4)[col]
+    elif name == "custom":  # one blocking factor, unequal block sizes
+        blk = np.repeat(np.arange(5), [2, 3, 4, 5, 6])
+        trt = np.arange(len(blk)) % 3
+        random = (_incidence(blk),)
+        y = trt * 0.5 + 2.0 * rng.normal(size=5)[blk]
+    else:  # no random factor: q = 0
+        trt = np.arange(12) % 3
+        random = ()
+        y = trt * 0.5
+    n = len(trt)
+    y = y + rng.normal(size=n)
+    X = np.column_stack([_incidence(trt), rng.normal(size=n)])
+    return v.LmmSpec(y=y, X=X, random=random)
+
+
+@pytest.mark.parametrize("layout", ["split_plot", "latin_square", "custom", "no_random"])
+@pytest.mark.parametrize("method", ["ml", "reml"])
+class TestMmeObjectiveAgainstDense:
+    def test_value_and_gradient_at_random_points(self, layout, method):
+        rng = np.random.default_rng(7)
+        spec = _layout(layout, rng)
+        cp = lmm._cross_products(spec)
+        k = len(spec.random) + 1
+        center = np.log(np.var(spec.y))
+        for _ in range(20):
+            theta = center + rng.uniform(-4.0, 4.0, size=k)
+            f, g = lmm._neg_loglik(theta, cp, method)
+            ref = _dense_neg_loglik(theta, spec, method)
+            assert abs(f - ref) <= 1e-10 * abs(ref)
+            cd = _central_gradient(lambda t: _dense_neg_loglik(t, spec, method), theta, 1e-5)
+            assert np.max(np.abs(g - cd)) <= 1e-5 * (1.0 + np.max(np.abs(g)))
+
+    def test_bounds_give_finite_values(self, layout, method):
+        rng = np.random.default_rng(8)
+        spec = _layout(layout, rng)
+        cp = lmm._cross_products(spec)
+        k = len(spec.random) + 1
+        vary = np.var(spec.y)
+        lo, hi = np.log(1e-14 * vary), np.log(1e8 * vary)
+        fit = v.fit_lmm(spec, method=method)
+        for corner in np.array(np.meshgrid(*[[lo, hi]] * k)).reshape(k, -1).T:
+            f, g = lmm._neg_loglik(corner, cp, method)
+            assert np.isfinite(f) and np.all(np.isfinite(g))
+            # no point beats the maximum, and a point where every variance
+            # sits at one bound (ratios 1) is well conditioned
+            assert f >= -fit.loglik - 1e-9 * abs(fit.loglik)
+            if np.ptp(corner) == 0:
+                ref = _dense_neg_loglik(corner, spec, method)
+                assert abs(f - ref) <= 1e-10 * abs(ref)
+
+
+def _lmm_golden_fits():
+    """Every golden ``fit`` case that reaches fit_lmm (one per LMM problem)."""
+    cases = json.loads((GOLDEN_DIR / "golden.json").read_text())
+    return [c for c in cases if c["args"][0] == "fit"
+            and c["args"][2] in ("mixed", "bivariate", "orthogonal")
+            and not (c["args"][2] == "bivariate" and c["data"] == "rcb"
+                     and c["args"][4] == "ml")]
+
+
+@pytest.mark.parametrize(
+    "case", _lmm_golden_fits(), ids=lambda c: f"{c['data']}-{c['args'][2]}-{c['args'][4]}"
+)
+def test_golden_variance_components_are_stationary(case, monkeypatch, capsys):
+    """The printed variance components of every LMM-backed golden zero the
+    likelihood gradient: the goldens hold the maximum, not where an
+    optimizer happened to stop."""
+    seen = []
+    real = orthogonal_conditional.fit_lmm
+
+    def spy(spec, method="ml", **kw):
+        seen.append((spec, method))
+        return real(spec, method=method, **kw)
+
+    monkeypatch.setattr(orthogonal_conditional, "fit_lmm", spy)
+    data, design = GOLDEN_DIR / f"{case['data']}.csv", GOLDEN_DIR / f"{case['data']}.json"
+    assert main(case["args"] + ["--data", str(data), "--design", str(design)]) == case["code"]
+    capsys.readouterr()
+    (spec, method), = seen
+    fields = dict(line.split("\t") for line in case["stdout"].split("\n\n")[0].split("\n"))
+    if "sigma_e2" in fields:
+        printed = [fields["sigma_e2"], fields["sigma_b2"]]
+    else:
+        printed = [fields["varcomp[residual]"]] + [fields[f"varcomp[{n}]"] for n in spec.names]
+    sig = np.array([float(s) for s in printed])
+    free = sig > 0
+    theta = np.log(np.where(free, sig, 1.0))
+
+    def f(th):
+        return _dense_neg_loglik(np.where(free, th, -np.inf), spec, method)
+
+    g = _central_gradient(f, theta, 1e-4)
+    assert np.max(np.abs(g[free])) < 1e-7, g
+
+
+class TestConvergenceFromGradient:
+    def test_max_iter_is_not_convergence(self):
+        spec = _one_factor_instance(seed=3)
+        fit = v.fit_lmm(spec, method="reml", max_iter=1)
+        assert not fit.converged
+        assert "non_convergence" in fit.flags
+
+    def test_default_fit_ends_at_the_gradient_root(self):
+        for method in ("ml", "reml"):
+            spec = _layout("latin_square", np.random.default_rng(11))
+            fit = v.fit_lmm(spec, method=method)
+            assert fit.converged and "non_convergence" not in fit.flags
+            vary = np.var(spec.y)
+            lo, hi = np.log(1e-14 * vary), np.log(1e8 * vary)
+            sig = np.r_[fit.sigma_e2, fit.sigma2]
+            theta = np.log(np.where(sig > 0, sig, 1e-14 * vary))
+            _, g = lmm._neg_loglik(theta, lmm._cross_products(spec), method)
+            projected = np.clip(theta - g, lo, hi) - theta
+            assert np.max(np.abs(projected)) < lmm._GRAD_TOL
+
+
+def test_fit_forms_no_n_by_n_array():
+    """A 2 x 100 x 3 split plot (n = 600, 200 wholeplots): the fit's peak
+    allocation stays below the size of one n x n float array."""
+    rng = np.random.default_rng(5)
+    wp, sp = np.repeat(np.arange(200), 3), np.tile(np.arange(3), 200)
+    trt = (wp % 2) * 3 + sp
+    y = trt * 0.5 + rng.normal(size=200)[wp] + rng.normal(size=600)
+    X = np.column_stack([_incidence(trt), rng.normal(size=600)])
+    spec = v.LmmSpec(y=y, X=X, random=(_incidence(wp),))
+    tracemalloc.start()
+    try:
+        fit = v.fit_lmm(spec, method="reml")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.converged
+    assert peak < 600 * 600 * 8

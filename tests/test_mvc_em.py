@@ -209,7 +209,7 @@ class TestFactorisation:
         r = sd.z - sd.X @ params.beta
         assert np.max(np.abs(factor.solve(Y) - Vinv @ Y)) < 1e-9
         assert np.isclose(factor.logdet, np.linalg.slogdet(V)[1], atol=1e-9)
-        assert np.isclose(factor.quad(r), r @ Vinv @ r, rtol=1e-9, atol=1e-9)
+        assert np.isclose(factor.quad(r)[0], r @ Vinv @ r, rtol=1e-9, atol=1e-9)
 
     def test_rcb_with_blanked_cells_and_random_interaction(self):
         ds, spec, _ = _rcb_stacked(seed=3)
