@@ -225,8 +225,9 @@ def _hessian(obj, theta, free):
     return 0.5 * (H + H.T)
 
 
-def _newton_finish(obj, theta, lo, hi):
-    """Newton steps on the analytic gradient from ``theta``.
+def _newton_finish(obj, theta, lo, hi, max_steps=_NEWTON_STEPS):
+    """At most ``max_steps`` Newton steps on the analytic gradient from
+    ``theta``, inside the bounds ``lo`` and ``hi`` (scalars or arrays).
 
     A coordinate at a bound whose gradient points outward stays fixed.  The
     Hessian's eigenvalues are replaced by their absolute values, floored at
@@ -236,8 +237,9 @@ def _newton_finish(obj, theta, lo, hi):
     gradient and the number of steps taken.
     """
     f, g = obj(theta)
+    lo, hi = np.broadcast_to(lo, theta.shape), np.broadcast_to(hi, theta.shape)
     steps = 0
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(max_steps):
         free = ~(((theta <= lo) & (g > 0)) | ((theta >= hi) & (g < 0)))
         if not np.any(g[free]):
             break
@@ -248,7 +250,7 @@ def _newton_finish(obj, theta, lo, hi):
         step = -Q @ ((Q.T @ g[free]) / np.maximum(np.abs(ev), 1e-8 * top))
         for _ in range(_HALVINGS):
             new = theta.copy()
-            new[free] = np.clip(theta[free] + step, lo, hi)
+            new[free] = np.clip(theta[free] + step, lo[free], hi[free])
             f_new, g_new = obj(new)
             if f_new <= f + 1e-12 * max(1.0, abs(f)):
                 break

@@ -25,6 +25,19 @@ codes.  The log-determinant, the quadratic forms, the posterior of the
 random effects, the GLS fixed effects and the SEs of the adjusted means all
 go through L0 and Lc: an iteration costs O(q^3 + N (m+1)^2) and forms no
 N x q, n x n or N x N array.
+
+Plain EM converges sublinearly when the maximum lies on the PSD boundary,
+so a fit still moving after ``_EM_BUDGET`` EM iterations is finished on
+the profile likelihood instead (EM then Newton, as in Lindstrom & Bates
+1988 and Pinheiro & Bates 1996).  The finisher works in relative Cholesky
+coordinates: log diag and lower triangle of L0, theta_j = sigma_j / L0_00
+per random treatment term and the lower-triangular whitened loading T_k
+with Sigma_k = L0 T_k T_k' L0' per blocking factor, its diagonal bounded
+below by exactly 0.  Its value and analytic gradient come from the same
+factorisation, gathers and count matrices, with no Sigma_k inverted, so a
+component may reach rank zero or one.  L-BFGS-B runs first, and Newton
+steps on the gradient (``lmm._newton_finish``) follow when its projected
+gradient is not yet below ``_GRAD_TOL``.
 """
 
 from __future__ import annotations
@@ -32,13 +45,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, optimize
 
 from .data_model import StackedData
 from .errors import SingularityError
-from .lmm import _tri
+from .lmm import _newton_finish, _tri
 
 _CLIP_FRAC = 1e-12  # eigenvalue floor relative to trace, float-noise guard
+_EM_BUDGET = 200  # EM iterations before an unconverged fit is finished
+_GRAD_TOL = 1e-6  # projected gradient of a fit the finisher converged
 
 
 @dataclass(frozen=True)
@@ -143,6 +158,7 @@ class _Terms:
 
     n: int  # complete cells
     mp1: int  # variables, m + 1
+    r: int  # random treatment terms, the first r terms
     codes: tuple[np.ndarray, ...]
     levels: tuple[int, ...]
     carriers: tuple[np.ndarray, ...]  # c_k: e_0 or 1 (one column) or I_{m+1}
@@ -184,15 +200,23 @@ class _Terms:
             out[self.slices[k], self.slices[i]] = blk.T
         return out
 
-    def trace(self, loads, P: np.ndarray) -> np.ndarray:
-        """sum over cells of the variable blocks of G P G', G = [a_k (x) Z_k]:
-        sum_{i,k} a_i [sum_ab P_(i,a),(k,b) (Z_i'Z_k)_ab] a_k'."""
-        out = np.zeros((self.mp1, self.mp1))
+    def contract(self, P: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+        """The q x q matrix P contracted with the count matrices, for every
+        pair i <= k: S_ik = sum_ab P_(i,a),(k,b) (Z_i'Z_k)_ab, p_i x p_k."""
+        out = {}
         for (i, k), N in self.counts.items():
-            pi, pk = loads[i].shape[1], loads[k].shape[1]
+            pi, pk = self.carriers[i].shape[1], self.carriers[k].shape[1]
             blk = P[self.slices[i], self.slices[k]].reshape(pi, N.shape[0], pk, N.shape[1])
             S = blk.transpose(0, 2, 1, 3).reshape(pi * pk, N.size) @ N.ravel()
-            part = loads[i] @ S.reshape(pi, pk) @ loads[k].T
+            out[i, k] = S.reshape(pi, pk)
+        return out
+
+    def trace(self, loads, P: np.ndarray) -> np.ndarray:
+        """sum over cells of the variable blocks of G P G', G = [a_k (x) Z_k]:
+        sum_{i,k} a_i S_ik a_k' with S_ik from :meth:`contract`."""
+        out = np.zeros((self.mp1, self.mp1))
+        for (i, k), S in self.contract(P).items():
+            part = loads[i] @ S @ loads[k].T
             out += part if i == k else part + part.T
         return out
 
@@ -213,7 +237,8 @@ def _terms(sd: StackedData) -> _Terms:
         for k in range(i, len(codes))
     }
     return _Terms(
-        n=sd.n_obs, mp1=mp1, codes=codes, levels=levels, carriers=carriers,
+        n=sd.n_obs, mp1=mp1, r=len(sd.treatment_random_codes), codes=codes,
+        levels=levels, carriers=carriers,
         slices=tuple(slice(int(lo), int(hi)) for lo, hi in zip(ends[:-1], ends[1:])),
         counts=counts,
     )
@@ -273,11 +298,16 @@ def _factorise(model: MultivariateModel, terms: _Terms | None = None) -> _Factor
     roots = [_component_root(s2, f"sigma2[{j}]") for j, s2 in enumerate(p.sigma2)]
     roots += [_component_root(S, f"Sigma{i}") for i, S in enumerate(p.Sigmas[1:], start=1)]
     loads = [c @ Q for c, Q in zip(terms.carriers, roots)]
-    wloads = [_tri(L0, a) for a in loads]
+    return _equations(L0, terms, [_tri(L0, a) for a in loads], roots, loads)
+
+
+def _equations(L0, terms: _Terms, wloads, roots=(), loads=()) -> _Factor:
+    """Factor I + A'A for the whitened loadings ``wloads``; the roots and
+    loadings are carried along for the E-step."""
     gram = terms.gram(wloads)
     Lc = np.linalg.cholesky(np.eye(len(gram)) + gram)
     # log det V = n log det Sigma_0 + log det (I + A'A)
-    logdet = 2.0 * (sd.n_obs * np.log(np.diag(L0)).sum() + np.log(np.diag(Lc)).sum())
+    logdet = 2.0 * (terms.n * np.log(np.diag(L0)).sum() + np.log(np.diag(Lc)).sum())
     return _Factor(
         L0=L0, terms=terms, roots=tuple(roots), loads=tuple(loads),
         wloads=tuple(wloads), Lc=Lc, logdet=float(logdet),
@@ -422,15 +452,161 @@ def m_step(
     return MVCParams(beta=beta, sigma2=sigma2, Sigmas=tuple(clipped)), events
 
 
+def _coords(params: MVCParams, terms: _Terms) -> np.ndarray:
+    """Relative Cholesky coordinates of a parameter point (beta aside).
+
+    The lower triangle of L0 = chol(Sigma_0), its diagonal as logs; then,
+    in the order of the terms, theta_j = sigma_j / L0[0, 0] for a random
+    treatment term and the lower triangle of T_k, the triangular factor of
+    L0^-1 Sigma_k L0^-T with a non-negative diagonal, for a blocking factor.
+    """
+    il = np.tril_indices(terms.mp1)
+    try:
+        L0 = np.linalg.cholesky(params.Sigmas[0])
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError("Sigma0 is not positive definite") from exc
+    part = L0[il]
+    part[il[0] == il[1]] = np.log(np.diag(L0))
+    x = [part, np.sqrt(params.sigma2) / L0[0, 0]]
+    for i, S in enumerate(params.Sigmas[1:], start=1):
+        # L0^-1 Q = R'Q' for Q R = (L0^-1 Q)', so R'R = L0^-1 Sigma_k L0^-T
+        R = np.linalg.qr(_tri(L0, _component_root(S, f"Sigma{i}")).T, mode="r")
+        x.append((R.T * np.where(np.diag(R) < 0, -1.0, 1.0))[il])
+    return np.concatenate(x)
+
+
+def _loadings(x: np.ndarray, terms: _Terms):
+    """L0 and the whitened loadings L0^-1 a_k at coordinates ``x``, with
+    the unscaled treatment-term loadings L0^-1 c_j."""
+    mp1, r = terms.mp1, terms.r
+    il = np.tril_indices(mp1)
+    k = len(il[0])
+    L0 = np.zeros((mp1, mp1))
+    L0[il] = x[:k]
+    L0[np.diag_indices(mp1)] = np.exp(np.diag(L0))
+    units = [_tri(L0, c) for c in terms.carriers[:r]]
+    wloads = [th * L0[0, 0] * u for th, u in zip(x[k : k + r], units)]
+    for j in range(k + r, len(x), k):
+        T = np.zeros((mp1, mp1))
+        T[il] = x[j : j + k]
+        wloads.append(T)
+    return L0, wloads, units
+
+
+def _coord_bounds(terms: _Terms) -> np.ndarray:
+    """Lower bounds of the coordinates: 0 for theta_j and diag(T_k)."""
+    il = np.tril_indices(terms.mp1)
+    diag = np.where(il[0] == il[1], 0.0, -np.inf)
+    blocks = len(terms.carriers) - terms.r
+    return np.concatenate([np.full(len(diag), -np.inf), np.zeros(terms.r)] + [diag] * blocks)
+
+
+def _profile(x: np.ndarray, terms: _Terms, X: np.ndarray, z: np.ndarray):
+    """Negative profile log-likelihood at coordinates ``x``, its gradient
+    and the GLS fixed effects.
+
+    With whitened data and A = [T_k (x) Z_k], the derivative of the
+    negative log-likelihood in A is A P - e v', where P = (I + A'A)^-1,
+    v = P A' rw is the posterior mean of the spherical random effects and
+    e = rw - A v the whitened residual less them (beta held at its GLS
+    value, where its own derivative is zero).  Summed over the cells of
+    each term, that is sum_i T_i S_ik - E_k, S_ik the contraction of P
+    with the count matrices and E_k the product of e with v gathered at
+    each cell's level.  The data enter through L0^-1 as well, which adds
+    n / L0_ii and -L0^-T (e rw' + sum_j G_j T_j') to the derivative in L0.
+    Nothing here inverts a Sigma_k, so the gradient is finite on the PSD
+    boundary, and no array is larger than q x q or N x p.
+    """
+    mp1, n, r = terms.mp1, terms.n, terms.r
+    L0, wloads, units = _loadings(x, terms)
+    f = _equations(L0, terms, wloads)
+    Xw, zw = _whiten(L0, X), _whiten(L0, z)
+    C = f.core(np.column_stack([Xw, zw]))
+    K = Xw.T @ Xw - C[:, :-1].T @ C[:, :-1]
+    beta = np.linalg.solve(K, Xw.T @ zw - C[:, :-1].T @ C[:, -1])
+    rw = zw - Xw @ beta
+    s = C[:, -1] - C[:, :-1] @ beta
+    nll = 0.5 * (len(z) * np.log(2 * np.pi) + f.logdet + rw @ rw - s @ s)
+
+    v = _tri(f.Lc, s, trans=True)
+    E = (rw - terms.apply(wloads, v)).reshape(mp1, n)
+    G = [
+        -E @ v[sl].reshape(T.shape[1], d)[:, g].T
+        for T, g, d, sl in zip(wloads, terms.codes, terms.levels, terms.slices)
+    ]
+    for (i, k), S in terms.contract(f.posterior()).items():
+        G[k] += wloads[i] @ S
+        if i != k:
+            G[i] += wloads[k] @ S.T
+    # T_j = theta_j L0_00 L0^-1 c_j: its derivatives in theta_j and L0_00
+    dtheta = np.array([L0[0, 0] * float(G[j].ravel() @ u.ravel()) for j, u in enumerate(units)])
+    H = E @ rw.reshape(mp1, n).T
+    for j in range(r):
+        H += G[j] @ wloads[j].T
+    D = -_tri(L0, H, trans=True)
+    D[0, 0] += sum(float(G[j].ravel() @ wloads[j].ravel()) for j in range(r)) / L0[0, 0]
+    il, dg = np.tril_indices(mp1), np.diag_indices(mp1)
+    D[dg] = (D[dg] + n / L0[dg]) * L0[dg]  # in log L0_ii
+    grad = np.concatenate([D[il], dtheta] + [G[k][il] for k in range(r, len(G))])
+    return nll, grad, beta
+
+
+def _finish(params: MVCParams, terms: _Terms, X, z, max_steps: int):
+    """Quasi-Newton then Newton steps from ``params`` on the profile
+    likelihood in relative Cholesky coordinates, at most ``max_steps`` in
+    all.  Returns the parameter point, the steps taken and whether the
+    projected gradient fell below ``_GRAD_TOL`` with steps to spare."""
+    lo = _coord_bounds(terms)
+
+    def obj(x):
+        return _profile(x, terms, X, z)[:2]
+
+    res = optimize.minimize(
+        obj, _coords(params, terms), jac=True, method="L-BFGS-B",
+        bounds=[(b, None) for b in lo],
+        options={"maxiter": max_steps, "ftol": 0.0, "gtol": 0.1 * _GRAD_TOL},
+    )
+    x, steps = np.asarray(res.x, dtype=float), int(res.nit)
+    _, g, beta = _profile(x, terms, X, z)
+    if steps < max_steps and _projected_norm(x, g, lo) >= _GRAD_TOL:
+        x, _, g, newton = _newton_finish(obj, x, lo, np.inf, max_steps - steps)
+        steps += newton
+        beta = _profile(x, terms, X, z)[2]
+    converged = steps < max_steps and _projected_norm(x, g, lo) < _GRAD_TOL
+    L0, wloads, _ = _loadings(x, terms)
+    loads = [L0 @ T for T in wloads]  # a_k; sigma_j c_j for a treatment term
+    sigma2 = np.array([a[0, 0] ** 2 for a in loads[: terms.r]])
+    Sigmas = [L0 @ L0.T] + [a @ a.T for a in loads[terms.r :]]
+    return MVCParams(beta=beta, sigma2=sigma2, Sigmas=tuple(Sigmas)), steps, converged
+
+
+def _projected_norm(x, g, lo) -> float:
+    """Largest move of a gradient step projected onto ``x >= lo``."""
+    return float(np.max(np.abs(np.maximum(x - g, lo) - x), initial=0.0))
+
+
 @dataclass
 class MVCFit:
-    """EM output: final parameter point and the likelihood path."""
+    """EM output: final parameter point and the likelihood path.
+
+    ``stop`` says why the fit ended: ``tolerance`` (EM's log-likelihood
+    step fell below ``tol``), ``gradient`` (the finisher's projected
+    gradient fell below ``_GRAD_TOL``) or ``max_iter``.  ``iterations``
+    counts EM and finisher steps together; ``finisher_iterations`` is the
+    finisher's share.
+    """
 
     model: MultivariateModel
     loglik_trace: np.ndarray
     iterations: int
     converged: bool
     events: tuple[str, ...] = ()
+    stop: str = "tolerance"
+    finisher_iterations: int = 0
+
+    @property
+    def em_iterations(self) -> int:
+        return self.iterations - self.finisher_iterations
 
     @property
     def params(self) -> MVCParams:
@@ -462,11 +638,18 @@ def fit_em(
     tol: float = 1e-8,
     max_iter: int = 2000,
 ) -> MVCFit:
-    """Run EM from the supplied starting point until the likelihood settles.
+    """Run EM from the supplied starting point, then finish a slow fit.
 
-    Convergence is declared when the observed-data log-likelihood moves by
-    less than ``tol``; hitting ``max_iter`` returns the last iterate with
-    ``converged=False``.
+    EM runs until the observed-data log-likelihood moves by less than
+    ``tol``, for at most ``_EM_BUDGET`` iterations.  A fit still moving
+    then goes to the finisher: L-BFGS-B and Newton steps on the analytic
+    gradient of the profile likelihood in relative Cholesky coordinates,
+    where a Cholesky diagonal may reach zero, so PSD-boundary optima are
+    reached rather than approached sublinearly.  The fit has converged
+    when EM met ``tol`` within its budget or the finisher's projected
+    gradient fell below ``_GRAD_TOL`` with steps to spare.  ``max_iter``
+    caps EM and finisher steps together; a fit that reaches it returns its
+    last point with ``converged=False``.
     """
     sd = model_init.stacked
     zz = sd.z if z is None else np.asarray(z, dtype=float)
@@ -476,25 +659,35 @@ def fit_em(
     converged = False
     it = 0
     terms = _terms(sd)
-    for it in range(max_iter + 1):
+    em_limit = min(max_iter, _EM_BUDGET)
+    for it in range(em_limit + 1):
         factor = _factorise(model, terms)
         ll, core = factor.loglik(zz - sd.X @ model.params.beta)
         trace.append(ll)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
             converged = True
             break
-        if it == max_iter:
+        if it == em_limit:
             break
         moments = e_step(model, zz, _factor=factor, _core=core)
         params, ev = m_step(moments, model)
         events.extend(ev)
         model = model.with_params(params)
+    stop = "tolerance" if converged else "max_iter"
+    finisher = 0
+    if not converged and max_iter > em_limit:
+        params, finisher, converged = _finish(model.params, terms, sd.X, zz, max_iter - em_limit)
+        model = model.with_params(params)
+        trace.append(_factorise(model, terms).loglik(zz - sd.X @ params.beta)[0])
+        stop = "gradient" if converged else "max_iter"
     return MVCFit(
         model=model,
         loglik_trace=np.array(trace),
-        iterations=it,
+        iterations=it + finisher,
         converged=converged,
         events=tuple(events),
+        stop=stop,
+        finisher_iterations=finisher,
     )
 
 

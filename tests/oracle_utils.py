@@ -118,8 +118,11 @@ def direct_max_loglik(sd: StackedData, extra_starts=()):
         for fac in (1.0, 0.25, 4.0)
     ]
     for params in extra_starts:
+        # the floor keeps a start with a zero component (a fit on the PSD
+        # boundary) inside the log-Cholesky coordinates
+        floor = 1e-14 * np.trace(params.Sigmas[0])
         Sig = tuple(
-            S + 1e-10 * np.trace(S) * np.eye(S.shape[0]) for S in params.Sigmas
+            S + max(1e-10 * np.trace(S), floor) * np.eye(S.shape[0]) for S in params.Sigmas
         )
         starts.append(_pack(Sig, np.maximum(params.sigma2, 1e-10)))
     grams = _gram_blocks(sd)
@@ -160,8 +163,8 @@ _ORACLE_CONFIGS = [
 
 
 # frozen draws for the 20-instance comparison suite, three per config plus
-# the spread completing 20; each gives an interior ML optimum (plain EM is
-# sublinear at PSD-boundary optima, and acceleration is out of scope)
+# the spread completing 20; each gives an interior ML optimum (boundary
+# optima are checked by test_mvc_em.py::TestBoundaryOracle)
 ORACLE_SEEDS = (0, 1, 2, 3, 12, 5, 14, 39, 8, 9, 18, 19, 20, 13, 30, 55, 24, 17, 26, 27)
 
 

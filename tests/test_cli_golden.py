@@ -16,8 +16,7 @@ before the complete-RCB closed forms moved onto stratum sums of squares and
 products.  The last 11 cases (``fit`` and ``adjust --model mvc`` on all five
 inputs, and ``fit --model mvc --max-iter 3`` on ``rcb``, which exits 3)
 were captured while the EM engine still had a separate complete-RCB
-inverse and a dense one for every other layout; the split plot's fit stops
-at ``max_iter`` on the PSD boundary and exits 3.  A case whose ``data`` is
+inverse and a dense one for every other layout.  A case whose ``data`` is
 null passes no ``--data``/``--design``.
 
 The 35 cases that reach ``fit_lmm`` (the first 29 except ``fit`` and
@@ -30,6 +29,14 @@ likelihood's stationary point; now they hold that point, which
 ``test_lmm.py::test_golden_variance_components_are_stationary`` checks.
 Exit codes and text fields did not change, numbers moved by at most
 8.4e-7 relative and the log-likelihoods by at most 1.5e-13.
+
+The two ``fit``/``adjust --model mvc`` cases on the split plot were
+re-captured when EM fits still moving after a fixed budget of EM
+iterations gained a gradient finisher.  They had held EM's stop at
+``max_iter`` on the PSD boundary (exit 3); now they hold the boundary
+maximum (exit 0), which
+``test_mvc_em.py::test_golden_mvc_fits_past_the_em_budget_are_stationary``
+checks.
 Text fields must match exactly and numbers to 1e-9 relative.
 """
 

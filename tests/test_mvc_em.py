@@ -1,14 +1,24 @@
+import importlib
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import linalg, stats
 
 import vcadjust as v
-from vcadjust.data_model import StackedData
+from vcadjust.data_model import StackedData, load_dataset, load_design_spec
 from vcadjust.errors import SingularityError
 from vcadjust.mvc_em import (
+    _EM_BUDGET,
     EStepMoments,
     MVCParams,
+    _coord_bounds,
+    _coords,
     _factorise,
+    _profile,
+    _terms,
     initial_params,
     make_model,
 )
@@ -272,38 +282,63 @@ def _assert_close(a, b, tol=1e-9):
     assert np.max(np.abs(a - b), initial=0.0) <= tol * max(1.0, np.max(np.abs(b), initial=0.0))
 
 
+def _rcb_layout():
+    """RCB with two blanked cells and a random treatment x block term."""
+    ds, spec, _ = _rcb_stacked(seed=3)
+    ds = drop_cells(ds, [("T01", "B01"), ("T04", "B03")])
+    sd = v.build_stacked(ds, spec, random_treatment_terms=[("treatment", "block")])
+    rng = np.random.default_rng(11)
+    params = MVCParams(
+        beta=rng.normal(size=sd.X.shape[1]),
+        sigma2=np.array([0.7]),
+        Sigmas=(_random_cov(rng, 2), _random_cov(rng, 2)),
+    )
+    return sd, params
+
+
+def _latin_square_layout():
+    # a blanked off-diagonal cell makes the row x column count matrix
+    # asymmetric, so a transposed count matrix shows
+    sd = _latin_square_stacked(seed=2, blank=[(0, 1)])
+    rng = np.random.default_rng(12)
+    params = MVCParams(
+        beta=rng.normal(size=sd.X.shape[1]),
+        sigma2=np.zeros(0),
+        Sigmas=tuple(_random_cov(rng, 3) for _ in range(3)),
+    )
+    return sd, params
+
+
+def _tau_rcb_layout():
+    """RCB whose treatments shift the covariate, one blanked cell and a
+    random treatment x block term carried by both variables."""
+    cfg = v.SimConfig(
+        t=3, b=6, params=interior_bivariate_params(3), replicates=1, seed=7,
+        tau_z=np.array([-0.8, 0.0, 0.8]),
+    )
+    ds = drop_cells(v.gen_bivariate_rcb(cfg)[0], [("T02", "B04")])
+    spec = replace(cfg.design_spec, treatments_affect_covariates=True)
+    sd = v.build_stacked(ds, spec, random_treatment_terms=[("treatment", "block")])
+    rng = np.random.default_rng(13)
+    params = MVCParams(
+        beta=rng.normal(size=sd.X.shape[1]),
+        sigma2=np.array([0.4]),
+        Sigmas=(_random_cov(rng, 2), _random_cov(rng, 2)),
+    )
+    return sd, params
+
+
+LAYOUTS = {"_rcb": _rcb_layout, "_latin_square": _latin_square_layout, "_tau_rcb": _tau_rcb_layout}
+
+
 class TestKroneckerTermsAgainstDense:
     """E-step moments and adjusted-means covariance, taken from group codes
     and count matrices, against the dense posterior built from assemble_V
     and the dense incidences."""
 
-    def _rcb(self):
-        ds, spec, _ = _rcb_stacked(seed=3)
-        ds = drop_cells(ds, [("T01", "B01"), ("T04", "B03")])
-        sd = v.build_stacked(ds, spec, random_treatment_terms=[("treatment", "block")])
-        rng = np.random.default_rng(11)
-        params = MVCParams(
-            beta=rng.normal(size=sd.X.shape[1]),
-            sigma2=np.array([0.7]),
-            Sigmas=(_random_cov(rng, 2), _random_cov(rng, 2)),
-        )
-        return sd, params
-
-    def _latin_square(self):
-        # a blanked off-diagonal cell makes the row x column count matrix
-        # asymmetric, so a transposed count matrix shows
-        sd = _latin_square_stacked(seed=2, blank=[(0, 1)])
-        rng = np.random.default_rng(12)
-        params = MVCParams(
-            beta=rng.normal(size=sd.X.shape[1]),
-            sigma2=np.zeros(0),
-            Sigmas=tuple(_random_cov(rng, 3) for _ in range(3)),
-        )
-        return sd, params
-
     @pytest.mark.parametrize("layout", ["_rcb", "_latin_square"])
     def test_e_step_matches_dense_posterior(self, layout):
-        sd, params = getattr(self, layout)()
+        sd, params = LAYOUTS[layout]()
         model = make_model(sd, params)
         mp1 = sd.m + 1
         M, Psi = _dense_random_terms(sd, params)
@@ -340,7 +375,7 @@ class TestKroneckerTermsAgainstDense:
 
     @pytest.mark.parametrize("layout", ["_rcb", "_latin_square"])
     def test_adjusted_means_covariance_matches_dense_sandwich(self, layout):
-        sd, params = getattr(self, layout)()
+        sd, params = LAYOUTS[layout]()
         model = make_model(sd, params)
         fit = v.MVCFit(
             model=model, loglik_trace=np.array([0.0]), iterations=0, converged=True
@@ -357,6 +392,81 @@ class TestKroneckerTermsAgainstDense:
         idx = sd.treat_cols
         _assert_close(res.covariance, full[np.ix_(idx, idx)])
         assert np.array_equal(res.means, params.beta[idx])
+
+
+def _dense_profile_nll(sd, sigma2, Sigmas):
+    """Negative profile log-density of the dense assemble_V covariance,
+    with the fixed effects at their GLS values; and those values."""
+    params = MVCParams(beta=np.zeros(sd.X.shape[1]), sigma2=sigma2, Sigmas=tuple(Sigmas))
+    L = np.linalg.cholesky(v.assemble_V(make_model(sd, params)))
+    Xw = linalg.solve_triangular(L, sd.X, lower=True)
+    zw = linalg.solve_triangular(L, sd.z, lower=True)
+    beta = np.linalg.lstsq(Xw, zw, rcond=None)[0]
+    r = zw - Xw @ beta
+    return 0.5 * (len(zw) * np.log(2 * np.pi) + 2 * np.log(np.diag(L)).sum() + r @ r), beta
+
+
+def _dense_coords_nll(sd, x):
+    """:func:`_dense_profile_nll` at relative Cholesky coordinates x: the
+    lower triangle of L0 (diagonal as logs), theta_j = sigma_j / L0[0, 0]
+    per random treatment term, then the lower triangle of T_k per blocking
+    factor, Sigma_k = L0 T_k T_k' L0'."""
+    mp1, r = sd.m + 1, len(sd.C_list)
+    il = np.tril_indices(mp1)
+    k = len(il[0])
+    L0 = np.zeros((mp1, mp1))
+    L0[il] = x[:k]
+    L0[np.diag_indices(mp1)] = np.exp(np.diag(L0))
+    Sigmas = [L0 @ L0.T]
+    for j in range(k + r, len(x), k):
+        T = np.zeros((mp1, mp1))
+        T[il] = x[j : j + k]
+        Sigmas.append(L0 @ T @ T.T @ L0.T)
+    return _dense_profile_nll(sd, (x[k : k + r] * L0[0, 0]) ** 2, Sigmas)
+
+
+class TestFinisherAgainstDense:
+    """The finisher's profile likelihood and analytic gradient against the
+    dense covariance, at random points and at points where a Cholesky
+    diagonal of a component is exactly 0."""
+
+    def _points(self, sd, params):
+        terms = _terms(sd)
+        x = _coords(params, terms)
+        lo = _coord_bounds(terms)
+        rng = np.random.default_rng(0)
+        moved = np.maximum(x + 0.3 * rng.normal(size=len(x)), lo)
+        edge = np.where(lo == 0, 0.0, moved)  # every bounded coordinate at 0
+        one = moved.copy()
+        one[np.flatnonzero(lo == 0)[-1]] = 0.0  # the last diagonal entry only
+        return terms, x, [x, moved, edge, one]
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_value_matches_dense_density(self, layout):
+        sd, params = LAYOUTS[layout]()
+        terms, x, points = self._points(sd, params)
+        # the coordinates represent the parameter point they came from
+        want = _dense_profile_nll(sd, params.sigma2, params.Sigmas)[0]
+        assert abs(_dense_coords_nll(sd, x)[0] - want) <= 1e-10 * abs(want)
+        for pt in points:
+            nll, _, beta = _profile(pt, terms, sd.X, sd.z)
+            dense, dense_beta = _dense_coords_nll(sd, pt)
+            assert abs(nll - dense) <= 1e-10 * abs(dense)
+            _assert_close(beta, dense_beta, tol=1e-8)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_gradient_matches_central_differences(self, layout):
+        sd, params = LAYOUTS[layout]()
+        terms, _, points = self._points(sd, params)
+        h = 1e-6
+        for pt in points:
+            g = _profile(pt, terms, sd.X, sd.z)[1]
+            num = np.array([
+                (_dense_coords_nll(sd, pt + h * e)[0] - _dense_coords_nll(sd, pt - h * e)[0]) / (2 * h)
+                for e in np.eye(len(pt))
+            ])
+            assert np.all(np.isfinite(g))
+            assert np.max(np.abs(g - num)) <= 1e-6 * max(1.0, np.max(np.abs(num))), (g, num)
 
 
 class TestEStep:
@@ -637,6 +747,119 @@ class TestFitEm:
         assert not np.isclose(res.evaluated_at[0], np.nanmean(ds2.covariates), atol=1e-6)
 
 
+def _no_block_draw(seed):
+    """t = 3, b = 6 RCB drawn with no block effect at all, two cells
+    blanked: the block covariance MLE usually lies on the PSD boundary."""
+    params = replace(interior_bivariate_params(3), Sigma_B=np.zeros((2, 2)))
+    cfg = v.SimConfig(t=3, b=6, params=params, replicates=1, seed=seed)
+    ds = v.gen_bivariate_rcb(cfg)[0]
+    cells = [("T01", f"B{seed % 6 + 1:02d}"), ("T03", f"B{(seed + 3) % 6 + 1:02d}")]
+    return v.build_stacked(drop_cells(ds, cells), cfg.design_spec)
+
+
+class TestStopReasons:
+    def test_em_large_input_stops_on_tolerance(self, tmp_path, monkeypatch):
+        # the first benchmark em_large input: t = 6, b = 60, one blanked cell
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        case = workloads.em_large(np.random.default_rng(0))[0]
+        (tmp_path / "d.csv").write_text(case.csv_text)
+        (tmp_path / "d.json").write_text(json.dumps(case.design))
+        spec = load_design_spec(tmp_path / "d.json")
+        sd = v.build_stacked(load_dataset(tmp_path / "d.csv", spec), spec)
+        fit = v.fit_em(make_model(sd))
+        assert fit.converged and fit.stop == "tolerance"
+        assert fit.finisher_iterations == 0
+        assert fit.em_iterations == fit.iterations < _EM_BUDGET
+
+    def test_no_block_input_stops_on_gradient(self):
+        fit = v.fit_em(make_model(_no_block_draw(5)))
+        assert fit.converged and fit.stop == "gradient"
+        assert fit.em_iterations == _EM_BUDGET and fit.finisher_iterations > 0
+        assert fit.iterations == fit.em_iterations + fit.finisher_iterations
+        # the block covariance MLE of this draw is 0, which EM never reaches
+        assert np.max(np.abs(fit.params.Sigmas[1])) < 1e-12
+
+    def test_max_iter_within_the_budget_runs_plain_em(self):
+        sd = _no_block_draw(5)
+        fit = v.fit_em(make_model(sd), max_iter=3)
+        assert not fit.converged and fit.stop == "max_iter"
+        assert fit.iterations == 3 and fit.finisher_iterations == 0
+        assert len(fit.loglik_trace) == 4
+
+    def test_max_iter_caps_em_and_finisher_together(self):
+        fit = v.fit_em(make_model(_no_block_draw(5)), max_iter=_EM_BUDGET + 2)
+        assert not fit.converged and fit.stop == "max_iter"
+        assert fit.iterations == _EM_BUDGET + 2 and fit.finisher_iterations == 2
+        assert fit.loglik_trace[-1] >= fit.loglik_trace[-2]
+
+
+class TestBoundaryOracle:
+    """No-block draws with blanked cells at fit_em defaults against the
+    direct optimizer; most of their optima lie on the PSD boundary."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fit_reaches_the_direct_maximum(self, seed):
+        sd = _no_block_draw(seed)
+        fit = v.fit_em(make_model(sd))
+        assert fit.converged
+        ll_opt, _ = direct_max_loglik(sd, extra_starts=[fit.params])
+        assert fit.loglik >= ll_opt - 1e-6
+
+
+GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden_cli"
+FINISHED_GOLDENS = [
+    c for c in json.loads((GOLDEN_DIR / "golden.json").read_text())
+    if c["args"] == ["fit", "--model", "mvc", "--method", "ml"]
+    and int(dict(l.split("\t") for l in c["stdout"].split("\n\n")[0].split("\n"))["iterations"])
+    > _EM_BUDGET
+]
+
+
+def _psd_cholesky(S):
+    """Lower-triangular L with L L' = S for a PSD S; a pivot that rounding
+    in the printed digits makes slightly negative is taken as 0."""
+    k = len(S)
+    L = np.zeros((k, k))
+    for j in range(k):
+        L[j, j] = np.sqrt(max(S[j, j] - L[j, :j] @ L[j, :j], 0.0))
+        for i in range(j + 1, k):
+            L[i, j] = (S[i, j] - L[i, :j] @ L[j, :j]) / L[j, j] if L[j, j] > 0 else 0.0
+    return L
+
+
+@pytest.mark.parametrize("case", FINISHED_GOLDENS, ids=[c["data"] for c in FINISHED_GOLDENS])
+def test_golden_mvc_fits_past_the_em_budget_are_stationary(case):
+    """A golden mvc fit that the finisher ended holds the maximum: the
+    dense log-density's central-difference gradient in the Cholesky
+    factors of the printed covariances is zero (on the boundary, a zero
+    pivot enters V only through its square), and it converged."""
+    assert FINISHED_GOLDENS
+    fields = dict(l.split("\t") for l in case["stdout"].split("\n\n")[0].split("\n"))
+    assert case["code"] == 0 and fields["converged"] == "true"
+    spec = load_design_spec(GOLDEN_DIR / f"{case['data']}.json")
+    sd = v.build_stacked(load_dataset(GOLDEN_DIR / f"{case['data']}.csv", spec), spec)
+    assert not sd.C_list
+    mp1, il = sd.m + 1, np.tril_indices(sd.m + 1)
+    Sigmas = [
+        np.array([[float(fields[f"Sigma{i}[{min(a, b)},{max(a, b)}]"]) for b in range(mp1)]
+                  for a in range(mp1)])
+        for i in range(len(sd.block_codes) + 1)
+    ]
+    x = np.concatenate([_psd_cholesky(S)[il] for S in Sigmas])
+
+    def nll(y):
+        Ls = [np.zeros((mp1, mp1)) for _ in Sigmas]
+        for i, L in enumerate(Ls):
+            L[il] = y[i * len(il[0]) : (i + 1) * len(il[0])]
+        return _dense_profile_nll(sd, np.zeros(0), [L @ L.T for L in Ls])[0]
+
+    assert abs(-nll(x) - float(fields["loglik"])) < 1e-7
+    h = 1e-5
+    g = np.array([(nll(x + h * e) - nll(x - h * e)) / (2 * h) for e in np.eye(len(x))])
+    assert np.max(np.abs(g)) < 1e-6, g
+
+
 class TestTreatmentsAffectCovariates:
     def test_em_recovers_covariate_treatment_means(self):
         # treatments shift the covariate; the covariate blocks get their own
@@ -662,6 +885,7 @@ class TestTreatmentsAffectCovariates:
             sd = v.build_stacked(ds, spec)
             assert not sd.cov_mean_cols  # covariate means are per-treatment now
             fit = v.fit_em(make_model(sd), tol=1e-10, max_iter=30000)
+            assert fit.converged, seed
             est_ymeans[seed] = fit.params.beta[:3]
             est_zmeans[seed] = fit.params.beta[3:6]
         for i in range(3):
