@@ -43,7 +43,8 @@ stacked = v.build_stacked(ds_unbal, spec)
 print("complete cells: %d of %d" % (stacked.n_obs, ds.n_records))
 
 fit = v.fit_em(make_model(stacked), tol=1e-10, max_iter=20000)
-print("EM converged in %d iterations; loglik %.4f" % (fit.iterations, fit.loglik))
+print("EM start and Newton steps converged in %d iterations; loglik %.4f"
+      % (fit.iterations, fit.loglik))
 print("loglik path is monotone: min step %.2e" % np.min(np.diff(fit.loglik_trace)))
 print()
 

@@ -26,34 +26,38 @@ random effects, the GLS fixed effects and the SEs of the adjusted means all
 go through L0 and Lc: an iteration costs O(q^3 + N (m+1)^2) and forms no
 N x q, n x n or N x N array.
 
-Plain EM converges sublinearly when the maximum lies on the PSD boundary,
-so a fit still moving after ``_EM_BUDGET`` EM iterations is finished on
-the profile likelihood instead (EM then Newton, as in Lindstrom & Bates
-1988 and Pinheiro & Bates 1996).  The finisher works in relative Cholesky
-coordinates: log diag and lower triangle of L0, theta_j = sigma_j / L0_00
-per random treatment term and the lower-triangular whitened loading T_k
-with Sigma_k = L0 T_k T_k' L0' per blocking factor, its diagonal bounded
-below by exactly 0.  Its value and analytic gradient come from the same
-factorisation, gathers and count matrices, with no Sigma_k inverted, so a
-component may reach rank zero or one.  L-BFGS-B runs first, and Newton
-steps on the gradient (``lmm._newton_finish``) follow when its projected
-gradient is not yet below ``_GRAD_TOL``.
+Plain EM converges sublinearly, slowest when the maximum lies on the PSD
+boundary, so EM only starts a fit: ``_EM_START`` iterations at most, then
+projected Newton steps on the profile likelihood (EM then Newton, as in
+Lindstrom & Bates 1988) until its projected gradient is below
+``_GRAD_TOL``.  The Newton steps work in relative Cholesky coordinates:
+log diag and lower triangle of L0, theta_j = sigma_j / L0_00 per random
+treatment term and the lower-triangular whitened loading T_k with
+Sigma_k = L0 T_k T_k' L0' per blocking factor, its diagonal bounded below
+by exactly 0.  The value, the analytic gradient and the curvature (the
+average-information matrix of Gilmour, Thompson & Cullis 1995, plus the
+second-derivative term that carries the curvature at the boundary) come
+from one factorisation per point, the gathers and the count matrices, with
+no Sigma_k inverted, so a component may reach rank zero or one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 
 from .data_model import StackedData
 from .errors import SingularityError
-from .lmm import _newton_finish, _tri
+from .lmm import _tri
 
 _CLIP_FRAC = 1e-12  # eigenvalue floor relative to trace, float-noise guard
-_EM_BUDGET = 200  # EM iterations before an unconverged fit is finished
-_GRAD_TOL = 1e-6  # projected gradient of a fit the finisher converged
+_EM_START = 10  # EM iterations before Newton steps take over
+_GRAD_TOL = 1e-6  # projected gradient of a converged fit
+_ACTIVE_GAP = 1e-3  # coordinates this close to their bound may be held on it
+_HALVINGS = 30  # step halvings before a Newton step gives up
 
 
 @dataclass(frozen=True)
@@ -195,30 +199,54 @@ class _Terms:
         q = self.slices[-1].stop if self.slices else 0
         out = np.zeros((q, q))
         for (i, k), N in self.counts.items():
-            blk = np.kron(loads[i].T @ loads[k], N)
+            a = loads[i].T @ loads[k]
+            blk = (a[:, None, :, None] * N[None, :, None, :]).reshape(a.shape[0] * N.shape[0], -1)
             out[self.slices[i], self.slices[k]] = blk
             out[self.slices[k], self.slices[i]] = blk.T
         return out
 
-    def contract(self, P: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-        """The q x q matrix P contracted with the count matrices, for every
-        pair i <= k: S_ik = sum_ab P_(i,a),(k,b) (Z_i'Z_k)_ab, p_i x p_k."""
+    def pair(self, i: int, k: int) -> np.ndarray:
+        """The count matrix Z_i'Z_k, for either order of i and k."""
+        return self.counts[i, k] if i <= k else self.counts[k, i].T
+
+    @cached_property
+    def products(self) -> tuple[dict[tuple[int, int], np.ndarray], ...]:
+        """Per term k, the count products Z_i'Z_k Z_k'Z_j for every pair
+        i <= j: the weights of P in the level sums of Z_k Z_k'."""
+        K = len(self.codes)
+        return tuple(
+            {(i, j): self.pair(i, k) @ self.pair(k, j) for i in range(K) for j in range(i, K)}
+            for k in range(K)
+        )
+
+    def contract(self, P: np.ndarray, counts=None) -> dict[tuple[int, int], np.ndarray]:
+        """The q x q matrix P contracted with weight matrices (the count
+        matrices unless ``counts`` is given), for every pair i <= k:
+        S_ik = sum_ab P_(i,a),(k,b) N_ab, p_i x p_k."""
         out = {}
-        for (i, k), N in self.counts.items():
+        for (i, k), N in (self.counts if counts is None else counts).items():
             pi, pk = self.carriers[i].shape[1], self.carriers[k].shape[1]
             blk = P[self.slices[i], self.slices[k]].reshape(pi, N.shape[0], pk, N.shape[1])
             S = blk.transpose(0, 2, 1, 3).reshape(pi * pk, N.size) @ N.ravel()
             out[i, k] = S.reshape(pi, pk)
         return out
 
-    def trace(self, loads, P: np.ndarray) -> np.ndarray:
-        """sum over cells of the variable blocks of G P G', G = [a_k (x) Z_k]:
+    def trace(self, loads, P: np.ndarray, counts=None) -> np.ndarray:
+        """sum over cells of the variable blocks of G P G', G = [a_k (x) Z_k]
+        (with ``counts`` = products[k], of G P G' (I (x) Z_k Z_k')):
         sum_{i,k} a_i S_ik a_k' with S_ik from :meth:`contract`."""
         out = np.zeros((self.mp1, self.mp1))
-        for (i, k), S in self.contract(P).items():
+        for (i, k), S in self.contract(P, counts).items():
             part = loads[i] @ S @ loads[k].T
             out += part if i == k else part + part.T
         return out
+
+    def level_sums(self, E: np.ndarray) -> list[np.ndarray]:
+        """E Z_k per term, for E with one column per cell: mp1 x d_k."""
+        return [
+            np.stack([np.bincount(g, weights=row, minlength=d) for row in E])
+            for g, d in zip(self.codes, self.levels)
+        ]
 
 
 def _terms(sd: StackedData) -> _Terms:
@@ -476,21 +504,28 @@ def _coords(params: MVCParams, terms: _Terms) -> np.ndarray:
 
 
 def _loadings(x: np.ndarray, terms: _Terms):
-    """L0 and the whitened loadings L0^-1 a_k at coordinates ``x``, with
-    the unscaled treatment-term loadings L0^-1 c_j."""
+    """L0 and the whitened loadings T_k = L0^-1 a_k at coordinates ``x``."""
     mp1, r = terms.mp1, terms.r
     il = np.tril_indices(mp1)
     k = len(il[0])
     L0 = np.zeros((mp1, mp1))
     L0[il] = x[:k]
     L0[np.diag_indices(mp1)] = np.exp(np.diag(L0))
-    units = [_tri(L0, c) for c in terms.carriers[:r]]
-    wloads = [th * L0[0, 0] * u for th, u in zip(x[k : k + r], units)]
+    wloads = [th * L0[0, 0] * _tri(L0, c) for th, c in zip(x[k : k + r], terms.carriers)]
     for j in range(k + r, len(x), k):
         T = np.zeros((mp1, mp1))
         T[il] = x[j : j + k]
         wloads.append(T)
-    return L0, wloads, units
+    return L0, wloads
+
+
+def _params(x: np.ndarray, terms: _Terms, beta: np.ndarray) -> MVCParams:
+    """The parameter point at coordinates ``x`` and fixed effects ``beta``."""
+    L0, wloads = _loadings(x, terms)
+    loads = [L0 @ T for T in wloads]  # a_k; sigma_j c_j for a treatment term
+    sigma2 = np.array([a[0, 0] ** 2 for a in loads[: terms.r]])
+    Sigmas = [L0 @ L0.T] + [a @ a.T for a in loads[terms.r :]]
+    return MVCParams(beta=beta, sigma2=sigma2, Sigmas=tuple(Sigmas))
 
 
 def _coord_bounds(terms: _Terms) -> np.ndarray:
@@ -501,83 +536,204 @@ def _coord_bounds(terms: _Terms) -> np.ndarray:
     return np.concatenate([np.full(len(diag), -np.inf), np.zeros(terms.r)] + [diag] * blocks)
 
 
-def _profile(x: np.ndarray, terms: _Terms, X: np.ndarray, z: np.ndarray):
-    """Negative profile log-likelihood at coordinates ``x``, its gradient
-    and the GLS fixed effects.
+def _loading_derivatives(x: np.ndarray, L0: np.ndarray, wloads, terms: _Terms):
+    """First and second derivatives of every loading in the coordinates,
+    whitened by L0^-1: the residual's loading L0 first, then each a_k.
 
-    With whitened data and A = [T_k (x) Z_k], the derivative of the
-    negative log-likelihood in A is A P - e v', where P = (I + A'A)^-1,
-    v = P A' rw is the posterior mean of the spherical random effects and
-    e = rw - A v the whitened residual less them (beta held at its GLS
-    value, where its own derivative is zero).  Summed over the cells of
-    each term, that is sum_i T_i S_ik - E_k, S_ik the contraction of P
-    with the count matrices and E_k the product of e with v gathered at
-    each cell's level.  The data enter through L0^-1 as well, which adds
-    n / L0_ii and -L0^-T (e rw' + sum_j G_j T_j') to the derivative in L0.
-    Nothing here inverts a Sigma_k, so the gradient is finite on the PSD
-    boundary, and no array is larger than q x q or N x p.
+    Returns one ``(idx, D, D2)`` per loading: the coordinates it depends
+    on, D[i] = L0^-1 da/dx_i and D2[i, j] = L0^-1 d2a/dx_i dx_j over them.
+    Every loading is linear in L0 and in its own coordinates (a_j =
+    theta_j L0_00 c_j, a_k = L0 T_k), so the only second derivatives are
+    the mixed ones and those of a log-diagonal coordinate of L0, which
+    enters through exp and so repeats its first derivative.
     """
-    mp1, n, r = terms.mp1, terms.n, terms.r
-    L0, wloads, units = _loadings(x, terms)
-    f = _equations(L0, terms, wloads)
-    Xw, zw = _whiten(L0, X), _whiten(L0, z)
-    C = f.core(np.column_stack([Xw, zw]))
-    K = Xw.T @ Xw - C[:, :-1].T @ C[:, :-1]
-    beta = np.linalg.solve(K, Xw.T @ zw - C[:, :-1].T @ C[:, -1])
-    rw = zw - Xw @ beta
-    s = C[:, -1] - C[:, :-1] @ beta
-    nll = 0.5 * (len(z) * np.log(2 * np.pi) + f.logdet + rw @ rw - s @ s)
+    mp1, r = terms.mp1, terms.r
+    unit, diag = _tril_units(mp1)
+    k = len(unit)
+    dL = unit.copy()
+    dL[diag] *= np.diag(L0)[:, None, None]
+    wdL = _tri(L0, np.eye(mp1)) @ dL
 
-    v = _tri(f.Lc, s, trans=True)
-    E = (rw - terms.apply(wloads, v)).reshape(mp1, n)
-    G = [
-        -E @ v[sl].reshape(T.shape[1], d)[:, g].T
-        for T, g, d, sl in zip(wloads, terms.codes, terms.levels, terms.slices)
-    ]
-    for (i, k), S in terms.contract(f.posterior()).items():
-        G[k] += wloads[i] @ S
-        if i != k:
-            G[i] += wloads[k] @ S.T
-    # T_j = theta_j L0_00 L0^-1 c_j: its derivatives in theta_j and L0_00
-    dtheta = np.array([L0[0, 0] * float(G[j].ravel() @ u.ravel()) for j, u in enumerate(units)])
-    H = E @ rw.reshape(mp1, n).T
-    for j in range(r):
-        H += G[j] @ wloads[j].T
-    D = -_tri(L0, H, trans=True)
-    D[0, 0] += sum(float(G[j].ravel() @ wloads[j].ravel()) for j in range(r)) / L0[0, 0]
-    il, dg = np.tril_indices(mp1), np.diag_indices(mp1)
-    D[dg] = (D[dg] + n / L0[dg]) * L0[dg]  # in log L0_ii
-    grad = np.concatenate([D[il], dtheta] + [G[k][il] for k in range(r, len(G))])
-    return nll, grad, beta
+    def second(D, cross):
+        D2 = np.zeros((len(D),) + D.shape)
+        D2[diag, diag] = D[diag]
+        D2[:k, k:] = cross
+        D2[k:, :k] = cross.swapaxes(0, 1)
+        return D2
+
+    own = np.arange(k)
+    out = [(own, wdL, second(wdL, np.zeros((k, 0, mp1, mp1))))]
+    for j, c in enumerate(terms.carriers[:r]):
+        u = L0[0, 0] * _tri(L0, c)
+        D = np.zeros((k + 1,) + u.shape)
+        D[0], D[k] = x[k + j] * u, u
+        cross = np.zeros((k, 1) + u.shape)
+        cross[0, 0] = u
+        out.append((np.append(own, k + j), D, second(D, cross)))
+    for j, T in enumerate(wloads[r:]):
+        D = np.concatenate([wdL @ T, unit])
+        out.append((np.concatenate([own, k + r + j * k + own]), D, second(D, wdL[:, None] @ unit)))
+    return out
 
 
-def _finish(params: MVCParams, terms: _Terms, X, z, max_steps: int):
-    """Quasi-Newton then Newton steps from ``params`` on the profile
-    likelihood in relative Cholesky coordinates, at most ``max_steps`` in
-    all.  Returns the parameter point, the steps taken and whether the
-    projected gradient fell below ``_GRAD_TOL`` with steps to spare."""
+@lru_cache
+def _tril_units(mp1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit lower-triangular matrices in the order of the coordinates
+    of a Cholesky factor, and the positions of the diagonal ones."""
+    il = np.tril_indices(mp1)
+    unit = np.zeros((len(il[0]), mp1, mp1))
+    unit[np.arange(len(il[0])), il[0], il[1]] = 1.0
+    diag = np.flatnonzero(il[0] == il[1])
+    unit.flags.writeable = diag.flags.writeable = False
+    return unit, diag
+
+
+class _Profile:
+    """Negative profile log-likelihood at relative Cholesky coordinates x.
+
+    Whitened by L0, the data are rw with covariance I + A A', A = [T_k (x)
+    Z_k].  The value and the GLS fixed effects are taken on construction;
+    the gradient and the curvature, on demand, from the same factor of
+    I + A'A.  V is linear in every S_k = a_k a_k' (and in Sigma_0 = L0 L0',
+    a_0 = L0, Z_0 = I), so each derivative goes through
+    Gamma_k = df/dS_k, whitened as L0' Gamma_k L0 =
+    (n I - sum_ij T_i C^k_ij T_j' - F_k F_k') / 2.  There e = rw - A v is
+    the whitened residual less the posterior mean v of the spherical
+    random effects, F_k = e Z_k its level sums, and C^k_ij the contraction
+    of P = (I + A'A)^-1 with the count products Z_i'Z_k Z_k'Z_j.  The
+    gradient is 2 <Gamma_k a_k, da_k>.  The curvature is H = AI + N:
+    AI = W'PW / 2 with W_i = (dV/dx_i) V^-1 r and P here the GLS projection
+    V^-1 - V^-1 X K^-1 X'V^-1 (the average-information matrix), and
+    N = sum_k <Gamma_k, d2 S_k>, the part of the Hessian that is not
+    quadratic in W.  N is what carries the curvature where V is quadratic
+    in a vanishing Cholesky factor, on the PSD boundary, where AI goes to 0.
+    Nothing here inverts a Sigma_k, and no array is larger than q x q or
+    N x (p + number of coordinates).
+    """
+
+    def __init__(self, x: np.ndarray, terms: _Terms, X: np.ndarray, z: np.ndarray):
+        self.x, self.terms = x, terms
+        self.L0, self.wloads = _loadings(x, terms)
+        self.f = f = _equations(self.L0, terms, self.wloads)
+        self.Xw, zw = _whiten(self.L0, X), _whiten(self.L0, z)
+        C = f.core(np.column_stack([self.Xw, zw]))
+        self.Cx = C[:, :-1]
+        try:
+            self.LK = np.linalg.cholesky(self.Xw.T @ self.Xw - self.Cx.T @ self.Cx)
+        except np.linalg.LinAlgError as exc:
+            raise SingularityError("weighted normal equations are singular") from exc
+        self.beta = _tri(self.LK, _tri(self.LK, self.Xw.T @ zw - self.Cx.T @ C[:, -1]), trans=True)
+        self.rw = zw - self.Xw @ self.beta
+        s = C[:, -1] - self.Cx @ self.beta
+        self.v = _tri(f.Lc, s, trans=True)
+        self.nll = 0.5 * (len(z) * np.log(2 * np.pi) + f.logdet + self.rw @ self.rw - s @ s)
+
+    @cached_property
+    def sums(self) -> list[np.ndarray]:
+        """e Z_k Z_k' per loading, the residual's (e itself) first: the level
+        sums of the whitened residual e, each at its cells."""
+        terms = self.terms
+        E = (self.rw - terms.apply(self.wloads, self.v)).reshape(terms.mp1, terms.n)
+        return [E] + [F[:, g] for F, g in zip(terms.level_sums(E), terms.codes)]
+
+    @cached_property
+    def gammas(self) -> list[np.ndarray]:
+        """L0' Gamma_k L0 per loading, the residual's first."""
+        terms, E = self.terms, self.sums[0]
+        P = self.f.posterior()
+        return [
+            0.5 * (terms.n * np.eye(terms.mp1) - terms.trace(self.wloads, P, c) - F @ E.T)
+            for F, c in zip(self.sums, (None,) + terms.products)
+        ]
+
+    @cached_property
+    def _parts(self):
+        """Per loading: its coordinates, derivatives, T_k, Gamma_k and sums."""
+        derivs = _loading_derivatives(self.x, self.L0, self.wloads, self.terms)
+        Ts = [np.eye(self.terms.mp1)] + list(self.wloads)
+        return [d + (T, G, F) for d, T, G, F in zip(derivs, Ts, self.gammas, self.sums)]
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        g = np.zeros(len(self.x))
+        for idx, D, _, T, G, _ in self._parts:
+            g[idx] += 2.0 * D.reshape(len(D), -1) @ (G @ T).ravel()
+        return g
+
+    def curvature(self) -> tuple[np.ndarray, np.ndarray]:
+        """The average-information matrix AI and the second-derivative part
+        N of the Hessian H = AI + N."""
+        nx, mp1, n = len(self.x), self.terms.mp1, self.terms.n
+        N = np.zeros((nx, nx))
+        W = np.zeros((nx, mp1, n))  # whitened W_i, one variable block per row
+        for idx, D, D2, T, G, F in self._parts:
+            m = len(D)
+            second = (D2.reshape(m * m, -1) @ (G @ T).ravel()).reshape(m, m)
+            N[np.ix_(idx, idx)] += 2.0 * (second + D.reshape(m, -1) @ (G @ D).reshape(m, -1).T)
+            dS = D @ T.T
+            W[idx] += (dS + dS.transpose(0, 2, 1)) @ F
+        W = W.reshape(nx, -1).T
+        Cw = self.f.core(W)
+        XPW = _tri(self.LK, self.Xw.T @ W - self.Cx.T @ Cw)
+        AI = 0.5 * (W.T @ W - Cw.T @ Cw - XPW.T @ XPW)
+        return AI, N
+
+
+def _newton(params: MVCParams, terms: _Terms, X, z, max_steps: int, trace: list):
+    """Projected Newton steps from ``params`` on the profile likelihood in
+    relative Cholesky coordinates, at most ``max_steps``.
+
+    Each step solves with H = AI + N on the free coordinates, its
+    eigenvalues taken in absolute value and floored, and moves the
+    coordinates within a gap of their bound whose gradient points outward
+    onto the bound (Bertsekas 1982); the step is halved until the value
+    falls.  Appends each step's log-likelihood to ``trace``.  Returns the
+    last point, the steps taken and the stop reason: ``gradient`` when the
+    projected gradient fell below ``_GRAD_TOL``, ``max_iter``, or
+    ``stall`` when no halving lowered the value.
+    """
     lo = _coord_bounds(terms)
+    pt = _Profile(_coords(params, terms), terms, X, z)
+    steps, stop = 0, "max_iter"
+    while True:
+        x, g = pt.x, pt.grad
+        gap = _projected_norm(x, g, lo)
+        if gap < _GRAD_TOL:
+            stop = "gradient"
+            break
+        if steps == max_steps:
+            break
+        bound = (x <= lo + min(gap, _ACTIVE_GAP)) & (g > 0)
+        free = ~bound
+        AI, N = pt.curvature()
+        ev, Q = np.linalg.eigh((AI + N)[np.ix_(free, free)])
+        d = lo - x
+        d[free] = -Q @ ((Q.T @ g[free]) / np.maximum(np.abs(ev), 1e-8 * np.max(np.abs(ev))))
+        trial = _line_search(pt, d, lo, X, z)
+        if trial is None:
+            stop = "stall"
+            break
+        pt = trial
+        steps += 1
+        trace.append(-pt.nll)
+    return _params(pt.x, terms, pt.beta), steps, stop
 
-    def obj(x):
-        return _profile(x, terms, X, z)[:2]
 
-    res = optimize.minimize(
-        obj, _coords(params, terms), jac=True, method="L-BFGS-B",
-        bounds=[(b, None) for b in lo],
-        options={"maxiter": max_steps, "ftol": 0.0, "gtol": 0.1 * _GRAD_TOL},
-    )
-    x, steps = np.asarray(res.x, dtype=float), int(res.nit)
-    _, g, beta = _profile(x, terms, X, z)
-    if steps < max_steps and _projected_norm(x, g, lo) >= _GRAD_TOL:
-        x, _, g, newton = _newton_finish(obj, x, lo, np.inf, max_steps - steps)
-        steps += newton
-        beta = _profile(x, terms, X, z)[2]
-    converged = steps < max_steps and _projected_norm(x, g, lo) < _GRAD_TOL
-    L0, wloads, _ = _loadings(x, terms)
-    loads = [L0 @ T for T in wloads]  # a_k; sigma_j c_j for a treatment term
-    sigma2 = np.array([a[0, 0] ** 2 for a in loads[: terms.r]])
-    Sigmas = [L0 @ L0.T] + [a @ a.T for a in loads[terms.r :]]
-    return MVCParams(beta=beta, sigma2=sigma2, Sigmas=tuple(Sigmas)), steps, converged
+def _line_search(pt: _Profile, d: np.ndarray, lo: np.ndarray, X, z) -> _Profile | None:
+    """The first of x + d, x + d/2, ... (projected onto ``x >= lo``) whose
+    value falls by an Armijo fraction of the gradient's prediction, up to
+    rounding; None when none does."""
+    slack = 1e-12 * max(1.0, abs(pt.nll))
+    for _ in range(_HALVINGS):
+        x = np.maximum(pt.x + d, lo)
+        try:
+            trial = _Profile(x, pt.terms, X, z)
+        except (SingularityError, np.linalg.LinAlgError):
+            trial = None
+        if trial is not None and trial.nll <= pt.nll + 1e-4 * (pt.grad @ (x - pt.x)) + slack:
+            return trial
+        d = 0.5 * d
+    return None
 
 
 def _projected_norm(x, g, lo) -> float:
@@ -589,11 +745,11 @@ def _projected_norm(x, g, lo) -> float:
 class MVCFit:
     """EM output: final parameter point and the likelihood path.
 
-    ``stop`` says why the fit ended: ``tolerance`` (EM's log-likelihood
-    step fell below ``tol``), ``gradient`` (the finisher's projected
-    gradient fell below ``_GRAD_TOL``) or ``max_iter``.  ``iterations``
-    counts EM and finisher steps together; ``finisher_iterations`` is the
-    finisher's share.
+    ``stop`` says why the fit ended: ``gradient`` (the projected gradient
+    of the profile likelihood fell below ``_GRAD_TOL``), ``max_iter``, or
+    ``stall`` (no Newton step lowered the value).  ``converged`` is
+    ``stop == "gradient"``.  ``iterations`` counts EM-start and Newton
+    steps together; ``finisher_iterations`` is the Newton share.
     """
 
     model: MultivariateModel
@@ -601,7 +757,7 @@ class MVCFit:
     iterations: int
     converged: bool
     events: tuple[str, ...] = ()
-    stop: str = "tolerance"
+    stop: str = "gradient"
     finisher_iterations: int = 0
 
     @property
@@ -638,56 +794,49 @@ def fit_em(
     tol: float = 1e-8,
     max_iter: int = 2000,
 ) -> MVCFit:
-    """Run EM from the supplied starting point, then finish a slow fit.
+    """Fit by a short EM start, then projected Newton steps.
 
-    EM runs until the observed-data log-likelihood moves by less than
-    ``tol``, for at most ``_EM_BUDGET`` iterations.  A fit still moving
-    then goes to the finisher: L-BFGS-B and Newton steps on the analytic
-    gradient of the profile likelihood in relative Cholesky coordinates,
-    where a Cholesky diagonal may reach zero, so PSD-boundary optima are
-    reached rather than approached sublinearly.  The fit has converged
-    when EM met ``tol`` within its budget or the finisher's projected
-    gradient fell below ``_GRAD_TOL`` with steps to spare.  ``max_iter``
-    caps EM and finisher steps together; a fit that reaches it returns its
-    last point with ``converged=False``.
+    EM runs from the supplied starting point for at most ``_EM_START``
+    iterations, fewer when the observed-data log-likelihood moves by less
+    than ``tol``.  Newton steps on the profile likelihood in relative
+    Cholesky coordinates (see :class:`_Profile`) follow, where a Cholesky
+    diagonal may reach zero, so PSD-boundary optima are reached rather than
+    approached sublinearly.  The fit has converged when the projected
+    gradient falls below ``_GRAD_TOL``.  ``max_iter`` caps EM and Newton
+    steps together: with ``max_iter`` at most ``_EM_START`` a fit is plain
+    EM, and a fit that reaches the cap returns its last point with
+    ``converged=False``.
     """
     sd = model_init.stacked
     zz = sd.z if z is None else np.asarray(z, dtype=float)
     model = model_init
     trace: list[float] = []
     events: list[str] = []
-    converged = False
     it = 0
     terms = _terms(sd)
-    em_limit = min(max_iter, _EM_BUDGET)
+    em_limit = min(max_iter, _EM_START)
     for it in range(em_limit + 1):
         factor = _factorise(model, terms)
         ll, core = factor.loglik(zz - sd.X @ model.params.beta)
         trace.append(ll)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
-            converged = True
-            break
-        if it == em_limit:
+        if it == em_limit or (it and abs(trace[-1] - trace[-2]) < tol):
             break
         moments = e_step(model, zz, _factor=factor, _core=core)
         params, ev = m_step(moments, model)
         events.extend(ev)
         model = model.with_params(params)
-    stop = "tolerance" if converged else "max_iter"
-    finisher = 0
-    if not converged and max_iter > em_limit:
-        params, finisher, converged = _finish(model.params, terms, sd.X, zz, max_iter - em_limit)
+    steps, stop = 0, "max_iter"
+    if it < max_iter:
+        params, steps, stop = _newton(model.params, terms, sd.X, zz, max_iter - it, trace)
         model = model.with_params(params)
-        trace.append(_factorise(model, terms).loglik(zz - sd.X @ params.beta)[0])
-        stop = "gradient" if converged else "max_iter"
     return MVCFit(
         model=model,
         loglik_trace=np.array(trace),
-        iterations=it + finisher,
-        converged=converged,
+        iterations=it + steps,
+        converged=stop == "gradient",
         events=tuple(events),
         stop=stop,
-        finisher_iterations=finisher,
+        finisher_iterations=steps,
     )
 
 

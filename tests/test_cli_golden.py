@@ -34,9 +34,16 @@ The two ``fit``/``adjust --model mvc`` cases on the split plot were
 re-captured when EM fits still moving after a fixed budget of EM
 iterations gained a gradient finisher.  They had held EM's stop at
 ``max_iter`` on the PSD boundary (exit 3); now they hold the boundary
-maximum (exit 0), which
-``test_mvc_em.py::test_golden_mvc_fits_past_the_em_budget_are_stationary``
-checks.
+maximum (exit 0).
+
+The ten ``fit``/``adjust --model mvc --method ml`` cases were re-captured
+when EM became a ten-step start for projected Newton steps on an analytic
+curvature, so that every ``mvc`` fit ends where its projected gradient is
+below 1e-6.  EM's log-likelihood step rule had stopped four of them short
+of that point (dense gradient up to 9.5e-4); no log-likelihood fell, two
+rose by 2e-7 and 8e-8, and ``iterations`` now reads 13 or 20.
+``test_mvc_em.py::test_golden_mvc_fits_are_stationary`` checks all five
+``fit`` cases; ``fit --model mvc --max-iter 3`` did not change.
 Text fields must match exactly and numbers to 1e-9 relative.
 """
 

@@ -11,13 +11,13 @@ import vcadjust as v
 from vcadjust.data_model import StackedData, load_dataset, load_design_spec
 from vcadjust.errors import SingularityError
 from vcadjust.mvc_em import (
-    _EM_BUDGET,
+    _EM_START,
     EStepMoments,
     MVCParams,
     _coord_bounds,
     _coords,
     _factorise,
-    _profile,
+    _Profile,
     _terms,
     initial_params,
     make_model,
@@ -406,10 +406,10 @@ def _dense_profile_nll(sd, sigma2, Sigmas):
     return 0.5 * (len(zw) * np.log(2 * np.pi) + 2 * np.log(np.diag(L)).sum() + r @ r), beta
 
 
-def _dense_coords_nll(sd, x):
-    """:func:`_dense_profile_nll` at relative Cholesky coordinates x: the
-    lower triangle of L0 (diagonal as logs), theta_j = sigma_j / L0[0, 0]
-    per random treatment term, then the lower triangle of T_k per blocking
+def _coords_components(sd, x):
+    """sigma2 and Sigmas at relative Cholesky coordinates x: the lower
+    triangle of L0 (diagonal as logs), theta_j = sigma_j / L0[0, 0] per
+    random treatment term, then the lower triangle of T_k per blocking
     factor, Sigma_k = L0 T_k T_k' L0'."""
     mp1, r = sd.m + 1, len(sd.C_list)
     il = np.tril_indices(mp1)
@@ -422,7 +422,34 @@ def _dense_coords_nll(sd, x):
         T = np.zeros((mp1, mp1))
         T[il] = x[j : j + k]
         Sigmas.append(L0 @ T @ T.T @ L0.T)
-    return _dense_profile_nll(sd, (x[k : k + r] * L0[0, 0]) ** 2, Sigmas)
+    return (x[k : k + r] * L0[0, 0]) ** 2, Sigmas
+
+
+def _dense_coords_nll(sd, x):
+    """:func:`_dense_profile_nll` at relative Cholesky coordinates x."""
+    return _dense_profile_nll(sd, *_coords_components(sd, x))
+
+
+def _dense_coords_V(sd, x):
+    """The dense assemble_V covariance at relative Cholesky coordinates x."""
+    sigma2, Sigmas = _coords_components(sd, x)
+    params = MVCParams(beta=np.zeros(sd.X.shape[1]), sigma2=sigma2, Sigmas=tuple(Sigmas))
+    return v.assemble_V(make_model(sd, params))
+
+
+def _profile_points(sd, params):
+    """The coordinates of ``params``, a random move from them, the move with
+    every bounded coordinate (theta_j, diag T_k) at 0, and with only the
+    last one at 0."""
+    terms = _terms(sd)
+    x = _coords(params, terms)
+    lo = _coord_bounds(terms)
+    rng = np.random.default_rng(0)
+    moved = np.maximum(x + 0.3 * rng.normal(size=len(x)), lo)
+    edge = np.where(lo == 0, 0.0, moved)
+    one = moved.copy()
+    one[np.flatnonzero(lo == 0)[-1]] = 0.0
+    return terms, x, [x, moved, edge, one]
 
 
 class TestFinisherAgainstDense:
@@ -430,43 +457,107 @@ class TestFinisherAgainstDense:
     dense covariance, at random points and at points where a Cholesky
     diagonal of a component is exactly 0."""
 
-    def _points(self, sd, params):
-        terms = _terms(sd)
-        x = _coords(params, terms)
-        lo = _coord_bounds(terms)
-        rng = np.random.default_rng(0)
-        moved = np.maximum(x + 0.3 * rng.normal(size=len(x)), lo)
-        edge = np.where(lo == 0, 0.0, moved)  # every bounded coordinate at 0
-        one = moved.copy()
-        one[np.flatnonzero(lo == 0)[-1]] = 0.0  # the last diagonal entry only
-        return terms, x, [x, moved, edge, one]
-
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_value_matches_dense_density(self, layout):
         sd, params = LAYOUTS[layout]()
-        terms, x, points = self._points(sd, params)
+        terms, x, points = _profile_points(sd, params)
         # the coordinates represent the parameter point they came from
         want = _dense_profile_nll(sd, params.sigma2, params.Sigmas)[0]
         assert abs(_dense_coords_nll(sd, x)[0] - want) <= 1e-10 * abs(want)
         for pt in points:
-            nll, _, beta = _profile(pt, terms, sd.X, sd.z)
+            prof = _Profile(pt, terms, sd.X, sd.z)
             dense, dense_beta = _dense_coords_nll(sd, pt)
-            assert abs(nll - dense) <= 1e-10 * abs(dense)
-            _assert_close(beta, dense_beta, tol=1e-8)
+            assert abs(prof.nll - dense) <= 1e-10 * abs(dense)
+            _assert_close(prof.beta, dense_beta, tol=1e-8)
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_gradient_matches_central_differences(self, layout):
         sd, params = LAYOUTS[layout]()
-        terms, _, points = self._points(sd, params)
+        terms, _, points = _profile_points(sd, params)
         h = 1e-6
         for pt in points:
-            g = _profile(pt, terms, sd.X, sd.z)[1]
+            g = _Profile(pt, terms, sd.X, sd.z).grad
             num = np.array([
                 (_dense_coords_nll(sd, pt + h * e)[0] - _dense_coords_nll(sd, pt - h * e)[0]) / (2 * h)
                 for e in np.eye(len(pt))
             ])
             assert np.all(np.isfinite(g))
             assert np.max(np.abs(g - num)) <= 1e-6 * max(1.0, np.max(np.abs(num))), (g, num)
+
+
+class TestCurvatureAgainstDense:
+    """The Newton steps' curvature H = AI + N against the dense covariance,
+    at the points of :class:`TestFinisherAgainstDense`."""
+
+    @staticmethod
+    def _dense(sd, pt):
+        """V^-1, the GLS projection P and V^-1 r = P z."""
+        Vi = np.linalg.inv(_dense_coords_V(sd, pt))
+        X = sd.X
+        P = Vi - Vi @ X @ np.linalg.solve(X.T @ Vi @ X, X.T @ Vi)
+        return Vi, P, P @ sd.z
+
+    @staticmethod
+    def _dV(sd, pt, h=1e-5):
+        """The derivatives of V in the coordinates, by central differences."""
+        return [
+            (_dense_coords_V(sd, pt + h * e) - _dense_coords_V(sd, pt - h * e)) / (2 * h)
+            for e in np.eye(len(pt))
+        ]
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_average_information_matches_dense(self, layout):
+        sd, params = LAYOUTS[layout]()
+        terms, _, points = _profile_points(sd, params)
+        for pt in points:
+            _, P, Vir = self._dense(sd, pt)
+            W = np.column_stack([dVi @ Vir for dVi in self._dV(sd, pt)])  # (dV/dx_i) V^-1 r
+            want = 0.5 * W.T @ P @ W
+            AI, _ = _Profile(pt, terms, sd.X, sd.z).curvature()
+            assert np.max(np.abs(AI - want)) <= 1e-8 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_block_gradient_is_twice_gamma_times_loading(self, layout):
+        # Gamma_k = df/dSigma_k from the dense V: half the trace of each
+        # variable block of V^-1 with Z_k Z_k', less that of V^-1 r r' V^-1
+        sd, params = LAYOUTS[layout]()
+        terms, _, points = _profile_points(sd, params)
+        n, mp1, r = sd.n_obs, sd.m + 1, len(sd.C_list)
+        il = np.tril_indices(mp1)
+        k = len(il[0])
+        for pt in points:
+            Vi, _, Vir = self._dense(sd, pt)
+            prof = _Profile(pt, terms, sd.X, sd.z)
+            blk = lambda M, a, b: M[a * n : (a + 1) * n, b * n : (b + 1) * n]
+            for j, W in enumerate(sd.W_list):
+                ZZ = W @ W.T
+                R = Vir.reshape(mp1, n)
+                Gam = 0.5 * np.array([
+                    [np.trace(blk(Vi, b, a) @ ZZ) - R[a] @ ZZ @ R[b] for b in range(mp1)]
+                    for a in range(mp1)
+                ])
+                whitened = prof.L0.T @ Gam @ prof.L0
+                _assert_close(prof.gammas[1 + r + j], whitened, tol=1e-9)
+                got = prof.grad[k + r + j * k : k + r + (j + 1) * k]
+                _assert_close(got, (2 * whitened @ prof.wloads[r + j])[il], tol=1e-9)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_hessian_matches_differenced_gradient(self, layout):
+        # the Hessian is 2 AI + N - tr(V^-1 V_i V^-1 V_j) / 2, and H = AI + N
+        # drops the difference of the first and last terms, zero in mean
+        sd, params = LAYOUTS[layout]()
+        terms, _, points = _profile_points(sd, params)
+        h = 1e-5
+        for pt in points:
+            Vi, dV = self._dense(sd, pt)[0], self._dV(sd, pt)
+            AI, N = _Profile(pt, terms, sd.X, sd.z).curvature()
+            tr = np.array([[np.trace(Vi @ a @ Vi @ b) for b in dV] for a in dV])
+            num = np.array([
+                (_Profile(pt + h * e, terms, sd.X, sd.z).grad
+                 - _Profile(pt - h * e, terms, sd.X, sd.z).grad) / (2 * h)
+                for e in np.eye(len(pt))
+            ])
+            _assert_close(2 * AI + N - 0.5 * tr, num, tol=1e-6)
 
 
 class TestEStep:
@@ -758,7 +849,7 @@ def _no_block_draw(seed):
 
 
 class TestStopReasons:
-    def test_em_large_input_stops_on_tolerance(self, tmp_path, monkeypatch):
+    def test_em_large_input_stops_on_gradient(self, tmp_path, monkeypatch):
         # the first benchmark em_large input: t = 6, b = 60, one blanked cell
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
         workloads = importlib.import_module("workloads")
@@ -768,29 +859,31 @@ class TestStopReasons:
         spec = load_design_spec(tmp_path / "d.json")
         sd = v.build_stacked(load_dataset(tmp_path / "d.csv", spec), spec)
         fit = v.fit_em(make_model(sd))
-        assert fit.converged and fit.stop == "tolerance"
-        assert fit.finisher_iterations == 0
-        assert fit.em_iterations == fit.iterations < _EM_BUDGET
+        assert fit.converged and fit.stop == "gradient"
+        assert fit.em_iterations == _EM_START and fit.finisher_iterations > 0
+        assert fit.iterations < 20
 
     def test_no_block_input_stops_on_gradient(self):
         fit = v.fit_em(make_model(_no_block_draw(5)))
         assert fit.converged and fit.stop == "gradient"
-        assert fit.em_iterations == _EM_BUDGET and fit.finisher_iterations > 0
-        assert fit.iterations == fit.em_iterations + fit.finisher_iterations
+        assert fit.em_iterations == _EM_START and fit.finisher_iterations > 0
+        assert fit.iterations == fit.em_iterations + fit.finisher_iterations < 40
         # the block covariance MLE of this draw is 0, which EM never reaches
         assert np.max(np.abs(fit.params.Sigmas[1])) < 1e-12
 
     def test_max_iter_within_the_budget_runs_plain_em(self):
         sd = _no_block_draw(5)
-        fit = v.fit_em(make_model(sd), max_iter=3)
-        assert not fit.converged and fit.stop == "max_iter"
-        assert fit.iterations == 3 and fit.finisher_iterations == 0
-        assert len(fit.loglik_trace) == 4
+        for max_iter in (1, 3, _EM_START):
+            fit = v.fit_em(make_model(sd), max_iter=max_iter)
+            assert not fit.converged and fit.stop == "max_iter"
+            assert fit.iterations == max_iter and fit.finisher_iterations == 0
+            assert len(fit.loglik_trace) == max_iter + 1
 
     def test_max_iter_caps_em_and_finisher_together(self):
-        fit = v.fit_em(make_model(_no_block_draw(5)), max_iter=_EM_BUDGET + 2)
+        fit = v.fit_em(make_model(_no_block_draw(5)), max_iter=_EM_START + 2)
         assert not fit.converged and fit.stop == "max_iter"
-        assert fit.iterations == _EM_BUDGET + 2 and fit.finisher_iterations == 2
+        assert fit.iterations == _EM_START + 2 and fit.finisher_iterations == 2
+        assert len(fit.loglik_trace) == _EM_START + 3
         assert fit.loglik_trace[-1] >= fit.loglik_trace[-2]
 
 
@@ -808,33 +901,34 @@ class TestBoundaryOracle:
 
 
 GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden_cli"
-FINISHED_GOLDENS = [
+MVC_GOLDENS = [
     c for c in json.loads((GOLDEN_DIR / "golden.json").read_text())
-    if c["args"] == ["fit", "--model", "mvc", "--method", "ml"]
-    and int(dict(l.split("\t") for l in c["stdout"].split("\n\n")[0].split("\n"))["iterations"])
-    > _EM_BUDGET
+    if c["args"] == ["fit", "--model", "mvc", "--method", "ml"] and c["code"] == 0
 ]
 
 
 def _psd_cholesky(S):
-    """Lower-triangular L with L L' = S for a PSD S; a pivot that rounding
-    in the printed digits makes slightly negative is taken as 0."""
+    """Lower-triangular L with L L' = S for a PSD S.  A squared pivot below
+    1e-8 of its diagonal entry is taken as 0: ten printed significant
+    digits move it by up to about 2e-9 of that entry, either way, so a
+    rank-deficient S is printed with such a pivot of either sign."""
     k = len(S)
     L = np.zeros((k, k))
     for j in range(k):
-        L[j, j] = np.sqrt(max(S[j, j] - L[j, :j] @ L[j, :j], 0.0))
+        sq = S[j, j] - L[j, :j] @ L[j, :j]
+        L[j, j] = np.sqrt(sq) if sq > 1e-8 * S[j, j] else 0.0
         for i in range(j + 1, k):
             L[i, j] = (S[i, j] - L[i, :j] @ L[j, :j]) / L[j, j] if L[j, j] > 0 else 0.0
     return L
 
 
-@pytest.mark.parametrize("case", FINISHED_GOLDENS, ids=[c["data"] for c in FINISHED_GOLDENS])
-def test_golden_mvc_fits_past_the_em_budget_are_stationary(case):
-    """A golden mvc fit that the finisher ended holds the maximum: the
-    dense log-density's central-difference gradient in the Cholesky
-    factors of the printed covariances is zero (on the boundary, a zero
-    pivot enters V only through its square), and it converged."""
-    assert FINISHED_GOLDENS
+@pytest.mark.parametrize("case", MVC_GOLDENS, ids=[c["data"] for c in MVC_GOLDENS])
+def test_golden_mvc_fits_are_stationary(case):
+    """Every golden mvc fit that exits 0 holds the maximum: the dense
+    log-density's central-difference gradient in the Cholesky factors of
+    the printed covariances is zero (on the boundary, a zero pivot enters
+    V only through its square), and it converged."""
+    assert len(MVC_GOLDENS) == 5
     fields = dict(l.split("\t") for l in case["stdout"].split("\n\n")[0].split("\n"))
     assert case["code"] == 0 and fields["converged"] == "true"
     spec = load_design_spec(GOLDEN_DIR / f"{case['data']}.json")
