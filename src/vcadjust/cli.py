@@ -443,8 +443,11 @@ def run(request: RunRequest) -> int:
             raise ValidationError(f"unknown method {request.method!r}")
         code = handler(request)
         if code == EXIT_NONCONVERGENCE:
-            _diag(code, "non-convergence", "the fit stopped before converging; "
-                  "raise --max-iter or loosen --tol")
+            # for mvc, --tol only ends the EM start early: it cannot turn a
+            # max_iter or stall exit into a converged fit
+            _diag(code, "non-convergence", "the fit stopped before converging; " + (
+                "raise --max-iter (--tol only ends the EM start early)"
+                if request.model == "mvc" else "raise --max-iter or loosen --tol"))
         return code
     except (ValidationError, FileNotFoundError) as exc:
         _diag(EXIT_INPUT, "input", exc)

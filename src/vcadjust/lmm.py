@@ -8,22 +8,29 @@ Reported standard errors are plug-in GLS (no small-sample inflation).
 Every evaluation goes through Henderson's mixed-model equations, in the
 form lme4 uses.  With Z = [Z_1 ... Z_L] (q columns in all) and
 Lambda = diag(sqrt(s2_l / s2_e)) repeated over each factor's levels,
-V = s2_e (I + Z Lambda^2 Z') and M = I + Lambda Z'Z Lambda is q x q.  The
-six cross-products Z'Z, Z'X, Z'y, X'X, X'y and y'y are formed once per
-fit; from one Cholesky factor L of M each evaluation takes
+V = s2_e (I + Z Lambda^2 Z') and M = I + Lambda Z'Z Lambda is q x q.  Each
+incidence has at most one 1 per row, so Z_l'Z_l is the diagonal of factor
+l's level counts.  The level counts, the count matrices Z_i'Z_k of the
+other pairs, Z'X, Z'y, X'X, X'y and y'y are formed once per fit; from one
+factor F F' = M (:class:`vcadjust.mme.Factor`: the factor with the most
+levels eliminated level by level, a dense Cholesky factor of the Schur
+complement over the others) each evaluation takes
 
 * log det V = n log s2_e + log det M,
-* s2_e X'V^-1 X = X'X - C'C with [C | c] = L^-1 Lambda Z'[X | y],
+* s2_e X'V^-1 X = X'X - C'C with [C | c] = F^-1 Lambda Z'[X | y],
 * the penalized residual sum of squares s2_e r'V^-1 r at the GLS fixed
   effects, and the spherical random effects b = M^-1 Lambda Z'r,
 
 and the analytic gradient in log-variances.  Factor l's trace term
-s2_l tr(Z_l'V^-1 Z_l) is d_l minus the trace of M^-1 over its levels, its
-quadratic term is |b_l|^2 / s2_e, and the REML term is tr(K^-1 B_l'B_l)
-with K = X'X - C'C and B = M^-1 Lambda Z'X, so no step costs more than
-O(q^3 + q^2 p) and no n x n matrix is formed.  A point where M or K is not
-numerically positive definite (a variance ratio near 1e22 over a
-rank-deficient crossed Z'Z) gets a large finite objective.
+s2_l tr(Z_l'V^-1 Z_l) is d_l minus the trace of M^-1 over its levels (from
+diag(M^-1) by selected inversion), its quadratic term is |b_l|^2 / s2_e, and
+the REML term is tr(K^-1 B_l'B_l) with K = X'X - C'C and B = M^-1 Lambda
+Z'X.  With one random factor an evaluation costs O(q p^2), p the number
+of fixed effects; a second factor adds O(q_r^2 q), q_r the effects outside
+the largest factor.  No n x n or, with one factor, q x q matrix is
+formed.  A point where M or K is not numerically positive definite (a
+variance ratio near 1e22 over a rank-deficient crossed Z'Z) gets a large
+finite objective.
 
 L-BFGS-B runs with this gradient from a small grid of variance ratios.
 The best start is finished by Newton steps on the gradient: the Hessian is
@@ -42,9 +49,9 @@ from functools import partial
 
 import numpy as np
 from scipy import optimize
-from scipy.linalg import lapack
 
 from .errors import SingularityError, ValidationError
+from .mme import Factor, Layout, _chol, _tri
 
 _RATIO_STARTS = (1e-2, 1e-1, 1.0, 1e1, 1e2)
 _BOUNDARY_FRAC = 1e-10  # components below this times var(y) report as zero
@@ -81,8 +88,13 @@ class LmmSpec:
         if np.linalg.matrix_rank(X) < p:
             raise ValidationError("X is rank deficient")
         for Z in rnd:
-            if Z.shape[0] != n:
+            if Z.ndim != 2 or Z.shape[0] != n:
                 raise ValidationError("random incidence row count != n")
+            # a 0/1 incidence with at most one 1 per row: Z'Z is diagonal
+            if not (np.all((Z == 0) | (Z == 1)) and np.all(Z.sum(axis=1) <= 1)):
+                raise ValidationError(
+                    "a random incidence must be 0/1 with at most one 1 per row"
+                )
 
 
 @dataclass
@@ -105,28 +117,11 @@ class LmmFit:
         return out
 
 
-def _tri(L: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
-    """L^-1 b, or L^-T b when ``trans``, for a lower-triangular factor L.
-
-    LAPACK ``dtrtrs`` on the Fortran-ordered view of L, as scipy's
-    ``solve_triangular`` calls it, without that wrapper's per-call checks.
-    """
-    if not b.size:
-        return np.zeros(b.shape)
-    if L.flags.f_contiguous:
-        x, info = lapack.dtrtrs(L, b, lower=1, trans=int(trans))
-    else:
-        x, info = lapack.dtrtrs(L.T, b, lower=0, trans=int(not trans))
-    if info:
-        raise np.linalg.LinAlgError("triangular factor is singular")
-    return x
-
-
 @dataclass(frozen=True)
 class _CrossProducts:
-    """Z'Z, Z'[X | y], X'X, X'y and y'y: all an evaluation reads."""
+    """Level counts, Z'[X | y], X'X, X'y and y'y: all an evaluation reads."""
 
-    ZtZ: np.ndarray
+    layout: Layout  # widths 1, the levels d_l and counts Z_i'Z_k of the factors
     ZtXy: np.ndarray
     XtX: np.ndarray
     Xty: np.ndarray
@@ -140,8 +135,13 @@ def _cross_products(spec: LmmSpec) -> _CrossProducts:
     Zs, X, y = spec.random, spec.X, spec.y
     Xy = np.column_stack([X, y])
     levels = np.array([Z.shape[1] for Z in Zs], dtype=int)
+    counts = {
+        (i, k): Zs[i].sum(axis=0) if i == k else Zs[i].T @ Zs[k]
+        for i in range(len(Zs))
+        for k in range(i, len(Zs))
+    }
     return _CrossProducts(
-        ZtZ=np.block([[Zi.T @ Zk for Zk in Zs] for Zi in Zs]) if Zs else np.zeros((0, 0)),
+        layout=Layout((1,) * len(Zs), levels, counts),
         ZtXy=np.vstack([Z.T @ Xy for Z in Zs]) if Zs else np.zeros((0, Xy.shape[1])),
         XtX=X.T @ X,
         Xty=X.T @ y,
@@ -156,9 +156,9 @@ def _cross_products(spec: LmmSpec) -> _CrossProducts:
 class _Mme:
     """Mixed-model equations solved at one variance point."""
 
-    L: np.ndarray  # lower Cholesky factor of M = I + Lambda Z'Z Lambda
-    C: np.ndarray  # L^-1 Lambda Z'X
-    c: np.ndarray  # L^-1 Lambda Z'y
+    F: Factor  # F F' = M = I + Lambda Z'Z Lambda
+    C: np.ndarray  # F^-1 Lambda Z'X
+    c: np.ndarray  # F^-1 Lambda Z'y
     R: np.ndarray  # lower Cholesky factor of K = X'X - C'C = s2_e X'V^-1 X
     beta: np.ndarray  # GLS fixed effects
     prss: float  # penalized residual sum of squares, s2_e r'V^-1 r
@@ -167,14 +167,15 @@ class _Mme:
 def _solve(sig: np.ndarray, cp: _CrossProducts) -> _Mme:
     """Factor the equations at variances ``sig = (s2_e, s2_1, ...)``;
     LinAlgError when M or K is not numerically positive definite."""
-    lam = np.sqrt(sig[1:] / sig[0])[cp.factor]
-    L = np.linalg.cholesky(np.eye(len(lam)) + lam[:, None] * cp.ZtZ * lam)
-    Cc = _tri(L, lam[:, None] * cp.ZtXy)
+    ratio = np.sqrt(sig[1:] / sig[0])
+    outer = np.outer(ratio, ratio)
+    F = Factor(cp.layout, {(i, k): outer[i : i + 1, k : k + 1] for i, k in cp.layout.counts})
+    Cc = F.lower(ratio[cp.factor][:, None] * cp.ZtXy)
     C, c = Cc[:, :-1], Cc[:, -1]
-    R = np.linalg.cholesky(cp.XtX - C.T @ C)
+    R = _chol(cp.XtX - C.T @ C)
     e = _tri(R, cp.Xty - C.T @ c)
     beta = _tri(R, e, trans=True)
-    return _Mme(L=L, C=C, c=c, R=R, beta=beta, prss=float(cp.yty - c @ c - e @ e))
+    return _Mme(F=F, C=C, c=c, R=R, beta=beta, prss=float(cp.yty - c @ c - e @ e))
 
 
 def _neg_loglik(theta, cp: _CrossProducts, method: str):
@@ -185,9 +186,7 @@ def _neg_loglik(theta, cp: _CrossProducts, method: str):
         s = _solve(sig, cp)
         if not (np.isfinite(s.prss) and s.prss > 0):
             raise np.linalg.LinAlgError("penalized residual sum of squares <= 0")
-        Linv, info = lapack.dtrtri(s.L, lower=1) if len(s.L) else (s.L, 0)
-        if info:
-            raise np.linalg.LinAlgError("singular factor of M")
+        diag = s.F.diag()  # diag M^-1
     except np.linalg.LinAlgError:
         return _FAIL, np.zeros_like(theta)
     n, p, k = cp.n, len(s.beta), len(cp.levels)
@@ -195,15 +194,15 @@ def _neg_loglik(theta, cp: _CrossProducts, method: str):
     def per_factor(x):
         return np.bincount(cp.factor, weights=x, minlength=k)
 
-    b = _tri(s.L, s.c - s.C @ s.beta, trans=True)  # M^-1 Lambda Z'r
+    b = s.F.upper(s.c - s.C @ s.beta)  # M^-1 Lambda Z'r
     b_sq = per_factor(b * b)
-    trace = cp.levels - per_factor(np.einsum("ij,ij->j", Linv, Linv))  # diag M^-1
-    logdet = n * theta[0] + 2.0 * np.log(np.diag(s.L)).sum()
+    trace = cp.levels - per_factor(diag)
+    logdet = n * theta[0] + s.F.logdet
     nobs, reml = n, np.zeros(k)
     if method == "reml":
         nobs = n - p
         logdet += 2.0 * np.log(np.diag(s.R)).sum() - p * theta[0]
-        W = _tri(s.R, _tri(s.L, s.C, trans=True).T)  # R^-1 B', B = M^-1 Lambda Z'X
+        W = _tri(s.R, s.F.upper(s.C).T)  # R^-1 B', B = M^-1 Lambda Z'X
         reml = per_factor(np.einsum("ij,ij->j", W, W))
     f = 0.5 * (nobs * np.log(2 * np.pi) + logdet + s.prss / sig[0])
     g = np.empty_like(theta)

@@ -19,12 +19,18 @@ and each incidence is fixed by one integer code per cell.  With L0 the
 Cholesky factor of Sigma_0 and whitened loadings L0^-1 a_k,
 A = (L0^-1 (x) I_n) M Lambda = [L0^-1 a_k (x) Z_k], so I + A'A has blocks
 (a_i' L0^-T L0^-1 a_k) (x) (Z_i'Z_k), whose count matrices Z_i'Z_k are formed
-once per fit, and Lc = chol(I + A'A) is q x q, q the number of random
-effects.  Products with A and A' are gathers and per-level sums over the
-codes.  The log-determinant, the quadratic forms, the posterior of the
-random effects, the GLS fixed effects and the SEs of the adjusted means all
-go through L0 and Lc: an iteration costs O(q^3 + N (m+1)^2) and forms no
-N x q, n x n or N x N array.
+once per fit (a term's own Z_k'Z_k is the diagonal of its level counts).
+I + A'A is factored as F F' by :class:`vcadjust.mme.Factor`: the term with
+the most levels is eliminated level by level, its (m+1) x (m+1) level
+blocks diagonalised by one eigendecomposition, and the Schur complement
+over the other terms takes a dense Cholesky factor.  Products with A and A'
+are gathers and per-level sums over the codes.  The log-determinant, the
+quadratic forms, the posterior of the random effects, the GLS fixed effects
+and the SEs of the adjusted means all go through L0 and F, and the E-step
+and the curvature read only the blocks of (I + A'A)^-1 that meet a count
+matrix.  With one blocking factor an iteration costs O(q (m+1)^2 + N (m+1)^2),
+q the number of random effects, and forms no q x q, N x q, n x n or N x N
+array; a second term adds O(q_r^2 q), q_r the effects outside the largest.
 
 Plain EM converges sublinearly, slowest when the maximum lies on the PSD
 boundary, so EM only starts a fit: ``_EM_START`` iterations at most, then
@@ -51,7 +57,7 @@ from scipy import linalg
 
 from .data_model import StackedData
 from .errors import SingularityError
-from .lmm import _tri
+from .mme import Factor, Layout, _tri
 
 _CLIP_FRAC = 1e-12  # eigenvalue floor relative to trace, float-noise guard
 _EM_START = 10  # EM iterations before Newton steps take over
@@ -153,21 +159,27 @@ class _Terms:
     """The random terms ``c_k (x) Z_k`` of a stacked model, in the order of u.
 
     Random treatment terms come first, then blocking factors.  Each Z_k is
-    given by one level code per complete cell, and the count matrices
-    ``counts[i, k] = Z_i'Z_k`` (i <= k) are formed once from the codes.  A
-    term with loading a_k (its rows the variables, its p_k columns those of
-    c_k) spans the stacked columns a_k (x) Z_k, ordered p * d_k + level:
-    the positions ``slices[k]`` of u.
+    given by one level code per complete cell, and its count matrices
+    Z_i'Z_k (a vector of level counts when i = k) are formed once from the
+    codes, in ``layout``.  A term with loading a_k (its rows the variables,
+    its p_k columns those of c_k) spans the stacked columns a_k (x) Z_k,
+    ordered p * d_k + level: the positions ``slices[k]`` of u.
     """
 
     n: int  # complete cells
     mp1: int  # variables, m + 1
     r: int  # random treatment terms, the first r terms
     codes: tuple[np.ndarray, ...]
-    levels: tuple[int, ...]
     carriers: tuple[np.ndarray, ...]  # c_k: e_0 or 1 (one column) or I_{m+1}
-    slices: tuple[slice, ...]
-    counts: dict[tuple[int, int], np.ndarray]
+    layout: Layout
+
+    @property
+    def levels(self) -> tuple[int, ...]:
+        return self.layout.levels
+
+    @property
+    def slices(self) -> tuple[slice, ...]:
+        return self.layout.slices
 
     def apply(self, loads, w: np.ndarray) -> np.ndarray:
         """sum_k (a_k (x) Z_k) w_k for a vector or the columns of a matrix w:
@@ -194,49 +206,23 @@ class _Terms:
             parts.append(sums.reshape((p * d,) + tail))
         return np.concatenate(parts)
 
-    def gram(self, loads) -> np.ndarray:
-        """[a_k (x) Z_k]'[a_k (x) Z_k]: blocks (a_i'a_k) (x) (Z_i'Z_k)."""
-        q = self.slices[-1].stop if self.slices else 0
-        out = np.zeros((q, q))
-        for (i, k), N in self.counts.items():
-            a = loads[i].T @ loads[k]
-            blk = (a[:, None, :, None] * N[None, :, None, :]).reshape(a.shape[0] * N.shape[0], -1)
-            out[self.slices[i], self.slices[k]] = blk
-            out[self.slices[k], self.slices[i]] = blk.T
-        return out
+    def grams(self, loads) -> dict[tuple[int, int], np.ndarray]:
+        """a_i'a_k for every pair i <= k: [a_k (x) Z_k]'[a_k (x) Z_k] has
+        blocks (a_i'a_k) (x) (Z_i'Z_k)."""
+        return {(i, k): loads[i].T @ loads[k] for i, k in self.layout.counts}
 
-    def pair(self, i: int, k: int) -> np.ndarray:
-        """The count matrix Z_i'Z_k, for either order of i and k."""
-        return self.counts[i, k] if i <= k else self.counts[k, i].T
-
-    @cached_property
-    def products(self) -> tuple[dict[tuple[int, int], np.ndarray], ...]:
-        """Per term k, the count products Z_i'Z_k Z_k'Z_j for every pair
-        i <= j: the weights of P in the level sums of Z_k Z_k'."""
-        K = len(self.codes)
-        return tuple(
-            {(i, j): self.pair(i, k) @ self.pair(k, j) for i in range(K) for j in range(i, K)}
-            for k in range(K)
-        )
-
-    def contract(self, P: np.ndarray, counts=None) -> dict[tuple[int, int], np.ndarray]:
-        """The q x q matrix P contracted with weight matrices (the count
-        matrices unless ``counts`` is given), for every pair i <= k:
-        S_ik = sum_ab P_(i,a),(k,b) N_ab, p_i x p_k."""
-        out = {}
-        for (i, k), N in (self.counts if counts is None else counts).items():
-            pi, pk = self.carriers[i].shape[1], self.carriers[k].shape[1]
-            blk = P[self.slices[i], self.slices[k]].reshape(pi, N.shape[0], pk, N.shape[1])
-            S = blk.transpose(0, 2, 1, 3).reshape(pi * pk, N.size) @ N.ravel()
-            out[i, k] = S.reshape(pi, pk)
-        return out
-
-    def trace(self, loads, P: np.ndarray, counts=None) -> np.ndarray:
+    def trace(self, loads, factor: Factor, through: int | None = None) -> np.ndarray:
         """sum over cells of the variable blocks of G P G', G = [a_k (x) Z_k]
-        (with ``counts`` = products[k], of G P G' (I (x) Z_k Z_k')):
-        sum_{i,k} a_i S_ik a_k' with S_ik from :meth:`contract`."""
+        and P = (I + A'A)^-1 from ``factor`` (with ``through`` = m, of
+        G P G' (I (x) Z_m Z_m')): sum_{i,k} a_i S_ik a_k' with S_ik the
+        blocks of P contracted with Z_i'Z_k (with Z_i'Z_m Z_m'Z_k)."""
+        pair = self.layout.pair
         out = np.zeros((self.mp1, self.mp1))
-        for (i, k), S in self.contract(P, counts).items():
+        for i, k in self.layout.counts:
+            if through is None:
+                S = factor.contract(i, k, pair(i, k))
+            else:
+                S = factor.contract(i, k, pair(i, through), pair(k, through))
             part = loads[i] @ S @ loads[k].T
             out += part if i == k else part + part.T
         return out
@@ -256,19 +242,17 @@ def _terms(sd: StackedData) -> _Terms:
     codes = sd.treatment_random_codes + sd.block_codes
     levels = sd.treatment_random_levels + sd.block_levels
     carriers = (on,) * len(sd.treatment_random_codes) + (np.eye(mp1),) * len(sd.block_codes)
-    ends = np.cumsum([0] + [c.shape[1] * d for c, d in zip(carriers, levels)])
     counts = {
-        (i, k): np.bincount(
+        (i, k): np.bincount(codes[i], minlength=levels[i]).astype(float) if i == k
+        else np.bincount(
             codes[i] * levels[k] + codes[k], minlength=levels[i] * levels[k]
         ).reshape(levels[i], levels[k]).astype(float)
         for i in range(len(codes))
         for k in range(i, len(codes))
     }
     return _Terms(
-        n=sd.n_obs, mp1=mp1, r=len(sd.treatment_random_codes), codes=codes,
-        levels=levels, carriers=carriers,
-        slices=tuple(slice(int(lo), int(hi)) for lo, hi in zip(ends[:-1], ends[1:])),
-        counts=counts,
+        n=sd.n_obs, mp1=mp1, r=len(sd.treatment_random_codes), codes=codes, carriers=carriers,
+        layout=Layout([c.shape[1] for c in carriers], levels, counts),
     )
 
 
@@ -281,16 +265,16 @@ class _Factor:
     roots: tuple[np.ndarray, ...]  # Q_k, p_k x p_k: Lambda = diag(Q_k (x) I)
     loads: tuple[np.ndarray, ...]  # a_k = c_k Q_k: M Lambda = [a_k (x) Z_k]
     wloads: tuple[np.ndarray, ...]  # L0^-1 a_k: A = [L0^-1 a_k (x) Z_k]
-    Lc: np.ndarray  # lower Cholesky factor of I + A'A
+    mme: Factor  # F with F F' = I + A'A
     logdet: float  # log det V
 
     def core(self, yw: np.ndarray) -> np.ndarray:
-        """Lc^-1 A' yw for a whitened vector or matrix yw."""
-        return _tri(self.Lc, self.terms.scatter(self.wloads, yw))
+        """F^-1 A' yw for a whitened vector or matrix yw."""
+        return self.mme.lower(self.terms.scatter(self.wloads, yw))
 
     def quad(self, r: np.ndarray) -> tuple[float, np.ndarray]:
         """r' V^-1 r = |rw|^2 - |s|^2 with rw the whitened r, and
-        s = Lc^-1 A' rw."""
+        s = F^-1 A' rw."""
         rw = _whiten(self.L0, r)
         s = self.core(rw)
         return float(rw @ rw - s @ s), s
@@ -298,7 +282,7 @@ class _Factor:
     def solve(self, y: np.ndarray) -> np.ndarray:
         """V^-1 y = (L0^-T (x) I)(I - A (I + A'A)^-1 A')(L0^-1 (x) I) y."""
         yw = _whiten(self.L0, y)
-        w = _tri(self.Lc, self.core(yw), trans=True)
+        w = self.mme.upper(self.core(yw))
         return _whiten(self.L0, yw - self.terms.apply(self.wloads, w), trans=True)
 
     def loglik(self, r: np.ndarray) -> tuple[float, np.ndarray]:
@@ -306,13 +290,6 @@ class _Factor:
         vector s of :meth:`quad`."""
         quad, s = self.quad(r)
         return -0.5 * (len(r) * np.log(2 * np.pi) + self.logdet + quad), s
-
-    def posterior(self) -> np.ndarray:
-        """(I + A'A)^-1 = var(v | z), from Lc (LAPACK rejects q = 0)."""
-        if not len(self.Lc):
-            return self.Lc
-        low, _ = linalg.lapack.dpotri(self.Lc, lower=1)
-        return np.tril(low) + np.tril(low, -1).T
 
 
 def _factorise(model: MultivariateModel, terms: _Terms | None = None) -> _Factor:
@@ -332,13 +309,12 @@ def _factorise(model: MultivariateModel, terms: _Terms | None = None) -> _Factor
 def _equations(L0, terms: _Terms, wloads, roots=(), loads=()) -> _Factor:
     """Factor I + A'A for the whitened loadings ``wloads``; the roots and
     loadings are carried along for the E-step."""
-    gram = terms.gram(wloads)
-    Lc = np.linalg.cholesky(np.eye(len(gram)) + gram)
+    mme = Factor(terms.layout, terms.grams(wloads))
     # log det V = n log det Sigma_0 + log det (I + A'A)
-    logdet = 2.0 * (terms.n * np.log(np.diag(L0)).sum() + np.log(np.diag(Lc)).sum())
+    logdet = 2.0 * terms.n * np.log(np.diag(L0)).sum() + mme.logdet
     return _Factor(
         L0=L0, terms=terms, roots=tuple(roots), loads=tuple(loads),
-        wloads=tuple(wloads), Lc=Lc, logdet=float(logdet),
+        wloads=tuple(wloads), mme=mme, logdet=float(logdet),
     )
 
 
@@ -378,9 +354,9 @@ def e_step(
 ) -> EStepMoments:
     """Conditional means and second moments of the random factors.
 
-    The random effects are u = Lambda v with v | z ~ N(Lc^-T s, P),
-    s = Lc^-1 A' times the whitened residual and P = (I + A'A)^-1.  Second
-    moments add the per-level sum of the conditional covariance blocks,
+    The random effects are u = Lambda v with v | z ~ N(F^-T s, P),
+    s = F^-1 A' times the whitened residual and P = (I + A'A)^-1 = (F F')^-1.
+    Second moments add the per-level sum of the conditional covariance blocks,
     Q_k [sum_l P_kk(., l), (., l)] Q_k', to the outer product of conditional
     means; the residual factor's moments come from the identity that it
     equals the data minus fixed effects minus every other random term,
@@ -392,14 +368,13 @@ def e_step(
     mp1, r = sd.m + 1, len(sd.treatment_random_codes)
     f = _factor if _factor is not None else _factorise(model)
     s = _core if _core is not None else f.core(_whiten(f.L0, zz - sd.X @ p.beta))
-    v_mean = _tri(f.Lc, s, trans=True)
-    P = f.posterior()
+    v_mean = f.mme.upper(s)
 
     t_mean, t_sq, b_mean, b_sq = [], [], [], []
     for k, (Q, d, sl) in enumerate(zip(f.roots, f.terms.levels, f.terms.slices)):
         p_k = len(Q)
         U = Q @ v_mean[sl].reshape(p_k, d)  # E[u_k], one row per variable
-        var = Q @ P[sl, sl].reshape(p_k, d, p_k, d).trace(axis1=1, axis2=3) @ Q.T
+        var = Q @ f.mme.contract(k, k, np.ones(d)) @ Q.T
         sq = U @ U.T + var
         if k < r:
             t_mean.append(U.ravel())
@@ -411,7 +386,7 @@ def e_step(
     # residual factor via its defining identity; M u = M Lambda v
     reduced = zz - f.terms.apply(f.loads, v_mean)
     b0_mean = reduced - sd.X @ p.beta
-    b0_trace = f.terms.trace(f.loads, P)
+    b0_trace = f.terms.trace(f.loads, f.mme)
     b0_sq = _block_gram(b0_mean, mp1) + b0_trace
     return EStepMoments(
         t_mean=tuple(t_mean),
@@ -600,15 +575,16 @@ class _Profile:
     (n I - sum_ij T_i C^k_ij T_j' - F_k F_k') / 2.  There e = rw - A v is
     the whitened residual less the posterior mean v of the spherical
     random effects, F_k = e Z_k its level sums, and C^k_ij the contraction
-    of P = (I + A'A)^-1 with the count products Z_i'Z_k Z_k'Z_j.  The
+    of P = (I + A'A)^-1 with the count products Z_i'Z_k Z_k'Z_j, taken as
+    two products with count matrices (no product is formed).  The
     gradient is 2 <Gamma_k a_k, da_k>.  The curvature is H = AI + N:
     AI = W'PW / 2 with W_i = (dV/dx_i) V^-1 r and P here the GLS projection
     V^-1 - V^-1 X K^-1 X'V^-1 (the average-information matrix), and
     N = sum_k <Gamma_k, d2 S_k>, the part of the Hessian that is not
     quadratic in W.  N is what carries the curvature where V is quadratic
     in a vanishing Cholesky factor, on the PSD boundary, where AI goes to 0.
-    Nothing here inverts a Sigma_k, and no array is larger than q x q or
-    N x (p + number of coordinates).
+    Nothing here inverts a Sigma_k, and with one blocking factor no array is
+    larger than N x (p + number of coordinates).
     """
 
     def __init__(self, x: np.ndarray, terms: _Terms, X: np.ndarray, z: np.ndarray):
@@ -625,7 +601,7 @@ class _Profile:
         self.beta = _tri(self.LK, _tri(self.LK, self.Xw.T @ zw - self.Cx.T @ C[:, -1]), trans=True)
         self.rw = zw - self.Xw @ self.beta
         s = C[:, -1] - self.Cx @ self.beta
-        self.v = _tri(f.Lc, s, trans=True)
+        self.v = f.mme.upper(s)
         self.nll = 0.5 * (len(z) * np.log(2 * np.pi) + f.logdet + self.rw @ self.rw - s @ s)
 
     @cached_property
@@ -640,10 +616,9 @@ class _Profile:
     def gammas(self) -> list[np.ndarray]:
         """L0' Gamma_k L0 per loading, the residual's first."""
         terms, E = self.terms, self.sums[0]
-        P = self.f.posterior()
         return [
-            0.5 * (terms.n * np.eye(terms.mp1) - terms.trace(self.wloads, P, c) - F @ E.T)
-            for F, c in zip(self.sums, (None,) + terms.products)
+            0.5 * (terms.n * np.eye(terms.mp1) - terms.trace(self.wloads, self.f.mme, c) - F @ E.T)
+            for F, c in zip(self.sums, (None,) + tuple(range(len(terms.codes))))
         ]
 
     @cached_property
@@ -863,7 +838,8 @@ def adjusted_means_mvc(fit: MVCFit) -> AdjustedMeansResult:
     complement inside the GLS sandwich.  That complement is the inverse of
     the response block S = s00 I_n - B0 P B0' of V^-1 (s00 = (Sigma0^-1)_00,
     B0 = [h_k (x) Z_k] with h_k row 0 of Sigma0^-1 a_k), taken by Woodbury
-    as S^-1 = (I + B0 H^-1 B0') / s00 with H = s00 (I + A'A) - B0'B0, q x q.
+    as S^-1 = (I + B0 H^-1 B0') / s00 with H = s00 (I + A'A) - B0'B0, which
+    has the pattern of I + A'A and is factored the same way.
     """
     model = fit.model
     sd, p = model.stacked, model.params
@@ -876,12 +852,13 @@ def adjusted_means_mvc(fit: MVCFit) -> AdjustedMeansResult:
     Y = linalg.cho_solve((info, True), VinvX[: sd.n_obs].T)  # info^-1 U0'
     s0 = linalg.cho_solve((f.L0, True), np.eye(sd.m + 1)[:, 0])
     h = [(s0 @ a)[None, :] for a in f.loads]
-    H = s0[0] * (np.eye(len(f.Lc)) + f.terms.gram(f.wloads)) - f.terms.gram(h)
+    hh = f.terms.grams(h)
+    grams = {ik: s0[0] * g - hh[ik] for ik, g in f.terms.grams(f.wloads).items()}
     try:
-        Lh = np.linalg.cholesky(H)
+        H = Factor(f.terms.layout, grams, scale=s0[0])
     except np.linalg.LinAlgError as exc:
         raise SingularityError("response block of V^-1 is singular") from exc
-    R = _tri(Lh, f.terms.scatter(h, Y.T))
+    R = H.lower(f.terms.scatter(h, Y.T))
     full = (Y @ Y.T + R.T @ R) / s0[0]
     idx = sd.treat_cols
     return AdjustedMeansResult(

@@ -197,6 +197,18 @@ class TestAdjustAndFit:
             assert err.startswith("vcadjust: code=3 kind=non-convergence msg=")
             assert err.count("\n") == 1
 
+    def test_nonconvergence_advice_is_per_model(self, tmp_path, capsys):
+        # for mvc, --tol only ends the EM start early: it cannot turn a
+        # max_iter exit into a converged fit, so the advice does not name it
+        data, design = _write_rcb(tmp_path)
+        files = ["--data", str(data), "--design", str(design)]
+        assert main(["fit", "--model", "mvc", "--max-iter", "3"] + files) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("vcadjust: code=3 kind=non-convergence msg=")
+        assert "raise --max-iter" in err and "loosen --tol" not in err
+        assert main(["fit", "--model", "orthogonal", "--max-iter", "1"] + files) == 3
+        assert "raise --max-iter or loosen --tol" in capsys.readouterr().err
+
     def test_equal_block_means_name_the_conditional_route(self, tmp_path, capsys):
         golden = Path(__file__).parent / "fixtures" / "golden_cli"
         rows = [line.split(",") for line in (golden / "rcb.csv").read_text().split()]

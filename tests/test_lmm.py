@@ -139,6 +139,23 @@ class TestFitLmm:
         with pytest.raises(ValidationError):
             v.LmmSpec(y=rng.normal(size=10), X=X, random=())
 
+    def test_random_must_be_an_incidence(self):
+        """Each random matrix is 0/1 with at most one 1 per row, so that
+        every factor's Z'Z is diagonal."""
+        rng = np.random.default_rng(2)
+        X = np.column_stack([np.ones(6), rng.normal(size=6)])
+        y = rng.normal(size=6)
+        Z = _incidence(np.array([0, 0, 1, 1, 2, 2]))
+        unassigned = Z.copy()
+        unassigned[0] = 0.0  # a record in no level is allowed
+        for ok in (Z, unassigned):
+            v.LmmSpec(y=y, X=X, random=(ok,))
+        two = Z.copy()
+        two[0, 1] = 1.0
+        for bad in (2.0 * Z, 0.5 * Z, -Z, two, np.ones((6, 1)) + Z[:, :1]):
+            with pytest.raises(ValidationError, match="at most one 1 per row"):
+                v.LmmSpec(y=y, X=X, random=(Z, bad))
+
     def test_reml_exceeds_its_own_random_points(self):
         spec = _one_factor_instance(seed=21)
         fit = v.fit_lmm(spec, method="reml")
@@ -353,3 +370,22 @@ def test_fit_forms_no_n_by_n_array():
         tracemalloc.stop()
     assert fit.converged
     assert peak < 600 * 600 * 8
+
+
+def test_one_factor_fit_forms_no_q_by_q_array():
+    """One random factor with q = 2000 levels, two records each: the REML
+    fit's peak allocation stays below the size of one q x q float array."""
+    rng = np.random.default_rng(6)
+    q = 2000
+    g = np.repeat(np.arange(q), 2)
+    X = np.column_stack([np.ones(len(g)), rng.normal(size=len(g))])
+    y = X @ np.array([1.0, 0.5]) + rng.normal(size=q)[g] + rng.normal(size=len(g))
+    spec = v.LmmSpec(y=y, X=X, random=(_incidence(g),))
+    tracemalloc.start()
+    try:
+        fit = v.fit_lmm(spec, method="reml")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.converged
+    assert peak < q * q * 8

@@ -1,5 +1,6 @@
 import importlib
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -276,6 +277,12 @@ def _dense_random_terms(sd, params):
     return M, Psi
 
 
+def _dense_posterior(factor):
+    """P = (I + A'A)^-1 = var(v | z), column by column from the solves of
+    the factor's mixed-model equations."""
+    return factor.mme.upper(factor.mme.lower(np.eye(factor.mme.layout.q)))
+
+
 def _assert_close(a, b, tol=1e-9):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     assert a.shape == b.shape
@@ -351,7 +358,7 @@ class TestKroneckerTermsAgainstDense:
         root = linalg.block_diag(
             *[np.kron(Q, np.eye(d)) for Q, d in zip(factor.roots, factor.terms.levels)]
         )
-        _assert_close(root @ factor.posterior() @ root.T, Vu)
+        _assert_close(root @ _dense_posterior(factor) @ root.T, Vu)
 
         mom = v.e_step(model, _factor=factor)
         off = 0
@@ -1056,3 +1063,20 @@ class TestAdjustedMeansMVC:
         )
         with pytest.raises(SingularityError):
             v.adjusted_means_mvc(fit)
+
+
+def test_one_blocking_factor_fit_forms_no_q_by_q_array():
+    """An RCB with b = 1000 blocks (t = 6, m = 1, q = 2000 block effects):
+    the EM start and the Newton steps (at most two) keep the peak
+    allocation below the size of one q x q float array."""
+    _, _, sd = _rcb_stacked(seed=2, t=6, b=1000)
+    q = (sd.m + 1) * 1000
+    model = make_model(sd)
+    tracemalloc.start()
+    try:
+        fit = v.fit_em(model, max_iter=_EM_START + 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.finisher_iterations >= 1
+    assert peak < q * q * 8

@@ -1,0 +1,48 @@
+"""Every span the benchmark tracer records still has a site to wrap.
+
+``perfbench/tracing.py`` wraps package functions where their callers look
+them up (``TRACED``) and scipy's ``minimize`` inside ``vcadjust.lmm``
+(``MINIMIZE_SITE``).  A span none of whose sites exists is left out of the
+per-layer metrics, so a refactor that moves or renames such a name would
+silently drop metrics.  This resolves every site with ``getattr``, as
+``tracing.install`` does, without installing anything.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolves(site: str) -> bool:
+    """Whether a dotted ``module.attr[.attr...]`` site exists."""
+    parts = site.split(".")
+    for cut in range(len(parts) - 1, 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr, None)
+            if obj is None:
+                return False
+        return True
+    return False
+
+
+def test_every_traced_span_has_a_site():
+    tracing = _tracing()
+    sites = [f"{m}.{a}" for m, a, _ in tracing.TRACED] + [tracing.MINIMIZE_SITE]
+    absent = [site for site in sites if not _resolves(site)]
+    assert tracing.absent_spans(absent) == set(), absent
+    # the per-layer metrics then all survive: none needs a missing span
+    missing = tracing.absent_spans(absent)
+    assert all(not missing.intersection(needs) for _, needs in tracing.PER_LAYER.values())
