@@ -27,13 +27,9 @@ from .data_model import (
     load_design_spec,
 )
 from .design_algebra import (
-    KroneckerCovariance,
     OrthogonalPartition,
     centering_matrix,
     helmert_matrix,
-    kron_cov_dense,
-    kron_cov_inverse,
-    rcb_partition,
     validate_partition,
 )
 from .errors import ConvergenceError, SingularityError, ValidationError, VcadjustError
@@ -53,13 +49,10 @@ from .mvc_em import (
 )
 from .orthogonal_conditional import (
     DesignRecipe,
-    StratumRegression,
-    adjusted_means_orthogonal,
     conditional_regressors,
     fit_orthogonal_conditional,
     recipe_for,
     recipe_partition,
-    stratum_regressions,
 )
 from .rcb_classical import (
     FixedFitRCB,
@@ -84,7 +77,6 @@ __all__ = [
     "DesignSpec",
     "FixedFitRCB",
     "HelmertFit",
-    "KroneckerCovariance",
     "LmmFit",
     "LmmSpec",
     "MixedFitRCB",
@@ -95,12 +87,10 @@ __all__ = [
     "SimConfig",
     "SingularityError",
     "StackedData",
-    "StratumRegression",
     "ValidationError",
     "VcadjustError",
     "adjusted_means_bivariate",
     "adjusted_means_mvc",
-    "adjusted_means_orthogonal",
     "assemble_V",
     "bias_study",
     "build_stacked",
@@ -123,16 +113,12 @@ __all__ = [
     "gen_multivariate",
     "helmert_matrix",
     "intra_inter_decompose",
-    "kron_cov_dense",
-    "kron_cov_inverse",
     "load_dataset",
     "load_design_spec",
     "m_step",
     "make_model",
     "observed_loglik",
-    "rcb_partition",
     "recipe_for",
     "recipe_partition",
-    "stratum_regressions",
     "validate_partition",
 ]

@@ -1,22 +1,21 @@
-"""Projector partitions and Kronecker-structured covariances.
+"""Projector partitions of one replicate unit.
 
 The covariance of one replicate unit (block, wholeplot, Latin square) in an
 orthogonal blocking design can be written as ``V = sum_l G_l (x) A_l`` where
 the ``A_l`` are mutually orthogonal idempotents summing to the identity and
 each ``G_l`` is a small symmetric matrix over the variables (response first,
-then covariates).  Stratum regressions run through the two value types
-defined here, the tested reference for the stratum algebra; the complete-RCB
-closed forms use the same strata as sums of squares and products
-(:mod:`.rcb_classical`).  The EM engine does not use them (:mod:`.mvc_em`).
+then covariates).  This module builds and checks the projector sets
+(``check-design``); the complete-RCB closed forms use the same strata as
+sums of squares and products (:mod:`.rcb_classical`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularityError, ValidationError
+from .errors import ValidationError
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -133,73 +132,3 @@ def validate_partition(p: OrthogonalPartition, tol: float = 1e-10) -> PartitionR
         grand_mean=float(grand),
         tol=tol,
     )
-
-
-def rcb_partition(t: int) -> OrthogonalPartition:
-    """Two-stratum partition of a complete block: grand mean and contrasts."""
-    if t < 2:
-        raise ValidationError(f"rcb_partition needs t >= 2, got {t}")
-    return OrthogonalPartition(
-        dim=t, projectors=(averaging_matrix(t), centering_matrix(t))
-    )
-
-
-@dataclass(frozen=True)
-class KroneckerCovariance:
-    """Covariance ``V = sum_l G_l (x) A_l`` over one replicate unit.
-
-    ``strata[l]`` is the symmetric (m+1) x (m+1) matrix attached to
-    projector ``partition.projectors[l]``; variable 0 is the response.
-    The dense realization lives in variable-major layout: index
-    ``variable * dim + unit``.
-    """
-
-    partition: OrthogonalPartition
-    strata: tuple[np.ndarray, ...] = field(default=())
-
-    def __post_init__(self):
-        strata = tuple(np.asarray(G, dtype=float) for G in self.strata)
-        if len(strata) != self.partition.n_strata:
-            raise ValidationError(
-                f"{len(strata)} strata for {self.partition.n_strata} projectors"
-            )
-        size = strata[0].shape[0] if strata else 0
-        for G in strata:
-            if G.ndim != 2 or G.shape != (size, size):
-                raise ValidationError("strata must be square and equally sized")
-            if np.max(np.abs(G - G.T)) > 1e-8 * (1.0 + np.max(np.abs(G))):
-                raise ValidationError("stratum matrix is not symmetric")
-        object.__setattr__(self, "strata", strata)
-
-    @property
-    def n_variables(self) -> int:
-        return self.strata[0].shape[0]
-
-
-def kron_cov_dense(kc: KroneckerCovariance) -> np.ndarray:
-    """Dense ``sum_l G_l (x) A_l`` in variable-major layout."""
-    k = kc.partition.dim
-    v = kc.n_variables
-    V = np.zeros((v * k, v * k))
-    for G, A in zip(kc.strata, kc.partition.projectors):
-        V += np.kron(G, A)
-    return V
-
-
-def kron_cov_inverse(kc: KroneckerCovariance) -> KroneckerCovariance:
-    """Partition-preserving inverse: invert each stratum matrix in place.
-
-    Valid because the A_l are orthogonal idempotents summing to I, so
-    ``(sum G_l (x) A_l)^-1 = sum G_l^-1 (x) A_l``.
-    """
-    inv = []
-    for l, G in enumerate(kc.strata):
-        try:
-            Gi = np.linalg.inv(G)
-        except np.linalg.LinAlgError as exc:
-            raise SingularityError(f"stratum {l} matrix is singular") from exc
-        # reject numerically singular strata that inv() silently accepts
-        if not np.all(np.isfinite(Gi)) or np.linalg.cond(G) > 1e14:
-            raise SingularityError(f"stratum {l} matrix is singular")
-        inv.append(Gi)
-    return KroneckerCovariance(partition=kc.partition, strata=tuple(inv))

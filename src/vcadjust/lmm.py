@@ -9,9 +9,10 @@ Every evaluation goes through Henderson's mixed-model equations, in the
 form lme4 uses.  With Z = [Z_1 ... Z_L] (q columns in all) and
 Lambda = diag(sqrt(s2_l / s2_e)) repeated over each factor's levels,
 V = s2_e (I + Z Lambda^2 Z') and M = I + Lambda Z'Z Lambda is q x q.  Each
-incidence has at most one 1 per row, so Z_l'Z_l is the diagonal of factor
-l's level counts.  The level counts, the count matrices Z_i'Z_k of the
-other pairs, Z'X, Z'y, X'X, X'y and y'y are formed once per fit; from one
+random factor is one level code per record (no Z_l is formed), so Z_l'Z_l
+is the diagonal of its level counts.  The counts Z_i'Z_k and per-level sums
+Z'[X | y] (:class:`vcadjust.mme.Layout`), X'X, X'y and y'y are formed once
+per fit; from one
 factor F F' = M (:class:`vcadjust.mme.Factor`: the factor with the most
 levels eliminated level by level, a dense Cholesky factor of the Schur
 complement over the others) each evaluation takes
@@ -64,7 +65,8 @@ _FAIL = 1e30  # objective where the equations are not numerically definite
 
 @dataclass(frozen=True)
 class LmmSpec:
-    """Response, full-rank fixed design, and random-factor incidence."""
+    """Response, full-rank fixed design, and per random factor one integer
+    level code per record (``max + 1`` levels)."""
 
     y: np.ndarray
     X: np.ndarray
@@ -74,12 +76,7 @@ class LmmSpec:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float).ravel()
         X = np.asarray(self.X, dtype=float)
-        rnd = tuple(np.asarray(Z, dtype=float) for Z in self.random)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "random", rnd)
-        names = self.names or tuple(f"u{l}" for l in range(len(rnd)))
-        object.__setattr__(self, "names", tuple(names))
+        rnd = tuple(np.asarray(g) for g in self.random)
         n, p = X.shape
         if len(y) != n:
             raise ValidationError("y and X disagree in length")
@@ -87,14 +84,16 @@ class LmmSpec:
             raise ValidationError(f"need n > p, got n={n}, p={p}")
         if np.linalg.matrix_rank(X) < p:
             raise ValidationError("X is rank deficient")
-        for Z in rnd:
-            if Z.ndim != 2 or Z.shape[0] != n:
-                raise ValidationError("random incidence row count != n")
-            # a 0/1 incidence with at most one 1 per row: Z'Z is diagonal
-            if not (np.all((Z == 0) | (Z == 1)) and np.all(Z.sum(axis=1) <= 1)):
-                raise ValidationError(
-                    "a random incidence must be 0/1 with at most one 1 per row"
-                )
+        for g in rnd:
+            if g.ndim != 1 or len(g) != n or g.dtype.kind not in "iu" or g.min() < 0:
+                raise ValidationError("a random factor must be n integer level codes >= 0")
+        if self.names and len(self.names) != len(rnd):
+            raise ValidationError(f"{len(self.names)} names for {len(rnd)} random factors")
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "random", tuple(g.astype(np.intp) for g in rnd))
+        names = self.names or tuple(f"u{l}" for l in range(len(rnd)))
+        object.__setattr__(self, "names", tuple(names))
 
 
 @dataclass
@@ -121,34 +120,28 @@ class LmmFit:
 class _CrossProducts:
     """Level counts, Z'[X | y], X'X, X'y and y'y: all an evaluation reads."""
 
-    layout: Layout  # widths 1, the levels d_l and counts Z_i'Z_k of the factors
+    layout: Layout  # widths 1, the codes, levels d_l and counts Z_i'Z_k of the factors
     ZtXy: np.ndarray
     XtX: np.ndarray
     Xty: np.ndarray
     yty: float
     n: int
-    levels: np.ndarray  # d_l, columns of each Z_l
     factor: np.ndarray  # factor l of each of the q random effects
 
 
 def _cross_products(spec: LmmSpec) -> _CrossProducts:
-    Zs, X, y = spec.random, spec.X, spec.y
+    codes, X, y = spec.random, spec.X, spec.y
     Xy = np.column_stack([X, y])
-    levels = np.array([Z.shape[1] for Z in Zs], dtype=int)
-    counts = {
-        (i, k): Zs[i].sum(axis=0) if i == k else Zs[i].T @ Zs[k]
-        for i in range(len(Zs))
-        for k in range(i, len(Zs))
-    }
+    levels = [int(g.max()) + 1 for g in codes]
+    layout = Layout((1,) * len(codes), codes, levels)
     return _CrossProducts(
-        layout=Layout((1,) * len(Zs), levels, counts),
-        ZtXy=np.vstack([Z.T @ Xy for Z in Zs]) if Zs else np.zeros((0, Xy.shape[1])),
+        layout=layout,
+        ZtXy=np.vstack([np.zeros((0, Xy.shape[1]))] + [S.T for S in layout.level_sums(Xy.T)]),
         XtX=X.T @ X,
         Xty=X.T @ y,
         yty=float(y @ y),
         n=len(y),
-        levels=levels,
-        factor=np.repeat(np.arange(len(Zs)), levels),
+        factor=np.repeat(np.arange(len(codes)), levels),
     )
 
 
@@ -189,14 +182,14 @@ def _neg_loglik(theta, cp: _CrossProducts, method: str):
         diag = s.F.diag()  # diag M^-1
     except np.linalg.LinAlgError:
         return _FAIL, np.zeros_like(theta)
-    n, p, k = cp.n, len(s.beta), len(cp.levels)
+    n, p, k = cp.n, len(s.beta), len(cp.layout.levels)
 
     def per_factor(x):
         return np.bincount(cp.factor, weights=x, minlength=k)
 
     b = s.F.upper(s.c - s.C @ s.beta)  # M^-1 Lambda Z'r
     b_sq = per_factor(b * b)
-    trace = cp.levels - per_factor(diag)
+    trace = np.array(cp.layout.levels) - per_factor(diag)
     logdet = n * theta[0] + s.F.logdet
     nobs, reml = n, np.zeros(k)
     if method == "reml":
@@ -293,7 +286,7 @@ def fit_lmm(
     nit_total = 0
     hit_max_iter = False
     for ratio in _RATIO_STARTS:
-        theta0 = np.log(np.r_[s2_ols, np.full(len(cp.levels), ratio * s2_ols)])
+        theta0 = np.log(np.r_[s2_ols, np.full(len(cp.layout.levels), ratio * s2_ols)])
         res = optimize.minimize(
             obj,
             theta0,

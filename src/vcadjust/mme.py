@@ -3,10 +3,10 @@
 Both fitters solve with M = s I + A'A, A = [a_k (x) Z_k] the (whitened,
 scaled) random-effects design.  Term k has p_k loading columns and d_k
 levels; its effects sit at positions c * d_k + level of its slice.  Every
-incidence Z_k has at most one 1 per row, so the blocks of A'A are Kronecker
+term is one level code per record, so the blocks of A'A are Kronecker
 products G_ik (x) N_ik of a p_i x p_k loading Gram G_ik = a_i'a_k and a
-count matrix N_ik = Z_i'Z_k, and a term's own N_kk is the diagonal of its
-level counts n_k.
+count matrix N_ik = Z_i'Z_k, bincounts of the codes (:class:`Layout`; no
+Z_k is formed), and a term's own N_kk is the diagonal of its level counts.
 
 The factor eliminates the term with the most levels, b, first (block
 elimination; Takahashi, Fagan & Chin 1973, and the sparse Cholesky of
@@ -73,17 +73,27 @@ def _kron(a: np.ndarray, N: np.ndarray) -> np.ndarray:
 
 
 class Layout:
-    """Widths, levels and count matrices of the random terms: everything
-    about M that is fixed for a fit.  ``counts[i, k]`` (i <= k) is Z_i'Z_k,
-    as the vector of level counts when i == k."""
+    """Widths, level codes (``codes[k]``, one in [0, ``levels[k]``) per
+    record) and count matrices of the random terms: everything about M that
+    is fixed for a fit.  ``counts[i, k]`` (i <= k) is Z_i'Z_k, one bincount
+    of the codes, as the vector of level counts when i == k."""
 
-    def __init__(self, widths, levels, counts: dict[tuple[int, int], np.ndarray]):
-        self.widths, self.levels, self.counts = tuple(widths), tuple(levels), counts
-        sizes = [p * d for p, d in zip(self.widths, self.levels)]
+    def __init__(self, widths, codes, levels):
+        self.widths, self.codes, self.levels = tuple(widths), tuple(codes), tuple(levels)
+        d = self.levels
+        self.counts = {
+            (i, k): np.bincount(codes[i], minlength=d[i]).astype(float) if i == k
+            else np.bincount(
+                codes[i] * d[k] + codes[k], minlength=d[i] * d[k]
+            ).reshape(d[i], d[k]).astype(float)
+            for i in range(len(d))
+            for k in range(i, len(d))
+        }
+        sizes = [p * dk for p, dk in zip(self.widths, d)]
         self.slices = _slices(sizes)
         self.q = sum(sizes)
         # the term eliminated first: most levels, the first on a tie
-        self.big = int(np.argmax(self.levels)) if self.levels else None
+        self.big = int(np.argmax(d)) if d else None
         self.rest = tuple(k for k in range(len(sizes)) if k != self.big)
         self.rest_slices = _slices([sizes[k] for k in self.rest])  # within the others
         idx = np.concatenate(
@@ -93,6 +103,11 @@ class Layout:
         lo = int(idx[0]) if len(idx) else self.q
         contiguous = np.array_equal(idx, np.arange(lo, lo + len(idx)))
         self.rest_idx = slice(lo, lo + len(idx)) if contiguous else idx
+
+    def level_sums(self, E: np.ndarray) -> list[np.ndarray]:
+        """E Z_k per term, for E with one column per record: rows x d_k."""
+        return [np.stack([np.bincount(g, weights=row, minlength=d) for row in E])
+                for g, d in zip(self.codes, self.levels)]
 
     def pair(self, i: int, k: int) -> np.ndarray:
         """Z_i'Z_k for either order of i and k (a vector when i == k)."""

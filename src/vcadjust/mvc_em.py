@@ -18,8 +18,8 @@ sigma_j c_j (x) U_j (c_j = e_0, or 1 when treatments affect the covariates),
 and each incidence is fixed by one integer code per cell.  With L0 the
 Cholesky factor of Sigma_0 and whitened loadings L0^-1 a_k,
 A = (L0^-1 (x) I_n) M Lambda = [L0^-1 a_k (x) Z_k], so I + A'A has blocks
-(a_i' L0^-T L0^-1 a_k) (x) (Z_i'Z_k), whose count matrices Z_i'Z_k are formed
-once per fit (a term's own Z_k'Z_k is the diagonal of its level counts).
+(a_i' L0^-T L0^-1 a_k) (x) (Z_i'Z_k), whose count matrices Z_i'Z_k (diagonal
+when i = k) are formed once per fit by :class:`vcadjust.mme.Layout`.
 I + A'A is factored as F F' by :class:`vcadjust.mme.Factor`: the term with
 the most levels is eliminated level by level, its (m+1) x (m+1) level
 blocks diagonalised by one eigendecomposition, and the Schur complement
@@ -159,19 +159,21 @@ class _Terms:
     """The random terms ``c_k (x) Z_k`` of a stacked model, in the order of u.
 
     Random treatment terms come first, then blocking factors.  Each Z_k is
-    given by one level code per complete cell, and its count matrices
-    Z_i'Z_k (a vector of level counts when i = k) are formed once from the
-    codes, in ``layout``.  A term with loading a_k (its rows the variables,
-    its p_k columns those of c_k) spans the stacked columns a_k (x) Z_k,
-    ordered p * d_k + level: the positions ``slices[k]`` of u.
+    one level code per complete cell, and ``layout`` holds the codes and
+    their count matrices Z_i'Z_k.  A term with loading a_k (its rows the
+    variables, its p_k columns those of c_k) spans the stacked columns
+    a_k (x) Z_k, ordered p * d_k + level: the positions ``slices[k]`` of u.
     """
 
     n: int  # complete cells
     mp1: int  # variables, m + 1
     r: int  # random treatment terms, the first r terms
-    codes: tuple[np.ndarray, ...]
     carriers: tuple[np.ndarray, ...]  # c_k: e_0 or 1 (one column) or I_{m+1}
     layout: Layout
+
+    @property
+    def codes(self) -> tuple[np.ndarray, ...]:
+        return self.layout.codes
 
     @property
     def levels(self) -> tuple[int, ...]:
@@ -227,13 +229,6 @@ class _Terms:
             out += part if i == k else part + part.T
         return out
 
-    def level_sums(self, E: np.ndarray) -> list[np.ndarray]:
-        """E Z_k per term, for E with one column per cell: mp1 x d_k."""
-        return [
-            np.stack([np.bincount(g, weights=row, minlength=d) for row in E])
-            for g, d in zip(self.codes, self.levels)
-        ]
-
 
 def _terms(sd: StackedData) -> _Terms:
     """The random terms of a stacked layout, from its codes."""
@@ -242,17 +237,9 @@ def _terms(sd: StackedData) -> _Terms:
     codes = sd.treatment_random_codes + sd.block_codes
     levels = sd.treatment_random_levels + sd.block_levels
     carriers = (on,) * len(sd.treatment_random_codes) + (np.eye(mp1),) * len(sd.block_codes)
-    counts = {
-        (i, k): np.bincount(codes[i], minlength=levels[i]).astype(float) if i == k
-        else np.bincount(
-            codes[i] * levels[k] + codes[k], minlength=levels[i] * levels[k]
-        ).reshape(levels[i], levels[k]).astype(float)
-        for i in range(len(codes))
-        for k in range(i, len(codes))
-    }
     return _Terms(
-        n=sd.n_obs, mp1=mp1, r=len(sd.treatment_random_codes), codes=codes, carriers=carriers,
-        layout=Layout([c.shape[1] for c in carriers], levels, counts),
+        n=sd.n_obs, mp1=mp1, r=len(sd.treatment_random_codes), carriers=carriers,
+        layout=Layout([c.shape[1] for c in carriers], codes, levels),
     )
 
 
@@ -610,7 +597,7 @@ class _Profile:
         sums of the whitened residual e, each at its cells."""
         terms = self.terms
         E = (self.rw - terms.apply(self.wloads, self.v)).reshape(terms.mp1, terms.n)
-        return [E] + [F[:, g] for F, g in zip(terms.level_sums(E), terms.codes)]
+        return [E] + [F[:, g] for F, g in zip(terms.layout.level_sums(E), terms.codes)]
 
     @cached_property
     def gammas(self) -> list[np.ndarray]:

@@ -20,71 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset, DesignSpec, incidence
-from .design_algebra import (
-    KroneckerCovariance,
-    OrthogonalPartition,
-    averaging_matrix,
-    validate_partition,
-)
+from .design_algebra import OrthogonalPartition, averaging_matrix, validate_partition
 from .errors import SingularityError, ValidationError
 from .lmm import LmmFit, LmmSpec, fit_lmm
-
-
-@dataclass(frozen=True)
-class StratumRegression:
-    """Per-stratum covariate slopes and conditional variances."""
-
-    gammas: tuple[np.ndarray, ...]  # one m-vector per stratum
-    lambdas: np.ndarray  # conditional variance per stratum
-
-    @property
-    def n_strata(self) -> int:
-        return len(self.gammas)
-
-
-def stratum_regressions(kc: KroneckerCovariance) -> StratumRegression:
-    """Slopes and residual variances of response-on-covariates per stratum.
-
-    Variable 0 of every stratum matrix is the response; the slope vector is
-    the regression of it on the remaining variables within that stratum and
-    the conditional variance is the corresponding Schur complement.
-    """
-    gammas, lambdas = [], []
-    for l, G in enumerate(kc.strata):
-        g_uu = G[0, 0]
-        g_uz = G[0, 1:]
-        G_zz = G[1:, 1:]
-        if G_zz.size == 0:
-            gammas.append(np.zeros(0))
-            lambdas.append(float(g_uu))
-            continue
-        try:
-            sol = np.linalg.solve(G_zz, g_uz)
-        except np.linalg.LinAlgError as exc:
-            raise SingularityError(
-                f"stratum {l}: covariate block is singular"
-            ) from exc
-        gammas.append(sol)
-        lambdas.append(float(g_uu - g_uz @ sol))
-    return StratumRegression(gammas=tuple(gammas), lambdas=np.array(lambdas))
-
-
-def adjusted_means_orthogonal(
-    mu_y: np.ndarray, gamma_0: np.ndarray, zbar: np.ndarray, mu_z: np.ndarray
-) -> np.ndarray:
-    """Expected responses with every covariate held at its marginal mean.
-
-    Only the grand-mean stratum slope survives the averaging, so the
-    adjustment is the scalar ``gamma_0'(zbar - mu_z)`` subtracted from each
-    treatment mean.
-    """
-    mu_y = np.asarray(mu_y, dtype=float)
-    gamma_0 = np.atleast_1d(np.asarray(gamma_0, dtype=float))
-    zbar = np.atleast_1d(np.asarray(zbar, dtype=float))
-    mu_z = np.atleast_1d(np.asarray(mu_z, dtype=float))
-    if not (len(gamma_0) == len(zbar) == len(mu_z)):
-        raise ValidationError("gamma_0, zbar, mu_z must share one length")
-    return mu_y - float(gamma_0 @ (zbar - mu_z))
 
 
 @dataclass(frozen=True)
@@ -190,8 +128,10 @@ def conditional_regressors(recipe: DesignRecipe, ds: Dataset) -> Dataset:
     new_names = []
     for grouping in recipe.mean_groupings:
         _, codes = _codes(ds, grouping)
-        groups, counts = np.unique(codes[mask], return_counts=True)
-        if len(groups) == 0:
+        inside = codes[mask]
+        sizes = np.bincount(inside)
+        counts = sizes[sizes > 0]
+        if len(counts) == 0:
             raise ValidationError("no complete cells to average")
         if counts.min() != counts.max():
             raise ValidationError(
@@ -199,11 +139,9 @@ def conditional_regressors(recipe: DesignRecipe, ds: Dataset) -> Dataset:
                 "route this layout to the general engine"
             )
         for j, cov in enumerate(ds.covariate_names):
-            vals = ds.covariates[:, j]
+            sums = np.bincount(inside, weights=ds.covariates[mask, j])
             col = np.full(ds.n_records, np.nan)
-            for g in groups:
-                members = mask & (codes == g)
-                col[members] = vals[members].mean()
+            col[mask] = sums[inside] / sizes[inside]
             new_cols.append(col)
             new_names.append(f"mean({cov}|{','.join(grouping)})")
     covs = np.column_stack([ds.covariates] + [c.reshape(-1, 1) for c in new_cols])
@@ -299,8 +237,8 @@ def _check_blocks(sub: Dataset, codes: np.ndarray, t: int, block: str):
         raise ValidationError(
             "blocks have unequal sizes; route this layout to the general engine"
         )
-    # treatments reachable from the first through shared blocks
-    N = incidence(codes, t).T @ incidence(bcodes, len(sizes))
+    # treatments reachable from the first through shared blocks (t x b counts)
+    N = np.bincount(codes * len(sizes) + bcodes, minlength=t * len(sizes)).reshape(t, -1)
     reach = np.arange(t) == 0
     for _ in range(t):
         reach = N @ (N.T @ reach) > 0
@@ -347,14 +285,11 @@ def fit_orthogonal_conditional(
             keep.append(r)
     R = aug.covariates[:, keep]
 
-    randoms = []
-    for _name, grouping in recipe.random_groupings:
-        groups, idx = _codes(sub, grouping)
-        randoms.append(incidence(idx, len(groups)))
+    randoms = tuple(_codes(sub, grouping)[1] for _name, grouping in recipe.random_groupings)
 
     X = np.column_stack([T, R]) if R.size else T
     names = tuple(name for name, _ in recipe.random_groupings)
-    lmm_spec = LmmSpec(y=sub.response, X=X, random=tuple(randoms), names=names)
+    lmm_spec = LmmSpec(y=sub.response, X=X, random=randoms, names=names)
     fit = fit_lmm(lmm_spec, method=method, tol=tol, max_iter=max_iter)
 
     # each appended column is evaluated at the grand mean of its parent

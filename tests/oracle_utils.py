@@ -11,9 +11,17 @@ precomputed once per instance, then factors it with plain LAPACK.  Of
 ``vcadjust.mvc_em`` the module uses only ``initial_params`` (starts),
 ``MVCParams`` (the result record) and ``make_model`` (to simulate
 instances), never the EM numerics.
+
+The stratum algebra of one replicate unit is also kept here as a reference:
+``KroneckerCovariance`` (``V = sum_l G_l (x) A_l`` over a projector
+partition), its dense form and partition-wise inverse, ``rcb_partition``,
+and the per-stratum regressions of the response on the covariates with the
+orthogonal adjusted means they imply.  The package's fitters do not use it.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
@@ -21,6 +29,8 @@ from scipy.linalg import lapack
 
 import vcadjust as v
 from vcadjust.data_model import StackedData
+from vcadjust.design_algebra import OrthogonalPartition, averaging_matrix, centering_matrix
+from vcadjust.errors import SingularityError, ValidationError
 from vcadjust.mvc_em import MVCParams, initial_params, make_model
 
 
@@ -213,3 +223,133 @@ def make_oracle_instance(seed: int):
     z = v.gen_multivariate(make_model(sd, truth), seed=seed)
     sd = StackedData(**{**sd.__dict__, "z": z})
     return sd, truth
+
+
+# ------------------------------------------------- stratum algebra reference
+
+
+def rcb_partition(t: int) -> OrthogonalPartition:
+    """Two-stratum partition of a complete block: grand mean and contrasts."""
+    if t < 2:
+        raise ValidationError(f"rcb_partition needs t >= 2, got {t}")
+    return OrthogonalPartition(
+        dim=t, projectors=(averaging_matrix(t), centering_matrix(t))
+    )
+
+
+@dataclass(frozen=True)
+class KroneckerCovariance:
+    """Covariance ``V = sum_l G_l (x) A_l`` over one replicate unit.
+
+    ``strata[l]`` is the symmetric (m+1) x (m+1) matrix attached to
+    projector ``partition.projectors[l]``; variable 0 is the response.
+    The dense realization lives in variable-major layout: index
+    ``variable * dim + unit``.
+    """
+
+    partition: OrthogonalPartition
+    strata: tuple[np.ndarray, ...] = field(default=())
+
+    def __post_init__(self):
+        strata = tuple(np.asarray(G, dtype=float) for G in self.strata)
+        if len(strata) != self.partition.n_strata:
+            raise ValidationError(
+                f"{len(strata)} strata for {self.partition.n_strata} projectors"
+            )
+        size = strata[0].shape[0] if strata else 0
+        for G in strata:
+            if G.ndim != 2 or G.shape != (size, size):
+                raise ValidationError("strata must be square and equally sized")
+            if np.max(np.abs(G - G.T)) > 1e-8 * (1.0 + np.max(np.abs(G))):
+                raise ValidationError("stratum matrix is not symmetric")
+        object.__setattr__(self, "strata", strata)
+
+    @property
+    def n_variables(self) -> int:
+        return self.strata[0].shape[0]
+
+
+def kron_cov_dense(kc: KroneckerCovariance) -> np.ndarray:
+    """Dense ``sum_l G_l (x) A_l`` in variable-major layout."""
+    k = kc.partition.dim
+    v = kc.n_variables
+    V = np.zeros((v * k, v * k))
+    for G, A in zip(kc.strata, kc.partition.projectors):
+        V += np.kron(G, A)
+    return V
+
+
+def kron_cov_inverse(kc: KroneckerCovariance) -> KroneckerCovariance:
+    """Partition-preserving inverse: invert each stratum matrix in place.
+
+    Valid because the A_l are orthogonal idempotents summing to I, so
+    ``(sum G_l (x) A_l)^-1 = sum G_l^-1 (x) A_l``.
+    """
+    inv = []
+    for l, G in enumerate(kc.strata):
+        try:
+            Gi = np.linalg.inv(G)
+        except np.linalg.LinAlgError as exc:
+            raise SingularityError(f"stratum {l} matrix is singular") from exc
+        # reject numerically singular strata that inv() silently accepts
+        if not np.all(np.isfinite(Gi)) or np.linalg.cond(G) > 1e14:
+            raise SingularityError(f"stratum {l} matrix is singular")
+        inv.append(Gi)
+    return KroneckerCovariance(partition=kc.partition, strata=tuple(inv))
+
+
+@dataclass(frozen=True)
+class StratumRegression:
+    """Per-stratum covariate slopes and conditional variances."""
+
+    gammas: tuple[np.ndarray, ...]  # one m-vector per stratum
+    lambdas: np.ndarray  # conditional variance per stratum
+
+    @property
+    def n_strata(self) -> int:
+        return len(self.gammas)
+
+
+def stratum_regressions(kc: KroneckerCovariance) -> StratumRegression:
+    """Slopes and residual variances of response-on-covariates per stratum.
+
+    Variable 0 of every stratum matrix is the response; the slope vector is
+    the regression of it on the remaining variables within that stratum and
+    the conditional variance is the corresponding Schur complement.
+    """
+    gammas, lambdas = [], []
+    for l, G in enumerate(kc.strata):
+        g_uu = G[0, 0]
+        g_uz = G[0, 1:]
+        G_zz = G[1:, 1:]
+        if G_zz.size == 0:
+            gammas.append(np.zeros(0))
+            lambdas.append(float(g_uu))
+            continue
+        try:
+            sol = np.linalg.solve(G_zz, g_uz)
+        except np.linalg.LinAlgError as exc:
+            raise SingularityError(
+                f"stratum {l}: covariate block is singular"
+            ) from exc
+        gammas.append(sol)
+        lambdas.append(float(g_uu - g_uz @ sol))
+    return StratumRegression(gammas=tuple(gammas), lambdas=np.array(lambdas))
+
+
+def adjusted_means_orthogonal(
+    mu_y: np.ndarray, gamma_0: np.ndarray, zbar: np.ndarray, mu_z: np.ndarray
+) -> np.ndarray:
+    """Expected responses with every covariate held at its marginal mean.
+
+    Only the grand-mean stratum slope survives the averaging, so the
+    adjustment is the scalar ``gamma_0'(zbar - mu_z)`` subtracted from each
+    treatment mean.
+    """
+    mu_y = np.asarray(mu_y, dtype=float)
+    gamma_0 = np.atleast_1d(np.asarray(gamma_0, dtype=float))
+    zbar = np.atleast_1d(np.asarray(zbar, dtype=float))
+    mu_z = np.atleast_1d(np.asarray(mu_z, dtype=float))
+    if not (len(gamma_0) == len(zbar) == len(mu_z)):
+        raise ValidationError("gamma_0, zbar, mu_z must share one length")
+    return mu_y - float(gamma_0 @ (zbar - mu_z))

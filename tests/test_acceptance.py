@@ -25,7 +25,16 @@ from conftest import (
     pearce_spec,
     zelen_spec,
 )
-from oracle_utils import ORACLE_SEEDS, direct_max_loglik, make_oracle_instance
+from oracle_utils import (
+    ORACLE_SEEDS,
+    KroneckerCovariance,
+    direct_max_loglik,
+    kron_cov_dense,
+    kron_cov_inverse,
+    make_oracle_instance,
+    rcb_partition,
+    stratum_regressions,
+)
 
 # loglik traces of every EM fit run by this module, for criterion 5(e)
 _EM_TRACES: list[np.ndarray] = []
@@ -243,11 +252,11 @@ def test_criterion_5_identity_suite():
     for _ in range(5):
         A = rng.normal(size=(3, 3))
         B = rng.normal(size=(3, 3))
-        kc = v.KroneckerCovariance(
-            partition=v.rcb_partition(4),
+        kc = KroneckerCovariance(
+            partition=rcb_partition(4),
             strata=(A @ A.T + np.eye(3), B @ B.T + np.eye(3)),
         )
-        prod = v.kron_cov_dense(v.kron_cov_inverse(kc)) @ v.kron_cov_dense(kc)
+        prod = kron_cov_dense(kron_cov_inverse(kc)) @ kron_cov_dense(kc)
         worst_d = max(worst_d, float(np.max(np.abs(prod - np.eye(12)))))
     ok_d = worst_d <= 1e-9
 
@@ -354,11 +363,11 @@ def test_criterion_7_property_suite(tmp_path):
         m = int(rng.integers(1, 4))
         A = rng.normal(size=(m + 1, m + 1))
         B = rng.normal(size=(m + 1, m + 1))
-        kc = v.KroneckerCovariance(
-            partition=v.rcb_partition(3),
+        kc = KroneckerCovariance(
+            partition=rcb_partition(3),
             strata=(A @ A.T + 0.1 * np.eye(m + 1), B @ B.T + 0.1 * np.eye(m + 1)),
         )
-        if np.min(v.stratum_regressions(kc).lambdas) < -1e-12:
+        if np.min(stratum_regressions(kc).lambdas) < -1e-12:
             failures.append("schur nonnegativity")
             break
 

