@@ -12,6 +12,7 @@ prints one machine-parseable line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -465,6 +466,7 @@ def _diag(code: int, kind: str, detail: Exception | str):
     sys.stderr.write(f'vcadjust: code={code} kind={kind} msg="{msg}"\n')
 
 
+@functools.cache  # built on the first call, not at import; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="vcadjust",

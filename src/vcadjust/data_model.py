@@ -251,48 +251,58 @@ def load_dataset(source, schema: DesignSpec) -> Dataset:
         raise ValidationError(f"data file is missing columns: {missing}")
     col = {name: header.index(name) for name in needed}
 
-    factors: dict[str, list[str]] = {name: [] for name in schema.factor_names}
-    y: list[float] = []
-    Z: list[list[float]] = []
-    for rownum, row in enumerate(reader, start=1):
-        if not any(cell.strip() for cell in row):
-            continue  # blank line
-        if len(row) < len(header):
-            raise ValidationError(f"row {rownum}: expected {len(header)} fields")
-        for name in schema.factor_names:
-            val = row[col[name]].strip()
-            if not val:
-                raise ValidationError(f"row {rownum}: factor {name!r} is empty")
-            factors[name].append(val)
-        vals = []
-        for name in [schema.response] + list(schema.covariates):
-            raw = row[col[name]].strip()
-            if raw == "":
-                vals.append(float("nan"))
-                continue
-            try:
-                vals.append(float(raw))
-            except ValueError:
-                raise ValidationError(
-                    f"row {rownum}: non-numeric value {raw!r} in column {name!r}"
-                ) from None
-        present = [not np.isnan(v) for v in vals]
-        if any(present) and not all(present):
-            raise ValidationError(
-                f"row {rownum}: partially missing cell (response and covariates "
-                "must be blank together)"
-            )
-        y.append(vals[0])
-        Z.append(vals[1:])
+    # records with their 1-based row numbers; blank lines are skipped but counted
+    rows = [(k, row) for k, row in enumerate(reader, start=1) if "".join(row).strip()]
+    # the error reported is the first in reading order, so fields are read
+    # only up to the first short row
+    cut = next((i for i, (_, row) in enumerate(rows) if len(row) < len(header)), len(rows))
+    columns = {name: [row[col[name]].strip() for _, row in rows[:cut]] for name in needed}
+    errors = []  # (record index, position of the check within the record, message)
+    if cut < len(rows):
+        errors.append((cut, -1, f"row {rows[cut][0]}: expected {len(header)} fields"))
+    for j, name in enumerate(schema.factor_names):
+        if "" in columns[name]:
+            i = columns[name].index("")
+            errors.append((i, j, f"row {rows[i][0]}: factor {name!r} is empty"))
+    values = []
+    for j, name in enumerate([schema.response] + list(schema.covariates)):
+        vals, bad = _floats(columns[name])
+        values.append(vals)
+        if bad is not None:
+            errors.append((bad, len(needed) + j, f"row {rows[bad][0]}: non-numeric value "
+                                                   f"{columns[name][bad]!r} in column {name!r}"))
+    first = min(errors, default=(len(rows), 0, ""))
+    present = ~np.isnan(np.column_stack([v[: first[0]] for v in values]))
+    partial = np.flatnonzero(present.any(axis=1) & ~present.all(axis=1))
+    if partial.size:
+        raise ValidationError(
+            f"row {rows[partial[0]][0]}: partially missing cell (response and covariates "
+            "must be blank together)"
+        )
+    if errors:
+        raise ValidationError(first[2])
 
-    ds = Dataset(
-        factors={k: np.array(v, dtype=object) for k, v in factors.items()},
-        response=np.array(y),
-        covariates=np.array(Z, dtype=float).reshape(len(y), schema.m),
+    return Dataset(
+        factors={name: columns[name] for name in schema.factor_names},
+        response=values[0],
+        covariates=np.column_stack(values[1:]) if schema.m else np.empty((len(rows), 0)),
         covariate_names=schema.covariates,
         levels={k: v for k, v in schema.levels.items()},
     )
-    return ds
+
+
+def _floats(fields: list[str]) -> tuple[np.ndarray, int | None]:
+    """Floats of stripped fields, NaN for an empty one, and the index of the
+    first field ``float`` rejects (None when there is none); the values stop
+    before that field."""
+    nan = float("nan")
+    out = []
+    for i, v in enumerate(fields):
+        try:
+            out.append(float(v) if v else nan)
+        except ValueError:
+            return np.array(out, dtype=float), i
+    return np.array(out, dtype=float), None
 
 
 def treatment_labels(ds: Dataset, spec: DesignSpec) -> tuple[list[str], np.ndarray]:

@@ -33,14 +33,17 @@ formed.  A point where M or K is not numerically positive definite (a
 variance ratio near 1e22 over a rank-deficient crossed Z'Z) gets a large
 finite objective.
 
-L-BFGS-B runs with this gradient from a small grid of variance ratios.
-The best start is finished by Newton steps on the gradient: the Hessian is
-the central difference of the gradient, coordinates at an active bound stay
-fixed, and eigenvalues are taken in absolute value so that a flat
-coordinate next to a zero variance still descends.  A fit has converged
-when its projected gradient is below ``_GRAD_TOL`` and no start stopped at
-``max_iter``; the L-BFGS-B stop message is not read.  The GLS fixed effects,
-their covariance and the weak-identification check use the same equations.
+The objective is evaluated at a small grid of variance ratios, and
+L-BFGS-B runs once with this gradient, from the best grid point.  Projected
+Newton steps finish the fit: the Hessian is the central difference of the
+gradient, eigenvalues are taken in absolute value so that a flat coordinate
+next to a zero variance still descends, and a component within
+``_ACTIVE_GAP`` of zero (in standard deviation relative to the residual)
+whose gradient points at zero is put on its bound, so that it reports as
+exactly zero.  A fit has converged when its projected gradient is below
+``_GRAD_TOL`` and L-BFGS-B did not stop at ``max_iter``; the L-BFGS-B stop
+message is not read.  The GLS fixed effects, their covariance and the
+weak-identification check use the same equations.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ _BOUNDARY_FRAC = 1e-10  # components below this times var(y) report as zero
 _GRAD_TOL = 1e-6  # projected log-variance gradient of a converged fit
 _NEWTON_STEPS = 8
 _HALVINGS = 20  # step halvings before a Newton finish gives up
+_ACTIVE_GAP = 1e-3  # relative standard deviation below which a component may go to zero
 _HESS_STEP = 1e-4  # central-difference step of the Hessian, in log-variance
 _FAIL = 1e30  # objective where the equations are not numerically definite
 
@@ -218,28 +222,36 @@ def _hessian(obj, theta, free):
 
 
 def _newton_finish(obj, theta, lo, hi):
-    """Newton steps on the analytic gradient from ``theta``.
+    """Projected Newton steps on the analytic gradient from ``theta``.
 
-    A coordinate at a bound whose gradient points outward stays fixed.  The
-    Hessian's eigenvalues are replaced by their absolute values, floored at
-    ``1e-8`` of the largest, so that a flat or concave coordinate next to a
-    zero variance still gets a descent step; each step is halved until the
-    objective does not rise beyond rounding.  Returns the point, its value,
-    gradient and the number of steps taken.
+    A variance component within ``_ACTIVE_GAP`` of zero on the standard
+    deviation scale (s2_l <= _ACTIVE_GAP**2 s2_e), or already at ``lo``,
+    whose gradient points at the bound moves onto ``lo`` (Bertsekas 1982);
+    a coordinate at ``hi`` whose gradient points outward stays fixed.  The
+    other coordinates take a Newton step on the central-difference Hessian,
+    its eigenvalues replaced by their absolute values, floored at ``1e-8``
+    of the largest, so that a flat or concave coordinate next to a zero
+    variance still descends.  The free step is halved until the objective
+    does not rise beyond rounding.  Returns the point, its value, gradient
+    and the number of steps taken.
     """
     f, g = obj(theta)
     steps = 0
     for _ in range(_NEWTON_STEPS):
-        free = ~(((theta <= lo) & (g > 0)) | ((theta >= hi) & (g < 0)))
-        if not np.any(g[free]):
+        near = np.r_[False, theta[1:] - theta[0] <= 2.0 * np.log(_ACTIVE_GAP)]
+        bound = (near | (theta <= lo)) & (g > 0)
+        free = ~(bound | ((theta >= hi) & (g < 0)))
+        step = np.zeros(int(free.sum()))
+        if np.any(g[free]):
+            ev, Q = np.linalg.eigh(_hessian(obj, theta, free))
+            top = np.max(np.abs(ev))
+            if top > 0:
+                step = -Q @ ((Q.T @ g[free]) / np.maximum(np.abs(ev), 1e-8 * top))
+        new = theta.copy()
+        new[bound] = lo
+        if not step.any() and np.array_equal(new, theta):
             break
-        ev, Q = np.linalg.eigh(_hessian(obj, theta, free))
-        top = np.max(np.abs(ev))
-        if not top > 0:
-            break
-        step = -Q @ ((Q.T @ g[free]) / np.maximum(np.abs(ev), 1e-8 * top))
         for _ in range(_HALVINGS):
-            new = theta.copy()
             new[free] = np.clip(theta[free] + step, lo, hi)
             f_new, g_new = obj(new)
             if f_new <= f + 1e-12 * max(1.0, abs(f)):
@@ -263,10 +275,10 @@ def fit_lmm(
 ) -> LmmFit:
     """Maximize the ML or REML likelihood over the variance components.
 
-    Returns the best iterate with ``converged=False`` plus a flag when an
-    optimizer start hits ``max_iter`` or the projected gradient at the
-    finish is not below ``_GRAD_TOL``; variance estimates within a relative
-    boundary band of zero are reported as exactly zero and flagged.
+    Returns the best iterate with ``converged=False`` plus a flag when the
+    optimizer hits ``max_iter`` or the projected gradient at the finish is
+    not below ``_GRAD_TOL``; variance estimates within a relative boundary
+    band of zero are reported as exactly zero and flagged.
     """
     if method not in ("ml", "reml"):
         raise ValidationError(f"method must be 'ml' or 'reml', got {method!r}")
@@ -277,30 +289,24 @@ def fit_lmm(
     cp = _cross_products(spec)
     obj = partial(_neg_loglik, cp=cp, method=method)
 
-    # OLS residual variance seeds the scale of every start
+    # OLS residual variance seeds the scale of every grid point
     beta0, *_ = np.linalg.lstsq(X, y, rcond=None)
     s2_ols = max(float(np.mean((y - X @ beta0) ** 2)), 1e-12 * vary)
     lo, hi = np.log(1e-14 * vary), np.log(1e8 * vary)
 
-    best = None
-    nit_total = 0
-    hit_max_iter = False
-    for ratio in _RATIO_STARTS:
-        theta0 = np.log(np.r_[s2_ols, np.full(len(cp.layout.levels), ratio * s2_ols)])
-        res = optimize.minimize(
-            obj,
-            theta0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(lo, hi)] * len(theta0),
-            options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-10},
-        )
-        nit_total += res.nit
-        hit_max_iter |= res.status == 1  # iteration or evaluation limit
-        if best is None or res.fun < best.fun:
-            best = res
+    k = len(cp.layout.levels)
+    starts = [np.log(np.r_[s2_ols, np.full(k, ratio * s2_ols)]) for ratio in _RATIO_STARTS]
+    res = optimize.minimize(
+        obj,
+        min(starts, key=lambda t: obj(t)[0]),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(lo, hi)] * (k + 1),
+        options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-10},
+    )
+    hit_max_iter = res.status == 1  # iteration or evaluation limit
 
-    theta, f, g, steps = _newton_finish(obj, np.asarray(best.x, dtype=float), lo, hi)
+    theta, f, g, steps = _newton_finish(obj, np.asarray(res.x, dtype=float), lo, hi)
     projected = np.clip(theta - g, lo, hi) - theta
     flags: list[str] = []
     converged = not hit_max_iter and float(np.max(np.abs(projected))) < _GRAD_TOL
@@ -332,7 +338,7 @@ def fit_lmm(
         loglik=float(-f),
         method=method,
         converged=converged,
-        iterations=int(nit_total + steps),
+        iterations=int(res.nit + steps),
         flags=tuple(flags),
         names=spec.names,
     )

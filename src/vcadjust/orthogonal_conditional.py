@@ -110,25 +110,37 @@ def _block_recipe(spec: DesignSpec, block_means: bool = True) -> DesignRecipe:
 
 def _codes(ds: Dataset, grouping: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Sorted labels of the groups of ``grouping`` (levels joined by ``:``)
-    and each record's integer group code; ``()`` puts every record in one group."""
-    parts = [ds.factors[f] for f in grouping] or [np.full(ds.n_records, "", object)]
-    keys = np.array([":".join(v) for v in zip(*parts)], dtype=object)
-    return np.unique(keys, return_inverse=True)
+    and each record's integer group code; ``()`` puts every record in one
+    group.  Records are grouped by integer level codes, so only the labels
+    of the groups are joined and sorted."""
+    key = np.zeros(ds.n_records, dtype=np.intp)
+    for f in grouping:
+        index: dict[str, int] = {}
+        level = np.array([index.setdefault(v, len(index)) for v in ds.factors[f]], dtype=np.intp)
+        key = np.unique(key * len(index) + level, return_inverse=True)[1]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    joined = np.array([":".join(ds.factors[f][i] for f in grouping) for i in first], dtype=object)
+    labels, relabel = np.unique(joined, return_inverse=True)
+    return labels, relabel[inverse]
 
 
-def conditional_regressors(recipe: DesignRecipe, ds: Dataset) -> Dataset:
+def conditional_regressors(
+    recipe: DesignRecipe, ds: Dataset, codes: dict[tuple[str, ...], np.ndarray] | None = None
+) -> Dataset:
     """Append the recipe's stratum-mean covariate columns to the dataset.
 
     Means are taken over complete cells; every group inside one grouping
     must hold the same number of complete cells, otherwise the layout is
-    not orthogonal and belongs to the general engine.
+    not orthogonal and belongs to the general engine.  ``codes`` maps each
+    mean grouping to its group codes in ``ds`` when the caller has them.
     """
+    if codes is None:
+        codes = {g: _codes(ds, g)[1] for g in recipe.mean_groupings}
     mask = ds.complete_mask
     new_cols = []
     new_names = []
     for grouping in recipe.mean_groupings:
-        _, codes = _codes(ds, grouping)
-        inside = codes[mask]
+        inside = codes[grouping][mask]
         sizes = np.bincount(inside)
         counts = sizes[sizes > 0]
         if len(counts) == 0:
@@ -229,9 +241,8 @@ def _canonical_records(ds: Dataset, treatment_factors: tuple[str, ...]):
     return sub.subset(order), list(labels), codes[order]
 
 
-def _check_blocks(sub: Dataset, codes: np.ndarray, t: int, block: str):
+def _check_blocks(bcodes: np.ndarray, codes: np.ndarray, t: int):
     """Equal block sizes and a connected treatment/block graph."""
-    _, bcodes = _codes(sub, (block,))
     sizes = np.bincount(bcodes)
     if sizes.min() != sizes.max():
         raise ValidationError(
@@ -269,9 +280,11 @@ def fit_orthogonal_conditional(
     """
     sub, labels, codes = _canonical_records(ds, recipe.treatment_factors)
     rf = recipe.replicate_factors
+    groupings = {*recipe.mean_groupings, *(g for _name, g in recipe.random_groupings)}
+    group = {g: _codes(sub, g)[1] for g in groupings}  # each grouping coded once
     if len(rf) == 1 and recipe.random_groupings == ((rf[0], rf),):
-        _check_blocks(sub, codes, len(labels), rf[0])
-    aug = conditional_regressors(recipe, sub)
+        _check_blocks(group[rf], codes, len(labels))
+    aug = conditional_regressors(recipe, sub, group)
     t, n_orig = len(labels), sub.m
     T = incidence(codes, t)
     grand = np.array([sub.covariates[:, j].mean() for j in range(n_orig)])
@@ -285,7 +298,7 @@ def fit_orthogonal_conditional(
             keep.append(r)
     R = aug.covariates[:, keep]
 
-    randoms = tuple(_codes(sub, grouping)[1] for _name, grouping in recipe.random_groupings)
+    randoms = tuple(group[grouping] for _name, grouping in recipe.random_groupings)
 
     X = np.column_stack([T, R]) if R.size else T
     names = tuple(name for name, _ in recipe.random_groupings)

@@ -17,6 +17,10 @@ The stratum algebra of one replicate unit is also kept here as a reference:
 partition), its dense form and partition-wise inverse, ``rcb_partition``,
 and the per-stratum regressions of the response on the covariates with the
 orthogonal adjusted means they imply.  The package's fitters do not use it.
+
+``lmm_best_of_starts`` is the univariate fitter's former search, kept as an
+oracle: L-BFGS-B to convergence from each of five variance ratios over
+``vcadjust.lmm._neg_loglik``, the best value kept.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import vcadjust as v
 from vcadjust.data_model import StackedData
 from vcadjust.design_algebra import OrthogonalPartition, averaging_matrix, centering_matrix
 from vcadjust.errors import SingularityError, ValidationError
+from vcadjust.lmm import LmmSpec, _cross_products, _neg_loglik
 from vcadjust.mvc_em import MVCParams, initial_params, make_model
 
 
@@ -353,3 +358,29 @@ def adjusted_means_orthogonal(
     if not (len(gamma_0) == len(zbar) == len(mu_z)):
         raise ValidationError("gamma_0, zbar, mu_z must share one length")
     return mu_y - float(gamma_0 @ (zbar - mu_z))
+
+
+def lmm_best_of_starts(spec: LmmSpec, method: str) -> float:
+    """Best log-likelihood over five L-BFGS-B runs, one from each variance
+    ratio 1e-2 ... 1e2 times the OLS residual variance, with the fitter's
+    bounds and tolerances and no finishing steps."""
+    y, X = spec.y, spec.X
+    vary = float(np.var(y))
+    cp = _cross_products(spec)
+    beta0, *_ = np.linalg.lstsq(X, y, rcond=None)
+    s2_ols = max(float(np.mean((y - X @ beta0) ** 2)), 1e-12 * vary)
+    k = len(spec.random)
+    lo, hi = np.log(1e-14 * vary), np.log(1e8 * vary)
+    best = np.inf
+    for ratio in (1e-2, 1e-1, 1.0, 1e1, 1e2):
+        res = optimize.minimize(
+            _neg_loglik,
+            np.log(np.r_[s2_ols, np.full(k, ratio * s2_ols)]),
+            args=(cp, method),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(lo, hi)] * (k + 1),
+            options={"maxiter": 500, "ftol": 1e-10, "gtol": 1e-10},
+        )
+        best = min(best, float(res.fun))
+    return -best

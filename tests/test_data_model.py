@@ -64,6 +64,23 @@ class TestLoadDataset:
             with pytest.raises(ValidationError, match="non-numeric"):
                 v.load_dataset("\n".join(bad) + "\n", SPEC)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["A,1,2,x", "B,1,2,", "A,"], "row 3: non-numeric value 'x' in column 'prev'"),
+            (["B,1,2,", "A,1,2,x", "A,"], "row 3: partially missing cell"),
+            ([" ,1,2,3", "A,1,2,x", "A,"], "row 3: factor 'treatment' is empty"),
+            (["A,", "A,1,2,x", ",1,2,3"], "row 3: expected 4 fields"),
+            (["A,1,2,3", "A,1,x,", "A,"], "row 4: non-numeric value 'x' in column 'yield'"),
+        ],
+    )
+    def test_first_error_in_row_order_counts_blank_lines(self, rows, message):
+        """The error reported is the first one reading row by row, and within
+        a row field by field; row numbers count blank lines."""
+        text = "\n".join(["treatment,block,yield,prev", "A,1,2,3", ""] + rows) + "\n"
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            v.load_dataset(text, SPEC)
+
     def test_unknown_level_rejected(self):
         spec = v.DesignSpec(
             response="yield",

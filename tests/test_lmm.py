@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from vcadjust.errors import ValidationError
 from vcadjust.rcb_classical import rcb_arrays
 
 from conftest import interior_bivariate_params
+from oracle_utils import lmm_best_of_starts
 
 GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden_cli"
 
@@ -378,6 +380,85 @@ class TestConvergenceFromGradient:
             _, g = lmm._neg_loglik(theta, lmm._cross_products(spec), method)
             projected = np.clip(theta - g, lo, hi) - theta
             assert np.max(np.abs(projected)) < lmm._GRAD_TOL
+
+
+def _boundary_draw(kind, seed):
+    """A layout whose variance components often vanish: a 4 x 8 RCB with no
+    block effect, or a k x k Latin square (k = 4, 5, 6) with no row effect."""
+    rng = np.random.default_rng(seed)
+    if kind == "rcb":
+        trt, blk = np.tile(np.arange(4), 8), np.repeat(np.arange(8), 4)
+        y = 0.5 * trt + rng.normal(size=32)
+        return v.LmmSpec(y=y, X=_incidence(trt), random=(blk,), names=("block",))
+    k = 4 + seed % 3
+    row, col = (a.ravel() for a in np.meshgrid(range(k), range(k), indexing="ij"))
+    trt = (row + col) % k
+    z = rng.normal(size=k)[row] + rng.normal(size=k)[col] + rng.normal(size=k * k)
+    y = 0.5 * trt + 0.7 * z + rng.normal(size=k)[col] + rng.normal(size=k * k)
+    X = np.column_stack([_incidence(trt), z])
+    return v.LmmSpec(y=y, X=X, random=(row, col), names=("row", "col"))
+
+
+def _dense_profile_deviance(spec, method, phi):
+    """-2 x the one-factor (restricted) log-likelihood at the variance ratio
+    ``phi`` = s2_b / s2_e, with s2_e profiled out; dense n x n algebra."""
+    y, X = spec.y, spec.X
+    n, p = X.shape
+    Z = _incidence(spec.random[0])
+    c = linalg.cholesky(np.eye(n) + phi * (Z @ Z.T), lower=True)
+    KiX = linalg.cho_solve((c, True), X)
+    A = X.T @ KiX
+    r = y - X @ np.linalg.solve(A, KiX.T @ y)
+    rss = r @ linalg.cho_solve((c, True), r)
+    dof = n if method == "ml" else n - p
+    dev = dof * (np.log(2 * np.pi * rss / dof) + 1.0) + 2.0 * np.sum(np.log(np.diag(c)))
+    return dev + (np.linalg.slogdet(A)[1] if method == "reml" else 0.0)
+
+
+class TestBoundaryOptimum:
+    def test_vanishing_block_variance_is_exactly_zero(self):
+        """On no-block RCB draws whose dense profile likelihood peaks at
+        s2_b = 0 over a ratio grid 1e-8 ... 1e3, the fit puts the block
+        variance exactly on zero and flags the boundary."""
+        grid = np.logspace(-8, 3, 221)
+        at_bound = 0
+        for seed in range(20):
+            spec = _boundary_draw("rcb", seed)
+            for method in ("ml", "reml"):
+                zero = _dense_profile_deviance(spec, method, 0.0)
+                if min(_dense_profile_deviance(spec, method, phi) for phi in grid) < zero:
+                    continue  # an interior optimum
+                at_bound += 1
+                fit = v.fit_lmm(spec, method=method)
+                assert fit.sigma2[0] == 0.0, (seed, method, fit.sigma2)
+                assert "boundary" in fit.flags and fit.converged
+        assert at_bound >= 10
+
+    def test_one_optimizer_run_per_fit(self, monkeypatch):
+        calls = []
+        real = lmm.optimize.minimize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lmm, "optimize", SimpleNamespace(minimize=counting))
+        rng = np.random.default_rng(9)
+        for layout in ("split_plot", "latin_square", "custom", "no_random"):
+            for method in ("ml", "reml"):
+                calls.clear()
+                v.fit_lmm(_layout(layout, rng), method=method)
+                assert len(calls) == 1, (layout, method)
+
+    @pytest.mark.parametrize("method", ["ml", "reml"])
+    @pytest.mark.parametrize("kind", ["rcb", "latin_square"])
+    def test_fit_reaches_the_best_of_five_starts(self, kind, method):
+        """One start and the bound rule lose nothing against the best of five
+        L-BFGS-B runs on draws where components vanish."""
+        for seed in range(12):
+            spec = _boundary_draw(kind, seed)
+            fit = v.fit_lmm(spec, method=method)
+            assert fit.loglik >= lmm_best_of_starts(spec, method) - 1e-8, seed
 
 
 def test_fit_forms_no_n_by_n_array():
