@@ -37,7 +37,7 @@ from .orthogonal_conditional import (
     recipe_for,
     recipe_partition,
 )
-from .rcb_classical import fit_fixed_rcb, fit_mixed_rcb
+from .rcb_classical import fit_fixed_rcb, fit_mixed_rcb, rcb_cells
 from .simulate import BivariateParams, SimConfig, bias_study, gen_bivariate_rcb
 
 MODELS = ("fixed", "mixed", "bivariate", "orthogonal", "mvc")
@@ -135,11 +135,7 @@ def _is_complete_rcb(ds, spec) -> bool:
     """One covariate, one blocking factor, every treatment once in every block."""
     if spec.recipe != "rcb" or spec.m != 1 or len(spec.blocking_factors) != 1:
         return False
-    sub = ds.subset(ds.complete_mask)
-    n_trt = len(set(zip(*(sub.factors[f] for f in spec.treatment_factors))))
-    n_blk = len(sub.factor_levels(spec.blocking_factors[0]))
-    cells = set(zip(*(sub.factors[f] for f in spec.factor_names)))
-    return len(cells) == sub.n_records == n_trt * n_blk
+    return bool(np.all(rcb_cells(ds, spec)[-1] == 1))
 
 
 def _iter_options(req: RunRequest) -> dict:

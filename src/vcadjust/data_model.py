@@ -7,6 +7,11 @@ covariate, or none of them.  :func:`build_stacked` turns a dataset plus a
 :class:`DesignSpec` into the stacked vector/matrix layout used by the
 general fitting engine: all responses first, then covariate 1, and so on
 (variable-major).
+
+:func:`group_codes` is the package's one map from factor labels to integer
+codes: every order of treatments, blocks and random-term levels is the sorted
+labels of the groups present in the records it codes, so declared ``levels``
+only reject undeclared values and never change a code.
 """
 
 from __future__ import annotations
@@ -62,12 +67,12 @@ class DesignSpec:
     levels: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "treatment_factors", tuple(self.treatment_factors))
-        object.__setattr__(self, "blocking_factors", tuple(self.blocking_factors))
-        object.__setattr__(self, "covariates", tuple(self.covariates))
-        object.__setattr__(
-            self, "levels", {k: tuple(v) for k, v in dict(self.levels).items()}
-        )
+        for key in ("treatment_factors", "blocking_factors", "covariates"):
+            object.__setattr__(self, key, _names(repr(key), getattr(self, key)))
+        if not isinstance(self.levels, dict):
+            raise ValidationError(f"levels must map factor names to lists, got {self.levels!r}")
+        levels = {k: _names(f"levels entry {k!r}", v) for k, v in self.levels.items()}
+        object.__setattr__(self, "levels", levels)
         if self.recipe not in RECIPES:
             raise ValidationError(
                 f"unknown recipe {self.recipe!r}; expected one of {RECIPES}"
@@ -88,6 +93,11 @@ class DesignSpec:
             )
         if not self.treatment_factors:
             raise ValidationError("at least one treatment factor is required")
+        stray = [k for k in self.levels if k not in self.factor_names]
+        if stray:
+            raise ValidationError(
+                f"levels key {stray[0]!r} names no treatment or blocking factor"
+            )
 
     @property
     def factor_names(self) -> tuple[str, ...]:
@@ -98,13 +108,22 @@ class DesignSpec:
         return len(self.covariates)
 
 
+def _names(what: str, value) -> tuple[str, ...]:
+    """``value`` as a tuple of strings; anything else is refused, a bare
+    string included (``tuple`` would split it into characters)."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise ValidationError(f"{what} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def load_design_spec(source) -> DesignSpec:
     """Read a design declaration from a JSON key-value tree.
 
     Keys: ``response`` (string), ``treatment_factors``, ``blocking_factors``,
     ``covariates`` (lists of strings), ``recipe`` (one of the recipe names),
     ``treatments_affect_covariates`` (bool), ``levels`` (optional map from
-    factor name to the declared level list).
+    treatment or blocking factor name to its declared levels, which only
+    reject undeclared values).
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
         with open(source, "r", encoding="utf-8") as fh:
@@ -132,14 +151,14 @@ def load_design_spec(source) -> DesignSpec:
     try:
         return DesignSpec(
             response=tree["response"],
-            treatment_factors=tuple(tree.get("treatment_factors", ())),
-            blocking_factors=tuple(tree.get("blocking_factors", ())),
-            covariates=tuple(tree.get("covariates", ())),
+            treatment_factors=tree.get("treatment_factors", ()),
+            blocking_factors=tree.get("blocking_factors", ()),
+            covariates=tree.get("covariates", ()),
             recipe=tree.get("recipe", "custom"),
             treatments_affect_covariates=bool(
                 tree.get("treatments_affect_covariates", False)
             ),
-            levels={k: tuple(v) for k, v in tree.get("levels", {}).items()},
+            levels=tree.get("levels", {}),
         )
     except KeyError as exc:
         raise ValidationError(f"design spec missing required key {exc}") from exc
@@ -209,11 +228,6 @@ class Dataset:
         for j in range(self.m):
             ok &= ~np.isnan(self.covariates[:, j])
         return ok
-
-    def factor_levels(self, name: str) -> tuple[str, ...]:
-        if name in self.levels:
-            return self.levels[name]
-        return tuple(sorted(set(self.factors[name])))
 
     def subset(self, mask: np.ndarray) -> "Dataset":
         return Dataset(
@@ -305,13 +319,15 @@ def _floats(fields: list[str]) -> tuple[np.ndarray, int | None]:
     return np.array(out, dtype=float), None
 
 
-def treatment_labels(ds: Dataset, spec: DesignSpec) -> tuple[list[str], np.ndarray]:
-    """Sorted treatment-combination labels and each record's label index."""
-    parts = [ds.factors[f] for f in spec.treatment_factors]
-    combos = [":".join(vals) for vals in zip(*parts)]
-    labels = sorted(set(combos))
+def group_codes(ds: Dataset, grouping: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
+    """Sorted labels of the groups of ``grouping`` present in ``ds`` (levels
+    joined by ``:``) and each record's dense integer group code; ``()`` puts
+    every record in one group."""
+    cols = [ds.factors[f] for f in grouping]
+    joined = [":".join(v) for v in zip(*cols)] if cols else [""] * ds.n_records
+    labels = sorted(set(joined))
     index = {lab: i for i, lab in enumerate(labels)}
-    return labels, np.array([index[c] for c in combos])
+    return labels, np.array([index[v] for v in joined], dtype=np.intp)
 
 
 def incidence(codes: np.ndarray, n_levels: int) -> np.ndarray:
@@ -319,16 +335,6 @@ def incidence(codes: np.ndarray, n_levels: int) -> np.ndarray:
     W = np.zeros((len(codes), n_levels))
     W[np.arange(len(codes)), codes] = 1.0
     return W
-
-
-@dataclass(frozen=True)
-class RcbLayout:
-    """Complete-RCB bookkeeping: every treatment once in every block."""
-
-    t: int
-    b: int
-    treat_of_record: np.ndarray
-    block_of_record: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -346,9 +352,12 @@ class StackedData:
     ``c = I_{m+1}`` and codes ``block_codes[i]`` over ``block_levels[i]``
     levels; random treatment term j acts on the response block only
     (``c = e_0``), or on every variable when treatments affect the
-    covariates (``c = 1``).  The dense incidences ``W_list``, ``D_list``
-    (``D_list[i] = I_{m+1} (x) W_list[i]``) and ``C_list`` are built from
-    the codes on access; the fitting engine reads only the codes.
+    covariates (``c = 1``).  Every code comes from :func:`group_codes` over
+    the complete cells, so a level without complete cells has no code, and
+    treatments and levels are in sorted label order.  The dense incidences
+    ``W_list``, ``D_list`` (``D_list[i] = I_{m+1} (x) W_list[i]``) and
+    ``C_list`` are built from the codes on access; the fitting engine reads
+    only the codes.
     """
 
     z: np.ndarray
@@ -359,15 +368,12 @@ class StackedData:
     cov_mean_cols: dict[str, int]  # covariate name -> grand-mean column
     block_codes: tuple[np.ndarray, ...]  # level of each complete cell
     block_levels: tuple[int, ...]
-    blocking_names: tuple[str, ...]
     treatment_random_codes: tuple[np.ndarray, ...]
     treatment_random_levels: tuple[int, ...]
     treatment_random_names: tuple[str, ...]
     treatments_affect_covariates: bool
     n_obs: int
     m: int
-    record_index: np.ndarray  # original record number of each complete cell
-    rcb: RcbLayout | None = None
 
     @property
     def n_stacked(self) -> int:
@@ -418,77 +424,41 @@ def build_stacked(
     if sub.m != m:
         raise ValidationError("dataset covariate count does not match design")
 
-    labels, codes = treatment_labels(sub, spec)
-    all_labels, _ = treatment_labels(ds, spec)
-    lost = [lab for lab in all_labels if lab not in labels]
-    if lost:
+    labels, codes = group_codes(ds, spec.treatment_factors)
+    lost = np.flatnonzero(np.bincount(codes[mask], minlength=len(labels)) == 0)
+    if lost.size:
         raise ValidationError(
-            f"treatment {lost[0]!r} has no complete cells; its mean is inestimable"
+            f"treatment {labels[lost[0]]!r} has no complete cells; its mean is inestimable"
         )
+    codes = codes[mask]
     t = len(labels)
-    T = incidence(codes, t)
 
-    # fixed-effects design, variable-major blocks
-    cols: list[np.ndarray] = []
-    names: list[str] = []
-    zero = np.zeros((n, 1))
-    for lab in labels:
-        names.append(f"mean:{spec.response}:{lab}")
-    blocks_per_col: list[list[np.ndarray]] = [[] for _ in range(t)]
-    for i in range(t):
-        blocks_per_col[i].append(T[:, [i]])
+    # fixed-effects design, variable-major blocks: treatment means on the
+    # response block, then per covariate its treatment means or grand mean
+    names = [f"mean:{spec.response}:{lab}" for lab in labels]
     cov_mean_cols: dict[str, int] = {}
-    extra_names: list[str] = []
-    extra_blocks: list[list[np.ndarray]] = []
+    X = np.zeros(((m + 1) * n, t + m * (t if spec.treatments_affect_covariates else 1)))
+    rows = np.arange(n)
+    X[rows, codes] = 1.0
     for j, cov in enumerate(spec.covariates):
+        on = rows + (j + 1) * n
         if spec.treatments_affect_covariates:
-            for i, lab in enumerate(labels):
-                extra_names.append(f"mean:{cov}:{lab}")
-                blk = [zero] * (m + 1)
-                blk[j + 1] = T[:, [i]]
-                extra_blocks.append(blk)
             # grand covariate mean reported as the average of its cell means
+            X[on, len(names) + codes] = 1.0
+            names += [f"mean:{cov}:{lab}" for lab in labels]
         else:
-            cov_mean_cols[cov] = t + len(extra_names)
-            extra_names.append(f"mean:{cov}")
-            blk = [zero] * (m + 1)
-            blk[j + 1] = np.ones((n, 1))
-            extra_blocks.append(blk)
-    for i in range(t):
-        blocks_per_col[i].extend([zero] * m)
-    X_cols = [np.vstack(blocks_per_col[i]) for i in range(t)]
-    X_cols += [np.vstack(blk) for blk in extra_blocks]
-    X = np.hstack(X_cols)
-    names = names + extra_names
-    p = X.shape[1]
-    if np.linalg.matrix_rank(X) < p:
+            cov_mean_cols[cov] = len(names)
+            X[on, len(names)] = 1.0
+            names.append(f"mean:{cov}")
+    if np.linalg.matrix_rank(X) < X.shape[1]:
         raise ValidationError("fixed-effects design is rank deficient")
 
     # stacked observation vector
     z = np.concatenate([sub.response] + [sub.covariates[:, j] for j in range(m)])
 
-    # blocking-factor codes over each factor's levels
-    block_codes, block_levels = [], []
-    for fac in spec.blocking_factors:
-        lv = list(sub.factor_levels(fac))
-        lv_index = {l: i for i, l in enumerate(lv)}
-        block_codes.append(np.array([lv_index[v] for v in sub.factors[fac]], dtype=np.intp))
-        block_levels.append(len(lv))
-
+    blocks = [group_codes(sub, (fac,)) for fac in spec.blocking_factors]
     # random treatment-associated terms: codes of the crossed levels present
-    C_codes, C_levels, C_names = [], [], []
-    for term in random_treatment_terms:
-        parts = [sub.factors[f] for f in term]
-        combo = [":".join(v) for v in zip(*parts)]
-        lv = sorted(set(combo))
-        lv_index = {l: i for i, l in enumerate(lv)}
-        C_codes.append(np.array([lv_index[c] for c in combo], dtype=np.intp))
-        C_levels.append(len(lv))
-        C_names.append("*".join(term))
-
-    rcb = None
-    if spec.recipe == "rcb":
-        rcb = _detect_rcb(codes, t, block_codes[0], block_levels[0])
+    terms = [group_codes(sub, term) for term in random_treatment_terms]
 
     return StackedData(
         z=z,
@@ -497,22 +467,12 @@ def build_stacked(
         treatments=tuple(labels),
         treat_cols=np.arange(t),
         cov_mean_cols=cov_mean_cols,
-        block_codes=tuple(block_codes),
-        block_levels=tuple(block_levels),
-        blocking_names=tuple(spec.blocking_factors),
-        treatment_random_codes=tuple(C_codes),
-        treatment_random_levels=tuple(C_levels),
-        treatment_random_names=tuple(C_names),
+        block_codes=tuple(c for _, c in blocks),
+        block_levels=tuple(len(lv) for lv, _ in blocks),
+        treatment_random_codes=tuple(c for _, c in terms),
+        treatment_random_levels=tuple(len(lv) for lv, _ in terms),
+        treatment_random_names=tuple("*".join(term) for term in random_treatment_terms),
         treatments_affect_covariates=spec.treatments_affect_covariates,
         n_obs=n,
         m=m,
-        record_index=np.where(mask)[0],
-        rcb=rcb,
     )
-
-
-def _detect_rcb(codes: np.ndarray, t: int, bcodes: np.ndarray, b: int):
-    """Tag the layout when every treatment appears once in every block."""
-    if len(codes) != t * b or not np.all(np.bincount(codes * b + bcodes, minlength=t * b) == 1):
-        return None
-    return RcbLayout(t=t, b=b, treat_of_record=codes, block_of_record=bcodes)

@@ -10,7 +10,8 @@ and which projector partition its replicate unit carries.
 :func:`fit_orthogonal_conditional` is the package's one conditional-LMM
 builder: every univariate mixed fit (the naive single-slope model, the
 two-slope block model and the recipes) is this function with a different
-regressor list.
+regressor list.  Every grouping it reads is coded by
+:func:`.data_model.group_codes` over the complete records.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset, DesignSpec, incidence
+from .data_model import Dataset, DesignSpec, group_codes, incidence
 from .design_algebra import OrthogonalPartition, averaging_matrix, validate_partition
 from .errors import SingularityError, ValidationError
 from .lmm import LmmFit, LmmSpec, fit_lmm
@@ -108,22 +109,6 @@ def _block_recipe(spec: DesignSpec, block_means: bool = True) -> DesignRecipe:
     )
 
 
-def _codes(ds: Dataset, grouping: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted labels of the groups of ``grouping`` (levels joined by ``:``)
-    and each record's integer group code; ``()`` puts every record in one
-    group.  Records are grouped by integer level codes, so only the labels
-    of the groups are joined and sorted."""
-    key = np.zeros(ds.n_records, dtype=np.intp)
-    for f in grouping:
-        index: dict[str, int] = {}
-        level = np.array([index.setdefault(v, len(index)) for v in ds.factors[f]], dtype=np.intp)
-        key = np.unique(key * len(index) + level, return_inverse=True)[1]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    joined = np.array([":".join(ds.factors[f][i] for f in grouping) for i in first], dtype=object)
-    labels, relabel = np.unique(joined, return_inverse=True)
-    return labels, relabel[inverse]
-
-
 def conditional_regressors(
     recipe: DesignRecipe, ds: Dataset, codes: dict[tuple[str, ...], np.ndarray] | None = None
 ) -> Dataset:
@@ -135,7 +120,7 @@ def conditional_regressors(
     mean grouping to its group codes in ``ds`` when the caller has them.
     """
     if codes is None:
-        codes = {g: _codes(ds, g)[1] for g in recipe.mean_groupings}
+        codes = {g: group_codes(ds, g)[1] for g in recipe.mean_groupings}
     mask = ds.complete_mask
     new_cols = []
     new_names = []
@@ -176,7 +161,7 @@ def recipe_partition(recipe: DesignRecipe, ds: Dataset) -> OrthogonalPartition:
     sub = ds.subset(ds.complete_mask)
     if sub.n_records == 0:
         raise ValidationError("no complete cells")
-    _, units = _codes(sub, recipe.replicate_factors)
+    _, units = group_codes(sub, recipe.replicate_factors)
     counts = np.bincount(units)
     if counts.min() != counts.max():
         raise ValidationError(
@@ -188,7 +173,7 @@ def recipe_partition(recipe: DesignRecipe, ds: Dataset) -> OrthogonalPartition:
     A0 = averaging_matrix(k)
     projs = [A0]
     for classifier in recipe.unit_classifiers:
-        _, codes = _codes(unit, classifier)
+        _, codes = group_codes(unit, classifier)
         P = np.zeros((k, k))
         for g in range(codes.max() + 1):
             idx = np.where(codes == g)[0]
@@ -222,8 +207,9 @@ class OrthogonalConditionalFit:
 
 
 def _canonical_records(ds: Dataset, treatment_factors: tuple[str, ...]):
-    """Complete records sorted by treatment label, then by the levels of
-    every other factor in column order, with the labels and label codes.
+    """Complete records sorted by treatment label, then by the sorted level
+    labels of every other factor in column order, with the labels and label
+    codes.
 
     Fitting in this one order makes the result independent of the row
     order of the input.
@@ -231,14 +217,10 @@ def _canonical_records(ds: Dataset, treatment_factors: tuple[str, ...]):
     sub = ds.subset(ds.complete_mask)
     if sub.n_records == 0:
         raise ValidationError("no complete cells")
-    labels, codes = _codes(sub, treatment_factors)
-    keys = [codes]
-    for f in sub.factors:
-        if f not in treatment_factors:
-            index = {lev: i for i, lev in enumerate(sub.factor_levels(f))}
-            keys.append(np.array([index[v] for v in sub.factors[f]], dtype=int))
+    labels, codes = group_codes(sub, treatment_factors)
+    keys = [codes] + [group_codes(sub, (f,))[1] for f in sub.factors if f not in treatment_factors]
     order = np.lexsort(keys[::-1])
-    return sub.subset(order), list(labels), codes[order]
+    return sub.subset(order), labels, codes[order]
 
 
 def _check_blocks(bcodes: np.ndarray, codes: np.ndarray, t: int):
@@ -281,7 +263,7 @@ def fit_orthogonal_conditional(
     sub, labels, codes = _canonical_records(ds, recipe.treatment_factors)
     rf = recipe.replicate_factors
     groupings = {*recipe.mean_groupings, *(g for _name, g in recipe.random_groupings)}
-    group = {g: _codes(sub, g)[1] for g in groupings}  # each grouping coded once
+    group = {g: group_codes(sub, g)[1] for g in groupings}  # each grouping coded once
     if len(rf) == 1 and recipe.random_groupings == ((rf[0], rf),):
         _check_blocks(group[rf], codes, len(labels))
     aug = conditional_regressors(recipe, sub, group)

@@ -17,49 +17,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset, DesignSpec, treatment_labels
+from .data_model import Dataset, DesignSpec, group_codes
 from .design_algebra import helmert_matrix
 from .errors import SingularityError, ValidationError
 from .lmm import LmmFit
 from .orthogonal_conditional import _fit_block_design
 
 
+def rcb_cells(ds: Dataset, spec: DesignSpec):
+    """Complete records of a one-blocking-factor layout, their treatment and
+    block labels (label-sorted), each record's treatment-major cell index
+    in the t x b table, and the number of records in each cell."""
+    sub = ds.subset(ds.complete_mask)
+    if sub.n_records == 0:
+        raise ValidationError("no complete cells")
+    labels, codes = group_codes(sub, spec.treatment_factors)
+    blocks, bcodes = group_codes(sub, spec.blocking_factors)
+    cell = codes * len(blocks) + bcodes
+    return sub, labels, blocks, cell, np.bincount(cell, minlength=len(labels) * len(blocks))
+
+
 def rcb_arrays(ds: Dataset, spec: DesignSpec):
     """Response and covariate as (t, b) arrays for a complete RCB, m = 1.
 
     Rows are treatments (label-sorted), columns blocks (label-sorted);
-    raises if any cell is missing or duplicated.
+    raises if any cell is duplicated or missing, naming the first such cell
+    in treatment-then-block order.
     """
     if spec.m != 1:
         raise ValidationError("classical RCB estimators need exactly one covariate")
     if len(spec.blocking_factors) != 1:
         raise ValidationError("classical RCB estimators need one blocking factor")
-    sub = ds.subset(ds.complete_mask)
-    if sub.n_records == 0:
-        raise ValidationError("no complete cells")
-    labels, codes = treatment_labels(sub, spec)
-    bfac = spec.blocking_factors[0]
-    blocks = list(sub.factor_levels(bfac))
-    bindex = {l: i for i, l in enumerate(blocks)}
-    bcodes = np.array([bindex[v] for v in sub.factors[bfac]])
+    sub, labels, blocks, cell, counts = rcb_cells(ds, spec)
     t, b = len(labels), len(blocks)
-    Y = np.full((t, b), np.nan)
-    Z = np.full((t, b), np.nan)
-    for r in range(sub.n_records):
-        i, j = codes[r], bcodes[r]
-        if not np.isnan(Y[i, j]):
-            raise ValidationError(
-                f"duplicate cell for treatment {labels[i]!r}, block {blocks[j]!r}"
-            )
-        Y[i, j] = sub.response[r]
-        Z[i, j] = sub.covariates[r, 0]
-    if np.isnan(Y).any():
-        i, j = np.argwhere(np.isnan(Y))[0]
+    dup, gap = np.flatnonzero(counts > 1), np.flatnonzero(counts == 0)
+    if dup.size:
+        i, j = divmod(int(dup[0]), b)
+        raise ValidationError(f"duplicate cell for treatment {labels[i]!r}, block {blocks[j]!r}")
+    if gap.size:
+        i, j = divmod(int(gap[0]), b)
         raise ValidationError(
             f"incomplete layout: treatment {labels[i]!r} missing in block "
             f"{blocks[j]!r} (use the general engine for unbalanced data)"
         )
-    return Y, Z, labels, blocks
+    Y, Z = np.empty(t * b), np.empty(t * b)
+    Y[cell], Z[cell] = sub.response, sub.covariates[:, 0]
+    return Y.reshape(t, b), Z.reshape(t, b), labels, blocks
 
 
 def _rcb_sscp(Y: np.ndarray, Z: np.ndarray):

@@ -294,6 +294,38 @@ class TestAdjustAndFit:
         assert code == 2
 
 
+class TestDesignSpecInput:
+    def _fit(self, tmp_path, capsys, **changes):
+        data, design = _write_rcb(tmp_path)
+        design.write_text(json.dumps({**json.loads(design.read_text()), **changes}))
+        code = main(["fit", "--model", "mixed", "--data", str(data), "--design", str(design)])
+        err = capsys.readouterr().err
+        assert code == 2 and "kind=input" in err
+        return err
+
+    def test_levels_key_naming_no_factor_rejected(self, tmp_path, capsys):
+        err = self._fit(tmp_path, capsys, levels={"blok": ["B01", "B02"]})
+        assert "levels key 'blok' names no treatment or blocking factor" in err
+
+    @pytest.mark.parametrize(
+        "changes, key",
+        [
+            ({"treatment_factors": "treatment"}, "'treatment_factors'"),
+            ({"blocking_factors": "block"}, "'blocking_factors'"),
+            ({"covariates": "z"}, "'covariates'"),
+            ({"levels": {"block": "B01"}}, "levels entry 'block'"),
+            ({"covariates": 5}, "'covariates'"),
+        ],
+    )
+    def test_anything_but_a_list_of_strings_rejected(self, changes, key, tmp_path, capsys):
+        err = self._fit(tmp_path, capsys, **changes)
+        assert f"{key} must be a list of strings, got" in err
+
+    def test_levels_not_a_map_rejected(self, tmp_path, capsys):
+        err = self._fit(tmp_path, capsys, levels=["block"])
+        assert "levels must map factor names to lists" in err
+
+
 class TestRowOrder:
     @pytest.mark.parametrize("layout", ["rcb", "bib"])
     def test_output_independent_of_record_order(self, layout, tmp_path, capsys):

@@ -45,8 +45,14 @@ rose by 2e-7 and 8e-8, and ``iterations`` now reads 13 or 20.
 ``test_mvc_em.py::test_golden_mvc_fits_are_stationary`` checks all five
 ``fit`` cases; ``fit --model mvc --max-iter 3`` did not change.
 Text fields must match exactly and numbers to 1e-9 relative.
+
+Every case on ``rcb``, ``rcb_missing`` and ``bib`` runs a second time with
+a design that declares the blocking factor's levels in reverse order plus
+one level without cells; declared levels only reject undeclared values, so
+each must match the same golden.
 """
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -67,16 +73,8 @@ def _field_matches(expected: str, got: str) -> bool:
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=0.0)
 
 
-@pytest.mark.parametrize(
-    "case", CASES, ids=[f"{c['data']}-{'-'.join(c['args'][:5])}" for c in CASES]
-)
-def test_cli_output_matches_golden(case, capsys):
-    args = list(case["args"])
-    if case["data"] is not None:
-        data = GOLDEN_DIR / f"{case['data']}.csv"
-        design = GOLDEN_DIR / f"{case['data']}.json"
-        args += ["--data", str(data), "--design", str(design)]
-    code = main(args)
+def _check(case, args, capsys):
+    code = main(list(case["args"]) + args)
     out, err = capsys.readouterr()
     assert code == case["code"], err
     want, got = case["stdout"].split("\n"), out.split("\n")
@@ -86,3 +84,33 @@ def test_cli_output_matches_golden(case, capsys):
         assert len(gfields) == len(wfields), (wline, gline)
         for w, g in zip(wfields, gfields):
             assert _field_matches(w, g), (wline, gline)
+
+
+def _case_id(case):
+    return f"{case['data']}-{'-'.join(case['args'][:5])}"
+
+
+@pytest.mark.parametrize("case", CASES, ids=[_case_id(c) for c in CASES])
+def test_cli_output_matches_golden(case, capsys):
+    args = []
+    if case["data"] is not None:
+        data = GOLDEN_DIR / f"{case['data']}.csv"
+        design = GOLDEN_DIR / f"{case['data']}.json"
+        args += ["--data", str(data), "--design", str(design)]
+    _check(case, args, capsys)
+
+
+DECLARED = [c for c in CASES if c["data"] in ("rcb", "rcb_missing", "bib")]
+
+
+@pytest.mark.parametrize("case", DECLARED, ids=[_case_id(c) for c in DECLARED])
+def test_declared_block_levels_change_nothing(case, tmp_path, capsys):
+    data = GOLDEN_DIR / f"{case['data']}.csv"
+    design = json.loads((GOLDEN_DIR / f"{case['data']}.json").read_text())
+    block = design["blocking_factors"][0]
+    with open(data, newline="") as fh:
+        present = sorted({row[block] for row in csv.DictReader(fh)})
+    design["levels"] = {block: present[::-1] + ["ZZ"]}
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(design))
+    _check(case, ["--data", str(data), "--design", str(path)], capsys)

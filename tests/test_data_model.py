@@ -157,7 +157,7 @@ class TestBuildStacked:
         assert sd.z.shape == (48,)
         assert sd.X.shape == (48, 7)
         assert np.linalg.matrix_rank(sd.X) == 7
-        assert sd.rcb is not None and sd.rcb.t == 6 and sd.rcb.b == 4
+        assert len(sd.treatments) == 6 and sd.block_levels == (4,)
         # response block holds the treatment columns, covariate block the mean
         assert np.allclose(sd.X[:24, :6].sum(axis=1), 1.0)
         assert np.allclose(sd.X[24:, :6], 0.0)
@@ -168,7 +168,6 @@ class TestBuildStacked:
         sd = v.build_stacked(ds, SPEC)
         assert sd.z.shape == (44,)
         assert sd.n_obs == 22
-        assert sd.rcb is None
 
     def test_m0_degenerates_to_univariate(self):
         spec = v.DesignSpec(

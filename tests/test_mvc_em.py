@@ -75,12 +75,13 @@ class TestAssembleV:
         direct = np.kron(SE, np.eye(n)) + np.kron(SB, W @ W.T)
         assert np.max(np.abs(V - direct)) <= 1e-12
         # regroup per block: the two-stratum block covariance, tiled
-        t, b = sd.rcb.t, sd.rcb.b
+        t, b = len(sd.treatments), sd.block_levels[0]
         kc = KroneckerCovariance(
             partition=rcb_partition(t), strata=(SE + t * SB, SE)
         )
         block = kron_cov_dense(kc)
-        order = np.lexsort((sd.rcb.treat_of_record, sd.rcb.block_of_record))
+        treat_of_record = sd.X[:n, sd.treat_cols].argmax(axis=1)
+        order = np.lexsort((treat_of_record, sd.block_codes[0]))
         for j in range(b):
             recs = order[j * t : (j + 1) * t]
             pos = np.concatenate([var * n + recs for var in range(2)])
@@ -165,7 +166,6 @@ class TestObservedLoglik:
             ),
         )
         model = make_model(sd, params)
-        assert sd.rcb is not None
         factor = _factorise(model)
         V = v.assemble_V(model)
         Vinv = factor.solve(np.eye(V.shape[0]))
@@ -232,7 +232,7 @@ class TestFactorisation:
         ds, spec, _ = _rcb_stacked(seed=3)
         ds = drop_cells(ds, [("T01", "B01"), ("T04", "B03")])
         sd = v.build_stacked(ds, spec, random_treatment_terms=[("treatment", "block")])
-        assert sd.rcb is None and len(sd.C_list) == 1
+        assert len(sd.C_list) == 1
         rng = np.random.default_rng(3)
         params = MVCParams(
             beta=rng.normal(size=sd.X.shape[1]),

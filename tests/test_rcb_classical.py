@@ -218,6 +218,37 @@ class TestMixedFit:
             assert abs(r) < 4.0 / np.sqrt(len(reps))
 
 
+class TestRcbArrays:
+    """Each layout error names the first offending cell in treatment-then-block
+    order, whatever the record order."""
+
+    def test_duplicate_cell_named(self):
+        rng = np.random.default_rng(2)
+        ds = _dataset_from_matrices(rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
+        extra = [1 * 4 + 0, 0 * 4 + 1]  # (T02, B01), then (T01, B02)
+        ds = v.Dataset(
+            factors={k: np.concatenate([f, f[extra]]) for k, f in ds.factors.items()},
+            response=np.concatenate([ds.response, ds.response[extra]]),
+            covariates=np.vstack([ds.covariates, ds.covariates[extra]]),
+            covariate_names=ds.covariate_names,
+            levels={},
+        )
+        with pytest.raises(ValidationError) as err:
+            rcb_arrays(ds, SPEC)
+        assert str(err.value) == "duplicate cell for treatment 'T01', block 'B02'"
+
+    def test_missing_cell_named(self):
+        rng = np.random.default_rng(3)
+        Y, Z = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        Y[1, 0] = Z[1, 0] = Y[0, 2] = Z[0, 2] = np.nan
+        with pytest.raises(ValidationError) as err:
+            rcb_arrays(_dataset_from_matrices(Y, Z), SPEC)
+        assert str(err.value) == (
+            "incomplete layout: treatment 'T01' missing in block 'B03' "
+            "(use the general engine for unbalanced data)"
+        )
+
+
 class TestStratumSscp:
     @pytest.mark.parametrize("t,b", [(2, 2), (2, 7), (6, 2), (3, 4), (5, 9), (8, 3)])
     def test_matches_dense_quadratic_forms(self, t, b):
