@@ -2,8 +2,10 @@
 
 Simulates a randomized complete blocks trial where the covariate varies
 both within and between blocks, then runs the three estimators side by
-side: fixed blocks, the naive single-slope mixed model, and the joint
-(two-slope) variance-components fit.  Note how the fixed and joint fits
+side: fixed blocks, the naive single-slope mixed model (the random-blocks
+fit without the block-mean regressor, whose one slope is ``gamma_e`` of
+its ``BlockConditionalFit``), and the joint (two-slope)
+variance-components fit.  Note how the fixed and joint fits
 agree on the means while their standard errors differ by the
 block-sampling term, and how the naive mixed fit shifts the means because
 it blends two different regressions into one slope.
@@ -34,7 +36,7 @@ jmeans, jse = v.adjusted_means_bivariate(joint)
 
 print("fitted slopes:")
 print("  fixed blocks (within-block OLS)  gamma = %8.3f" % fixed.gamma_ols)
-print("  naive mixed (one blended slope)  gamma = %8.3f" % mixed.gamma_mixed)
+print("  naive mixed (one blended slope)  gamma = %8.3f" % mixed.gamma_e)
 print("  joint fit: cell-level %8.3f, block-mean %8.3f" % (joint.gamma_e_hat, joint.gamma_be_hat))
 print()
 

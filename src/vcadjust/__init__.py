@@ -9,6 +9,7 @@ standard orthogonal designs, and an EM engine for unbalanced data.
 
 from .bivariate_rcb import (
     BivariateParams,
+    BlockConditionalFit,
     ConditionalParams,
     HelmertFit,
     adjusted_means_bivariate,
@@ -40,7 +41,6 @@ from .mvc_em import (
     MVCFit,
     MVCParams,
     adjusted_means_mvc,
-    assemble_V,
     e_step,
     fit_em,
     m_step,
@@ -56,13 +56,12 @@ from .orthogonal_conditional import (
 )
 from .rcb_classical import (
     FixedFitRCB,
-    MixedFitRCB,
     fit_fixed_rcb,
     fit_mixed_rcb,
     gamma_mixed,
     intra_inter_decompose,
 )
-from .simulate import BiasStudyResult, SimConfig, bias_study, gen_bivariate_rcb, gen_multivariate
+from .simulate import BiasStudyResult, SimConfig, bias_study, gen_bivariate_rcb
 
 __version__ = "0.1.0"
 
@@ -70,6 +69,7 @@ __all__ = [
     "AdjustedMeansResult",
     "BiasStudyResult",
     "BivariateParams",
+    "BlockConditionalFit",
     "ConditionalParams",
     "ConvergenceError",
     "Dataset",
@@ -79,7 +79,6 @@ __all__ = [
     "HelmertFit",
     "LmmFit",
     "LmmSpec",
-    "MixedFitRCB",
     "MultivariateModel",
     "MVCFit",
     "MVCParams",
@@ -91,7 +90,6 @@ __all__ = [
     "VcadjustError",
     "adjusted_means_bivariate",
     "adjusted_means_mvc",
-    "assemble_V",
     "bias_study",
     "build_stacked",
     "centering_matrix",
@@ -110,7 +108,6 @@ __all__ = [
     "fit_orthogonal_conditional",
     "gamma_mixed",
     "gen_bivariate_rcb",
-    "gen_multivariate",
     "helmert_matrix",
     "intra_inter_decompose",
     "load_dataset",

@@ -9,12 +9,15 @@ likelihood factorizes over the block and residual strata, so maximum
 likelihood is closed form in the two strata's 2x2 sums of squares and
 products: that is :func:`fit_bivariate_rcb_ml`.
 
-The iterative fits here are the package's one conditional builder,
+The iterative fits here all run one random-blocks fit, :func:`_block_fit`,
+which is the package's one conditional builder,
 :func:`~.orthogonal_conditional.fit_orthogonal_conditional`, with random
-blocks and a chosen regressor list: :func:`fit_conditional_ibd` regresses
-on the covariate and its block mean (the two-slope model, for equal-size
-complete or incomplete blocks), and :func:`fit_naive_block_mixed` on the
-covariate alone (the single-slope model).
+blocks and a chosen regressor list, and they all return
+:class:`BlockConditionalFit`: :func:`fit_conditional_ibd` regresses on the
+covariate and its block mean (the two-slope model, for equal-size complete
+or incomplete blocks), and :func:`fit_naive_block_mixed` on the covariate
+alone (the single-slope model; :func:`.rcb_classical.fit_mixed_rcb` is the
+same fit with an ML default).
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset, DesignSpec
-from .design_algebra import helmert_matrix
 from .errors import SingularityError, ValidationError
 from .lmm import LmmFit
-from .orthogonal_conditional import _fit_block_design
+from .orthogonal_conditional import _block_recipe, fit_orthogonal_conditional
 from .rcb_classical import _rcb_sscp, rcb_arrays
 
 
@@ -127,16 +129,13 @@ def conditional_from_bivariate(p: BivariateParams, t: int) -> ConditionalParams:
 class HelmertFit:
     """Closed-form ML pieces from the block- and residual-stratum SSCPs.
 
-    The block stratum (scaled block means, ``theta_1*``) estimates the
-    block-mean regression; the residual stratum gives the cell-level
-    regression, whose treatment coordinates in an orthonormal contrast basis
-    are ``theta_iy``.  Sample moments of the data needed by the adjusted
-    means ride along.
+    The block stratum (scaled block means, ``theta_1z`` the covariate's
+    grand-mean coordinate) estimates the block-mean regression; the
+    residual stratum gives the cell-level regression.  Sample moments of the
+    data needed by the adjusted means ride along.
     """
 
-    theta_1y: float
     theta_1z: float
-    theta_iy: np.ndarray  # contrast-space treatment coordinates, i = 2..t
     gamma_be_hat: float
     gamma_e_hat: float
     sigma_be2: float  # block-mean conditional residual variance (ML)
@@ -231,9 +230,7 @@ def fit_bivariate_rcb_ml(
     ll = ll_z - float(0.5 * b * (c + np.log(sigma_be2) + (t - 1) * np.log(sigma_e2)))
 
     fit = HelmertFit(
-        theta_1y=float(np.sqrt(t) * Y.mean()),
         theta_1z=float(np.sqrt(t) * zbar),
-        theta_iy=helmert_matrix(t)[:, 1:].T @ (ybar_i - gamma_e * zbar_i),
         gamma_be_hat=gamma_be,
         gamma_e_hat=gamma_e,
         sigma_be2=sigma_be2,
@@ -273,7 +270,8 @@ def adjusted_means_bivariate(fit: HelmertFit) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class BlockConditionalFit:
-    """Conditional-model fit on a (possibly incomplete) block design."""
+    """Random-blocks conditional fit on a (possibly incomplete) block design:
+    the two-slope model, or the single-slope model with ``gamma_b`` at 0."""
 
     effects: np.ndarray  # sum-to-zero treatment effects
     effect_cov: np.ndarray
@@ -293,9 +291,22 @@ class BlockConditionalFit:
     def effect_se(self) -> np.ndarray:
         return np.sqrt(np.diag(self.effect_cov))
 
+    @property
+    def rho(self) -> float:
+        """Fitted block correlation of a treatment mean,
+        ``sigma_b2 / (sigma_b2 + sigma_e2 / t)``."""
+        return self.sigma_b2 / (self.sigma_b2 + self.sigma_e2 / len(self.treatments))
+
 
 def _block_fit(ds, spec, block_means, method, tol, max_iter) -> BlockConditionalFit:
-    f = _fit_block_design(ds, spec, block_means, method, tol, max_iter)
+    """The random-blocks conditional fit with or without the block-mean
+    regressor; any recipe with one blocking factor, ``custom`` included."""
+    if spec.m != 1:
+        raise ValidationError("block-design fitters need exactly one covariate")
+    if len(spec.blocking_factors) != 1:
+        raise ValidationError("block-design fitters need one blocking factor")
+    recipe = _block_recipe(spec, block_means)
+    f = fit_orthogonal_conditional(recipe, ds, method, tol=tol, max_iter=max_iter)
     t = len(f.treatments)
     cov_name = ds.covariate_names[0]
     block = spec.blocking_factors[0]

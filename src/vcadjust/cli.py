@@ -215,15 +215,15 @@ _BLOCK = dict(sigma_e2="sigma_e2", sigma_b2="sigma_b2", loglik="loglik",
 # model -> (fitter(ds, spec, req), scalar fields after "model" (fit, req),
 # treatment-table columns after "treatment" as (header, fit attribute)).
 # A "<model>_rcb" row replaces its model's row on a complete RCB for the
-# methods in _RCB_METHODS.  A false "converged" field exits 3.
+# methods in _RCB_METHODS; "mixed_rcb" runs the fit of "mixed" and only
+# prints other fields.  A false "converged" field exits 3.
 _MODELS = {
     "fixed": (lambda ds, spec, req: fit_fixed_rcb(ds, spec), _fixed_scalars, _TAU),
     "mixed_rcb": (
         lambda ds, spec, req: fit_mixed_rcb(ds, spec, req.method, **_iter_options(req)),
-        _fields(gamma_mixed="gamma_mixed", sigma_e2="sigma_e2_hat",
-                sigma_b2="sigma_b2_hat", rho="rho_hat", loglik="loglik",
-                converged="lmm_fit.converged"),
-        _TAU,
+        _fields(gamma_mixed="gamma_e", sigma_e2="sigma_e2", sigma_b2="sigma_b2",
+                rho="rho", loglik="loglik", converged="lmm_fit.converged"),
+        _MEANS + (("effect", "effects"),),
     ),
     "mixed": (
         lambda ds, spec, req: fit_naive_block_mixed(
@@ -306,11 +306,11 @@ def _cmd_compare(req: RunRequest) -> int:
     fx, mx = fits["fixed"], fits["mixed"]
     scalars = {
         "gamma_ols": fx.gamma_ols,
-        "gamma_mixed": mx.gamma_mixed,
+        "gamma_mixed": mx.gamma_e,
         "gamma_be": fits["bivariate"].fit.gamma_be_hat,
-        "sigma_e2_mixed": mx.sigma_e2_hat,
-        "sigma_b2_mixed": mx.sigma_b2_hat,
-        "rho_mixed": mx.rho_hat,
+        "sigma_e2_mixed": mx.sigma_e2,
+        "sigma_b2_mixed": mx.sigma_b2,
+        "rho_mixed": mx.rho,
         "method": req.method,
     }
     cols = ["treatment"]

@@ -354,10 +354,7 @@ class StackedData:
     (``c = e_0``), or on every variable when treatments affect the
     covariates (``c = 1``).  Every code comes from :func:`group_codes` over
     the complete cells, so a level without complete cells has no code, and
-    treatments and levels are in sorted label order.  The dense incidences
-    ``W_list``, ``D_list`` (``D_list[i] = I_{m+1} (x) W_list[i]``) and
-    ``C_list`` are built from the codes on access; the fitting engine reads
-    only the codes.
+    treatments and levels are in sorted label order.
     """
 
     z: np.ndarray
@@ -378,30 +375,6 @@ class StackedData:
     @property
     def n_stacked(self) -> int:
         return self.n_obs * (self.m + 1)
-
-    @property
-    def W_list(self) -> tuple[np.ndarray, ...]:
-        return tuple(incidence(c, d) for c, d in zip(self.block_codes, self.block_levels))
-
-    @property
-    def D_list(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.kron(np.eye(self.m + 1), W) for W in self.W_list)
-
-    @property
-    def C_list(self) -> tuple[np.ndarray, ...]:
-        on = np.ones(self.m + 1) if self.treatments_affect_covariates else np.eye(self.m + 1)[0]
-        return tuple(
-            np.kron(on[:, None], incidence(c, d))
-            for c, d in zip(self.treatment_random_codes, self.treatment_random_levels)
-        )
-
-    def position(self, record: int, variable: int) -> int:
-        """Stacked position of (complete-cell index, variable index)."""
-        return variable * self.n_obs + record
-
-    def obs_index(self, position: int) -> tuple[int, int]:
-        """Inverse of :meth:`position`: (complete-cell index, variable)."""
-        return position % self.n_obs, position // self.n_obs
 
 
 def build_stacked(
@@ -450,8 +423,7 @@ def build_stacked(
             cov_mean_cols[cov] = len(names)
             X[on, len(names)] = 1.0
             names.append(f"mean:{cov}")
-    if np.linalg.matrix_rank(X) < X.shape[1]:
-        raise ValidationError("fixed-effects design is rank deficient")
+    # X has full column rank: its indicator columns have disjoint, non-empty supports
 
     # stacked observation vector
     z = np.concatenate([sub.response] + [sub.covariates[:, j] for j in range(m)])

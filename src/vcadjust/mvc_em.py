@@ -125,19 +125,6 @@ def make_model(stacked: StackedData, params: MVCParams | None = None) -> Multiva
     )
 
 
-def assemble_V(model: MultivariateModel) -> np.ndarray:
-    """Dense stacked covariance: treatment terms plus one Kronecker block
-    per blocking factor plus the residual."""
-    sd, p = model.stacked, model.params
-    n, m = sd.n_obs, sd.m
-    V = np.kron(p.Sigmas[0], np.eye(n))
-    for s2, C in zip(p.sigma2, sd.C_list):
-        V += s2 * (C @ C.T)
-    for S, W in zip(p.Sigmas[1:], sd.W_list):
-        V += np.kron(S, W @ W.T)
-    return V
-
-
 def _whiten(L0: np.ndarray, y: np.ndarray, trans: bool = False) -> np.ndarray:
     """(L0^-1 (x) I_n) y, or (L0^-T (x) I_n) y when ``trans``, for a stacked
     vector or the columns of a stacked matrix."""
@@ -305,11 +292,10 @@ def _equations(L0, terms: _Terms, wloads, roots=(), loads=()) -> _Factor:
     )
 
 
-def observed_loglik(model: MultivariateModel, z: np.ndarray | None = None) -> float:
+def observed_loglik(model: MultivariateModel) -> float:
     """Exact Gaussian log-density of the stacked data at the current params."""
     sd, p = model.stacked, model.params
-    zz = sd.z if z is None else np.asarray(z, dtype=float)
-    return _factorise(model).loglik(zz - sd.X @ p.beta)[0]
+    return _factorise(model).loglik(sd.z - sd.X @ p.beta)[0]
 
 
 @dataclass
@@ -335,7 +321,6 @@ def _block_gram(x: np.ndarray, k: int) -> np.ndarray:
 
 def e_step(
     model: MultivariateModel,
-    z: np.ndarray | None = None,
     _factor: _Factor | None = None,
     _core: np.ndarray | None = None,
 ) -> EStepMoments:
@@ -351,10 +336,9 @@ def e_step(
     through the count matrices.
     """
     sd, p = model.stacked, model.params
-    zz = sd.z if z is None else np.asarray(z, dtype=float)
     mp1, r = sd.m + 1, len(sd.treatment_random_codes)
     f = _factor if _factor is not None else _factorise(model)
-    s = _core if _core is not None else f.core(_whiten(f.L0, zz - sd.X @ p.beta))
+    s = _core if _core is not None else f.core(_whiten(f.L0, sd.z - sd.X @ p.beta))
     v_mean = f.mme.upper(s)
 
     t_mean, t_sq, b_mean, b_sq = [], [], [], []
@@ -371,7 +355,7 @@ def e_step(
             b_sq.append(0.5 * (sq + sq.T))
 
     # residual factor via its defining identity; M u = M Lambda v
-    reduced = zz - f.terms.apply(f.loads, v_mean)
+    reduced = sd.z - f.terms.apply(f.loads, v_mean)
     b0_mean = reduced - sd.X @ p.beta
     b0_trace = f.terms.trace(f.loads, f.mme)
     b0_sq = _block_gram(b0_mean, mp1) + b0_trace
@@ -752,7 +736,6 @@ class MVCFit:
 
 def fit_em(
     model_init: MultivariateModel,
-    z: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iter: int = 2000,
 ) -> MVCFit:
@@ -770,7 +753,6 @@ def fit_em(
     ``converged=False``.
     """
     sd = model_init.stacked
-    zz = sd.z if z is None else np.asarray(z, dtype=float)
     model = model_init
     trace: list[float] = []
     events: list[str] = []
@@ -779,17 +761,17 @@ def fit_em(
     em_limit = min(max_iter, _EM_START)
     for it in range(em_limit + 1):
         factor = _factorise(model, terms)
-        ll, core = factor.loglik(zz - sd.X @ model.params.beta)
+        ll, core = factor.loglik(sd.z - sd.X @ model.params.beta)
         trace.append(ll)
         if it == em_limit or (it and abs(trace[-1] - trace[-2]) < tol):
             break
-        moments = e_step(model, zz, _factor=factor, _core=core)
+        moments = e_step(model, _factor=factor, _core=core)
         params, ev = m_step(moments, model)
         events.extend(ev)
         model = model.with_params(params)
     steps, stop = 0, "max_iter"
     if it < max_iter:
-        params, steps, stop = _newton(model.params, terms, sd.X, zz, max_iter - it, trace)
+        params, steps, stop = _newton(model.params, terms, sd.X, sd.z, max_iter - it, trace)
         model = model.with_params(params)
     return MVCFit(
         model=model,

@@ -310,14 +310,3 @@ def fit_orthogonal_conditional(
         dropped_regressors=tuple(dropped),
     )
 
-
-def _fit_block_design(ds, spec, block_means, method, tol, max_iter):
-    """The random-blocks conditional fit behind the one-covariate block
-    fitters, with or without the block-mean regressor; any recipe with one
-    blocking factor, ``custom`` included."""
-    if spec.m != 1:
-        raise ValidationError("block-design fitters need exactly one covariate")
-    if len(spec.blocking_factors) != 1:
-        raise ValidationError("block-design fitters need one blocking factor")
-    recipe = _block_recipe(spec, block_means)
-    return fit_orthogonal_conditional(recipe, ds, method, tol=tol, max_iter=max_iter)

@@ -4,8 +4,9 @@ Two conventional fits for a complete-blocks experiment with one covariate:
 the fixed-blocks least-squares fit, and the naive univariate mixed fit that
 treats block effects as random but keeps a single covariate slope.  Both
 report treatment means adjusted to the grand covariate mean, with plug-in
-standard errors.  The mixed fit is the conditional builder of
-:mod:`.orthogonal_conditional` with the block-mean regressor left out.
+standard errors.  The mixed fit is the package's one random-blocks fit,
+:func:`.bivariate_rcb.fit_naive_block_mixed` with an ML default, and
+returns its :class:`~.bivariate_rcb.BlockConditionalFit`.
 
 Every complete-RCB closed form here and in :mod:`.bivariate_rcb` comes from
 the stratum sums of squares and products of :func:`_rcb_sscp`.
@@ -14,14 +15,16 @@ the stratum sums of squares and products of :func:`_rcb_sscp`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data_model import Dataset, DesignSpec, group_codes
 from .design_algebra import helmert_matrix
 from .errors import SingularityError, ValidationError
-from .lmm import LmmFit
-from .orthogonal_conditional import _fit_block_design
+
+if TYPE_CHECKING:
+    from .bivariate_rcb import BlockConditionalFit
 
 
 def rcb_cells(ds: Dataset, spec: DesignSpec):
@@ -95,22 +98,6 @@ class FixedFitRCB:
     szz_within: float  # z'(C_t kron C_b)z
 
 
-@dataclass
-class MixedFitRCB:
-    mu_hat: float
-    tau_hat: np.ndarray
-    gamma_mixed: float
-    sigma_e2_hat: float
-    sigma_b2_hat: float
-    rho_hat: float
-    adjusted_means: np.ndarray
-    adjusted_se: np.ndarray
-    treatments: tuple[str, ...]
-    loglik: float
-    method: str
-    lmm_fit: LmmFit
-
-
 def fit_fixed_rcb(ds: Dataset, spec: DesignSpec, divisor: str = "ml") -> FixedFitRCB:
     """Fixed-blocks analysis of covariance on a complete RCB.
 
@@ -182,32 +169,18 @@ def fit_mixed_rcb(
     method: str = "ml",
     tol: float = 1e-10,
     max_iter: int = 500,
-) -> MixedFitRCB:
+) -> BlockConditionalFit:
     """Naive univariate mixed fit: random blocks, one covariate slope.
 
-    Variance components, the slope, and the treatment means are estimated
-    jointly by (RE)ML; the adjusted means carry their plug-in GLS standard
-    errors.  ``rho_hat`` is the fitted block correlation of a treatment
-    mean, ``sigma_b2 / (sigma_b2 + sigma_e2 / t)``.
+    Variance components, the slope (``gamma_e``), and the treatment means
+    are estimated jointly by (RE)ML; the adjusted means carry their plug-in
+    GLS standard errors, and ``rho`` is the fitted block correlation of a
+    treatment mean.  The same fit as
+    :func:`.bivariate_rcb.fit_naive_block_mixed`, ML by default.
     """
-    f = _fit_block_design(ds, spec, False, method, tol, max_iter)
-    t = len(f.treatments)
-    s2e, s2b = f.lmm_fit.sigma_e2, float(f.lmm_fit.sigma2[0])
-    adj = f.adjusted_means
-    return MixedFitRCB(
-        mu_hat=float(np.mean(f.lmm_fit.beta_hat[:t])),
-        tau_hat=adj - np.mean(adj),
-        gamma_mixed=f.slopes[ds.covariate_names[0]],
-        sigma_e2_hat=s2e,
-        sigma_b2_hat=s2b,
-        rho_hat=float(s2b / (s2b + s2e / t)),
-        adjusted_means=adj,
-        adjusted_se=f.adjusted_se,
-        treatments=f.treatments,
-        loglik=f.loglik,
-        method=method,
-        lmm_fit=f.lmm_fit,
-    )
+    from .bivariate_rcb import _block_fit  # bivariate_rcb imports this module
+
+    return _block_fit(ds, spec, False, method, tol, max_iter)
 
 
 @dataclass

@@ -15,7 +15,6 @@ import numpy as np
 from .bivariate_rcb import BivariateParams, conditional_from_bivariate
 from .data_model import Dataset, DesignSpec
 from .errors import ValidationError
-from .mvc_em import MultivariateModel, assemble_V
 from .rcb_classical import _rcb_sscp, gamma_mixed
 
 
@@ -149,15 +148,6 @@ def gen_bivariate_rcb(cfg: SimConfig) -> list[Dataset]:
             Y, Z = _draw_joint(cfg, rng)
         out.append(_to_dataset(cfg, Y, Z))
     return out
-
-
-def gen_multivariate(model: MultivariateModel, seed: int, rep: int = 0) -> np.ndarray:
-    """One stacked-data draw ``z ~ N(X beta, V)`` from the general model."""
-    V = assemble_V(model)
-    mean = model.stacked.X @ model.params.beta
-    rng = _stream(seed, rep)
-    L = np.linalg.cholesky(V)
-    return mean + L @ rng.normal(size=len(mean))
 
 
 @dataclass

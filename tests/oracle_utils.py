@@ -12,6 +12,13 @@ precomputed once per instance, then factors it with plain LAPACK.  Of
 ``MVCParams`` (the result record) and ``make_model`` (to simulate
 instances), never the EM numerics.
 
+The dense forms of a stacked layout, which the engine never forms, are
+kept here for the tests that check the engine against them: the
+incidences ``W_list``, ``D_list`` and ``C_list`` built from the codes,
+the stacked ``position`` of a (cell, variable) pair and its inverse
+``obs_index``, the dense stacked covariance ``assemble_V``, and
+``gen_multivariate``, one draw from the general model.
+
 The stratum algebra of one replicate unit is also kept here as a reference:
 ``KroneckerCovariance`` (``V = sum_l G_l (x) A_l`` over a projector
 partition), its dense form and partition-wise inverse, ``rcb_partition``,
@@ -32,11 +39,67 @@ from scipy import optimize
 from scipy.linalg import lapack
 
 import vcadjust as v
-from vcadjust.data_model import StackedData
+from vcadjust.data_model import StackedData, incidence
 from vcadjust.design_algebra import OrthogonalPartition, averaging_matrix, centering_matrix
 from vcadjust.errors import SingularityError, ValidationError
 from vcadjust.lmm import LmmSpec, _cross_products, _neg_loglik
-from vcadjust.mvc_em import MVCParams, initial_params, make_model
+from vcadjust.mvc_em import MultivariateModel, MVCParams, initial_params, make_model
+from vcadjust.simulate import _stream
+
+
+# ------------------------------------------------ dense stacked-model forms
+
+
+def W_list(sd: StackedData) -> tuple[np.ndarray, ...]:
+    """Cell-by-level incidence of each blocking factor."""
+    return tuple(incidence(c, d) for c, d in zip(sd.block_codes, sd.block_levels))
+
+
+def D_list(sd: StackedData) -> tuple[np.ndarray, ...]:
+    """Stacked incidence ``I_{m+1} (x) W`` of each blocking factor."""
+    return tuple(np.kron(np.eye(sd.m + 1), W) for W in W_list(sd))
+
+
+def C_list(sd: StackedData) -> tuple[np.ndarray, ...]:
+    """Stacked incidence of each random treatment term: on the response
+    block only, or on every variable when treatments affect the covariates."""
+    on = np.ones(sd.m + 1) if sd.treatments_affect_covariates else np.eye(sd.m + 1)[0]
+    return tuple(
+        np.kron(on[:, None], incidence(c, d))
+        for c, d in zip(sd.treatment_random_codes, sd.treatment_random_levels)
+    )
+
+
+def position(sd: StackedData, record: int, variable: int) -> int:
+    """Stacked position of (complete-cell index, variable index)."""
+    return variable * sd.n_obs + record
+
+
+def obs_index(sd: StackedData, position: int) -> tuple[int, int]:
+    """Inverse of :func:`position`: (complete-cell index, variable)."""
+    return position % sd.n_obs, position // sd.n_obs
+
+
+def assemble_V(model: MultivariateModel) -> np.ndarray:
+    """Dense stacked covariance: treatment terms plus one Kronecker block
+    per blocking factor plus the residual."""
+    sd, p = model.stacked, model.params
+    n, m = sd.n_obs, sd.m
+    V = np.kron(p.Sigmas[0], np.eye(n))
+    for s2, C in zip(p.sigma2, C_list(sd)):
+        V += s2 * (C @ C.T)
+    for S, W in zip(p.Sigmas[1:], W_list(sd)):
+        V += np.kron(S, W @ W.T)
+    return V
+
+
+def gen_multivariate(model: MultivariateModel, seed: int, rep: int = 0) -> np.ndarray:
+    """One stacked-data draw ``z ~ N(X beta, V)`` from the general model."""
+    V = assemble_V(model)
+    mean = model.stacked.X @ model.params.beta
+    rng = _stream(seed, rep)
+    L = np.linalg.cholesky(V)
+    return mean + L @ rng.normal(size=len(mean))
 
 
 def _pack(Sigmas, sigma2):
@@ -74,9 +137,9 @@ def _gram_blocks(sd: StackedData):
     """
     mp1 = sd.m + 1
     units = np.eye(mp1 * mp1).reshape(-1, mp1, mp1)
-    grams = [np.eye(sd.n_obs)] + [W @ W.T for W in sd.W_list]
+    grams = [np.eye(sd.n_obs)] + [W @ W.T for W in W_list(sd)]
     blocks = [np.kron(E, G) for G in grams for E in units]
-    blocks += [C @ C.T for C in sd.C_list]
+    blocks += [C @ C.T for C in C_list(sd)]
     return np.array(blocks).reshape(len(blocks), -1)
 
 
@@ -220,12 +283,12 @@ def make_oracle_instance(seed: int):
     Sigmas = [S0]
     # strong random-factor signal keeps the ML optimum off the PSD
     # boundary, where plain EM would converge sublinearly
-    for _ in sd.W_list:
+    for _ in sd.block_codes:
         rot = rng.normal(size=(mp1, mp1))
         Sigmas.append(3.0 * (rot @ rot.T / mp1) + 5.0 * np.eye(mp1))
     beta = rng.normal(size=sd.X.shape[1]) * 2.0
     truth = MVCParams(beta=beta, sigma2=np.zeros(0), Sigmas=tuple(Sigmas))
-    z = v.gen_multivariate(make_model(sd, truth), seed=seed)
+    z = gen_multivariate(make_model(sd, truth), seed=seed)
     sd = StackedData(**{**sd.__dict__, "z": z})
     return sd, truth
 

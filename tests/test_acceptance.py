@@ -97,11 +97,11 @@ def test_criterion_1_complete_blocks_benchmark():
         ok = ok and d <= 0.01
     for got, want, name in (
         (fx.gamma_ols, 28.40, "gamma_ols"),
-        (mx.gamma_mixed, 28.89, "gamma_mixed"),
+        (mx.gamma_e, 28.89, "gamma_mixed"),
         (hf.gamma_be_hat, 37.25, "gamma_be"),
-        (mx.sigma_e2_hat, 194.55, "sigma_e2"),
-        (mx.sigma_b2_hat, 553.98, "sigma_b2"),
-        (mx.rho_hat, 0.9447, "rho"),
+        (mx.sigma_e2, 194.55, "sigma_e2"),
+        (mx.sigma_b2, 553.98, "sigma_b2"),
+        (mx.rho, 0.9447, "rho"),
     ):
         d = abs(got - want)
         errs.append(f"{name} {d:.4f}")

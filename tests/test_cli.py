@@ -184,6 +184,34 @@ class TestAdjustAndFit:
         assert code == 0
         assert "slope[z]" in out
 
+    @pytest.mark.parametrize("method", ["ml", "reml"])
+    def test_mixed_prints_one_fit_on_either_rcb_route(self, method, tmp_path, capsys):
+        # recipe rcb takes the complete-RCB fields, custom the block-layout
+        # ones; both print the one single-slope fit
+        golden = Path(__file__).parent / "fixtures" / "golden_cli"
+        printed = {}
+        for recipe in ("rcb", "custom"):
+            design = json.loads((golden / "rcb.json").read_text())
+            design["recipe"] = recipe
+            path = tmp_path / f"{recipe}.json"
+            path.write_text(json.dumps(design))
+            args = ["fit", "--model", "mixed", "--method", method,
+                    "--data", str(golden / "rcb.csv"), "--design", str(path)]
+            assert main(args) == 0
+            out = capsys.readouterr().out
+            head, table = out.split("\n\n# treatments\n")
+            rows = [line.split("\t") for line in table.splitlines()]
+            printed[recipe] = (dict(line.split("\t") for line in head.splitlines()),
+                               {name: col for name, *col in zip(*rows)})
+        (rcb, rcb_cols), (custom, custom_cols) = printed["rcb"], printed["custom"]
+        assert "rho" in rcb and "rho" not in custom
+        assert rcb["gamma_mixed"] == custom["gamma"]
+        for name in ("sigma_e2", "sigma_b2", "loglik"):
+            assert rcb[name] == custom[name]
+        for rcb_name, custom_name in (("treatment", "treatment"), ("adj_mean", "adj_mean"),
+                                      ("std_err", "adj_se"), ("effect", "effect")):
+            assert rcb_cols[rcb_name] == custom_cols[custom_name]
+
     def test_lmm_max_iter_reaches_the_optimizer(self, tmp_path, capsys):
         data, design = _write_rcb(tmp_path)
         files = ["--data", str(data), "--design", str(design)]

@@ -6,6 +6,8 @@ import pytest
 import vcadjust as v
 from vcadjust.errors import ValidationError
 
+from oracle_utils import C_list, D_list, W_list, obs_index, position
+
 
 def _rcb_csv(t=6, b=4, missing=()):
     """Complete RCB file text; `missing` holds (treatment, block) pairs to blank."""
@@ -190,8 +192,8 @@ class TestBuildStacked:
         ds = v.load_dataset(_rcb_csv(), SPEC)
         sd = v.build_stacked(ds, SPEC)
         for pos in range(sd.n_stacked):
-            rec, var = sd.obs_index(pos)
-            assert sd.position(rec, var) == pos
+            rec, var = obs_index(sd, pos)
+            assert position(sd, rec, var) == pos
 
     def test_record_reordering_permutes_rows_only(self):
         ds = v.load_dataset(_rcb_csv(), SPEC)
@@ -215,8 +217,8 @@ class TestBuildStacked:
     def test_blocking_incidence_replicated_per_variable(self):
         ds = v.load_dataset(_rcb_csv(), SPEC)
         sd = v.build_stacked(ds, SPEC)
-        W = sd.W_list[0]
-        assert np.allclose(sd.D_list[0], np.kron(np.eye(2), W))
+        W = W_list(sd)[0]
+        assert np.allclose(D_list(sd)[0], np.kron(np.eye(2), W))
         # per-level replication counts for complete data
         assert np.allclose(W.T @ np.ones(24), 6.0)
 
@@ -245,8 +247,8 @@ class TestBuildStacked:
     def test_random_treatment_term_zero_on_covariate_block(self):
         ds = v.load_dataset(_rcb_csv(), SPEC)
         sd = v.build_stacked(ds, SPEC, random_treatment_terms=[("treatment", "block")])
-        assert len(sd.C_list) == 1
-        C = sd.C_list[0]
+        assert len(C_list(sd)) == 1
+        C = C_list(sd)[0]
         assert C.shape == (48, 24)
         assert np.allclose(C[24:], 0.0)
         assert np.allclose(C[:24].sum(axis=1), 1.0)

@@ -196,8 +196,8 @@ class TestEq7Identity:
         ds, spec = rcb_dataset
         mx = v.fit_mixed_rcb(ds, spec, method="ml")
         Y, Z, _, _ = rcb_arrays(ds, spec)
-        expected = v.gamma_mixed(Z, Y, mx.rho_hat)
-        assert abs(mx.gamma_mixed - expected) < 1e-8
+        expected = v.gamma_mixed(Z, Y, mx.rho)
+        assert abs(mx.gamma_e - expected) < 1e-8
 
 
 class TestContrast:

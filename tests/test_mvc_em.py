@@ -26,7 +26,11 @@ from vcadjust.mvc_em import (
 
 from conftest import drop_cells, interior_bivariate_params
 from oracle_utils import (
+    C_list,
+    D_list,
     KroneckerCovariance,
+    W_list,
+    assemble_V,
     direct_max_loglik,
     kron_cov_dense,
     make_oracle_instance,
@@ -69,9 +73,9 @@ class TestAssembleV:
         params = MVCParams(
             beta=np.zeros(sd.X.shape[1]), sigma2=np.zeros(0), Sigmas=(SE, SB)
         )
-        V = v.assemble_V(make_model(sd, params))
+        V = assemble_V(make_model(sd, params))
         n = sd.n_obs
-        W = sd.W_list[0]
+        W = W_list(sd)[0]
         direct = np.kron(SE, np.eye(n)) + np.kron(SB, W @ W.T)
         assert np.max(np.abs(V - direct)) <= 1e-12
         # regroup per block: the two-stratum block covariance, tiled
@@ -92,7 +96,7 @@ class TestAssembleV:
         params = MVCParams(
             beta=np.zeros(sd.X.shape[1]), sigma2=np.zeros(0), Sigmas=(np.eye(1),)
         )
-        assert np.allclose(v.assemble_V(make_model(sd, params)), np.eye(4))
+        assert np.allclose(assemble_V(make_model(sd, params)), np.eye(4))
 
     def test_random_treatment_factor_adds_response_diagonal(self):
         ds, spec, _ = _rcb_stacked()
@@ -103,7 +107,7 @@ class TestAssembleV:
             sigma2=np.array([2.0]),
             Sigmas=(np.eye(2), np.zeros((2, 2))),
         )
-        V = v.assemble_V(make_model(sd, params))
+        V = assemble_V(make_model(sd, params))
         expected = np.eye(2 * n)
         expected[:n, :n] += 2.0 * np.eye(n)
         assert np.max(np.abs(V - expected)) <= 1e-12
@@ -131,7 +135,7 @@ class TestObservedLoglik:
                 ),
             )
             model = make_model(sd, params)
-            V = v.assemble_V(model)
+            V = assemble_V(model)
             ref = stats.multivariate_normal.logpdf(
                 sd.z, mean=sd.X @ params.beta, cov=V
             )
@@ -167,7 +171,7 @@ class TestObservedLoglik:
         )
         model = make_model(sd, params)
         factor = _factorise(model)
-        V = v.assemble_V(model)
+        V = assemble_V(model)
         Vinv = factor.solve(np.eye(V.shape[0]))
         assert np.max(np.abs(Vinv - np.linalg.inv(V))) < 1e-9
         assert np.isclose(factor.logdet, np.linalg.slogdet(V)[1], atol=1e-9)
@@ -219,7 +223,7 @@ class TestFactorisation:
     def _check_against_dense(self, sd, params, seed=0):
         model = make_model(sd, params)
         factor = _factorise(model)
-        V = v.assemble_V(model)
+        V = assemble_V(model)
         Vinv = np.linalg.inv(V)
         rng = np.random.default_rng(seed)
         Y = rng.normal(size=(V.shape[0], 3))
@@ -232,7 +236,7 @@ class TestFactorisation:
         ds, spec, _ = _rcb_stacked(seed=3)
         ds = drop_cells(ds, [("T01", "B01"), ("T04", "B03")])
         sd = v.build_stacked(ds, spec, random_treatment_terms=[("treatment", "block")])
-        assert len(sd.C_list) == 1
+        assert len(C_list(sd)) == 1
         rng = np.random.default_rng(3)
         params = MVCParams(
             beta=rng.normal(size=sd.X.shape[1]),
@@ -243,7 +247,7 @@ class TestFactorisation:
 
     def test_latin_square_with_two_covariates(self):
         sd = _latin_square_stacked()
-        assert sd.m == 2 and len(sd.W_list) == 2
+        assert sd.m == 2 and len(W_list(sd)) == 2
         rng = np.random.default_rng(5)
         params = MVCParams(
             beta=rng.normal(size=sd.X.shape[1]),
@@ -268,17 +272,17 @@ class TestFactorisation:
         )
         for params, name in ((indefinite, "Sigma1"), (negative, r"sigma2\[0\]")):
             model = make_model(sd, params)
-            assert np.linalg.eigvalsh(v.assemble_V(model)).min() > 0
+            assert np.linalg.eigvalsh(assemble_V(model)).min() > 0
             with pytest.raises(SingularityError, match=name):
                 v.observed_loglik(model)
 
 
 def _dense_random_terms(sd, params):
     """Dense incidence M = [C_j, D_i] and prior covariance Psi of u."""
-    M = np.hstack(sd.C_list + sd.D_list)
+    M = np.hstack(C_list(sd) + D_list(sd))
     Psi = linalg.block_diag(
-        *[s2 * np.eye(C.shape[1]) for s2, C in zip(params.sigma2, sd.C_list)],
-        *[np.kron(S, np.eye(W.shape[1])) for S, W in zip(params.Sigmas[1:], sd.W_list)],
+        *[s2 * np.eye(C.shape[1]) for s2, C in zip(params.sigma2, C_list(sd))],
+        *[np.kron(S, np.eye(W.shape[1])) for S, W in zip(params.Sigmas[1:], W_list(sd))],
     )
     return M, Psi
 
@@ -355,7 +359,7 @@ class TestKroneckerTermsAgainstDense:
         model = make_model(sd, params)
         mp1 = sd.m + 1
         M, Psi = _dense_random_terms(sd, params)
-        Vinv = np.linalg.inv(v.assemble_V(model))
+        Vinv = np.linalg.inv(assemble_V(model))
         r = sd.z - sd.X @ params.beta
         Eu = Psi @ M.T @ Vinv @ r
         Vu = Psi - Psi @ M.T @ Vinv @ M @ Psi
@@ -368,12 +372,12 @@ class TestKroneckerTermsAgainstDense:
 
         mom = v.e_step(model, _factor=factor)
         off = 0
-        for C, mu, sq in zip(sd.C_list, mom.t_mean, mom.t_sq):
+        for C, mu, sq in zip(C_list(sd), mom.t_mean, mom.t_sq):
             sl = slice(off, off + C.shape[1])
             _assert_close(mu, Eu[sl])
             _assert_close(sq, Eu[sl] @ Eu[sl] + np.trace(Vu[sl, sl]))
             off = sl.stop
-        for W, mu, sq in zip(sd.W_list, mom.b_mean, mom.b_sq):
+        for W, mu, sq in zip(W_list(sd), mom.b_mean, mom.b_sq):
             d = W.shape[1]
             sl = slice(off, off + mp1 * d)
             E = Eu[sl].reshape(mp1, d)
@@ -394,7 +398,7 @@ class TestKroneckerTermsAgainstDense:
             model=model, loglik_trace=np.array([0.0]), iterations=0, converged=True
         )
         res = v.adjusted_means_mvc(fit)
-        V = v.assemble_V(model)
+        V = assemble_V(model)
         n, X = sd.n_obs, sd.X
         Vinv = np.linalg.inv(V)
         info_inv = np.linalg.inv(X.T @ Vinv @ X)
@@ -411,7 +415,7 @@ def _dense_profile_nll(sd, sigma2, Sigmas):
     """Negative profile log-density of the dense assemble_V covariance,
     with the fixed effects at their GLS values; and those values."""
     params = MVCParams(beta=np.zeros(sd.X.shape[1]), sigma2=sigma2, Sigmas=tuple(Sigmas))
-    L = np.linalg.cholesky(v.assemble_V(make_model(sd, params)))
+    L = np.linalg.cholesky(assemble_V(make_model(sd, params)))
     Xw = linalg.solve_triangular(L, sd.X, lower=True)
     zw = linalg.solve_triangular(L, sd.z, lower=True)
     beta = np.linalg.lstsq(Xw, zw, rcond=None)[0]
@@ -424,7 +428,7 @@ def _coords_components(sd, x):
     triangle of L0 (diagonal as logs), theta_j = sigma_j / L0[0, 0] per
     random treatment term, then the lower triangle of T_k per blocking
     factor, Sigma_k = L0 T_k T_k' L0'."""
-    mp1, r = sd.m + 1, len(sd.C_list)
+    mp1, r = sd.m + 1, len(C_list(sd))
     il = np.tril_indices(mp1)
     k = len(il[0])
     L0 = np.zeros((mp1, mp1))
@@ -447,7 +451,7 @@ def _dense_coords_V(sd, x):
     """The dense assemble_V covariance at relative Cholesky coordinates x."""
     sigma2, Sigmas = _coords_components(sd, x)
     params = MVCParams(beta=np.zeros(sd.X.shape[1]), sigma2=sigma2, Sigmas=tuple(Sigmas))
-    return v.assemble_V(make_model(sd, params))
+    return assemble_V(make_model(sd, params))
 
 
 def _profile_points(sd, params):
@@ -535,14 +539,14 @@ class TestCurvatureAgainstDense:
         # variable block of V^-1 with Z_k Z_k', less that of V^-1 r r' V^-1
         sd, params = LAYOUTS[layout]()
         terms, _, points = _profile_points(sd, params)
-        n, mp1, r = sd.n_obs, sd.m + 1, len(sd.C_list)
+        n, mp1, r = sd.n_obs, sd.m + 1, len(C_list(sd))
         il = np.tril_indices(mp1)
         k = len(il[0])
         for pt in points:
             Vi, _, Vir = self._dense(sd, pt)
             prof = _Profile(pt, terms, sd.X, sd.z)
             blk = lambda M, a, b: M[a * n : (a + 1) * n, b * n : (b + 1) * n]
-            for j, W in enumerate(sd.W_list):
+            for j, W in enumerate(W_list(sd)):
                 ZZ = W @ W.T
                 R = Vir.reshape(mp1, n)
                 Gam = 0.5 * np.array([
@@ -599,7 +603,7 @@ class TestEStep:
         assert np.allclose(mom.b_mean[0], 0.0, atol=1e-12)
         assert np.allclose(mom.b0_mean, 0.0, atol=1e-12)
         # second moments reduce to the conditional-variance traces
-        d = sd.W_list[0].shape[1]
+        d = W_list(sd)[0].shape[1]
         assert np.allclose(mom.b_sq[0], mom.b_sq[0].T)
         assert np.all(np.diag(mom.b_sq[0]) > 0)
 
@@ -647,7 +651,7 @@ class TestEStep:
         for g in np.meshgrid(*([weights] * 4), indexing="ij"):
             Wt = Wt * g.ravel()
         B = L @ U  # prior draws of the block factor
-        D1 = sd.D_list[0]
+        D1 = D_list(sd)[0]
         resid = (sd.z - sd.X @ params.beta)[:, None] - D1 @ B
         S0inv = np.linalg.inv(np.kron(params.Sigmas[0], np.eye(4)))
         lik = np.exp(-0.5 * np.einsum("ij,ik,kj->j", resid, S0inv, resid))
@@ -686,14 +690,14 @@ class TestMStep:
         )
         model = make_model(sd, params)
         # inject exactly-known effects: zero conditional variance
-        T1 = rng.normal(size=sd.C_list[0].shape[1])
-        B1 = rng.normal(size=2 * sd.W_list[0].shape[1])
-        d1 = sd.W_list[0].shape[1]
+        T1 = rng.normal(size=C_list(sd)[0].shape[1])
+        B1 = rng.normal(size=2 * W_list(sd)[0].shape[1])
+        d1 = W_list(sd)[0].shape[1]
         b_sq = np.empty((2, 2))
         for j in range(2):
             for k in range(2):
                 b_sq[j, k] = B1[j * d1 : (j + 1) * d1] @ B1[k * d1 : (k + 1) * d1]
-        reduced = sd.z - sd.C_list[0] @ T1 - sd.D_list[0] @ B1
+        reduced = sd.z - C_list(sd)[0] @ T1 - D_list(sd)[0] @ B1
         mom = EStepMoments(
             t_mean=(T1,),
             t_sq=(float(T1 @ T1),),
@@ -724,7 +728,7 @@ class TestMStep:
         mom = EStepMoments(
             t_mean=(),
             t_sq=(),
-            b_mean=(np.zeros(2 * sd.W_list[0].shape[1]),),
+            b_mean=(np.zeros(2 * W_list(sd)[0].shape[1]),),
             b_sq=(np.eye(2),),
             b0_mean=np.zeros(2 * n),
             b0_sq=tr,
@@ -946,7 +950,7 @@ def test_golden_mvc_fits_are_stationary(case):
     assert case["code"] == 0 and fields["converged"] == "true"
     spec = load_design_spec(GOLDEN_DIR / f"{case['data']}.json")
     sd = v.build_stacked(load_dataset(GOLDEN_DIR / f"{case['data']}.csv", spec), spec)
-    assert not sd.C_list
+    assert not C_list(sd)
     mp1, il = sd.m + 1, np.tril_indices(sd.m + 1)
     Sigmas = [
         np.array([[float(fields[f"Sigma{i}[{min(a, b)},{max(a, b)}]"]) for b in range(mp1)]
@@ -1014,14 +1018,14 @@ class TestAdjustedMeansMVC:
         params = MVCParams(
             beta=np.zeros(sd.X.shape[1]), sigma2=np.zeros(0), Sigmas=(SE, SB)
         )
-        V = v.assemble_V(make_model(sd, params))
+        V = assemble_V(make_model(sd, params))
         Vi = np.linalg.inv(V)
         A = sd.X.T @ Vi @ sd.X
         beta = np.linalg.solve(A, sd.X.T @ Vi @ sd.z)
         # univariate GLS on the response alone
         n = sd.n_obs
         T = sd.X[:n, :6]
-        W = sd.W_list[0]
+        W = W_list(sd)[0]
         Vy = SE[0, 0] * np.eye(n) + SB[0, 0] * (W @ W.T)
         Vyi = np.linalg.inv(Vy)
         beta_y = np.linalg.solve(T.T @ Vyi @ T, T.T @ Vyi @ sd.z[:n])

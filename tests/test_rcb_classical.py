@@ -146,25 +146,25 @@ class TestMixedFit:
         ds = v.gen_bivariate_rcb(cfg)[0]
         fit = v.fit_mixed_rcb(ds, cfg.design_spec, method="ml")
         Y, Z, _, _ = rcb_arrays(ds, cfg.design_spec)
-        if fit.sigma_b2_hat < 1e-8:
+        if fit.sigma_b2 < 1e-8:
             pooled = v.gamma_mixed(Z, Y, 0.0)
-            assert np.isclose(fit.gamma_mixed, pooled, atol=1e-6)
-            base = np.sqrt(fit.sigma_e2_hat / 12)
+            assert np.isclose(fit.gamma_e, pooled, atol=1e-6)
+            base = np.sqrt(fit.sigma_e2 / 12)
             assert np.all(fit.adjusted_se >= base - 1e-12)
         # direct GLS oracle at the fitted components
         t, b = Y.shape
         X = np.column_stack([np.kron(np.eye(t), np.ones((b, 1))), Z.ravel()])
         W = np.kron(np.ones((t, 1)), np.eye(b))
-        V = fit.sigma_e2_hat * np.eye(t * b) + fit.sigma_b2_hat * (W @ W.T)
+        V = fit.sigma_e2 * np.eye(t * b) + fit.sigma_b2 * (W @ W.T)
         Vi = np.linalg.inv(V)
         beta = np.linalg.solve(X.T @ Vi @ X, X.T @ Vi @ Y.ravel())
-        assert np.isclose(fit.gamma_mixed, beta[t], atol=1e-8)
+        assert np.isclose(fit.gamma_e, beta[t], atol=1e-8)
 
     def test_adjusted_means_have_covariance_form(self, rcb_dataset):
         ds, spec = rcb_dataset
         fit = v.fit_mixed_rcb(ds, spec, method="ml")
         Y, Z, _, _ = rcb_arrays(ds, spec)
-        expected = Y.mean(axis=1) - fit.gamma_mixed * (Z.mean(axis=1) - Z.mean())
+        expected = Y.mean(axis=1) - fit.gamma_e * (Z.mean(axis=1) - Z.mean())
         assert np.allclose(fit.adjusted_means, expected, atol=1e-8)
 
     def test_adjusted_se_matches_dense_quadratic_form(self, rcb_dataset):
@@ -174,16 +174,16 @@ class TestMixedFit:
         Y, Z, _, _ = rcb_arrays(ds, spec)
         t, b = Y.shape
         M = np.kron(
-            np.eye(t) - mx.rho_hat * np.full((t, t), 1.0 / t),
+            np.eye(t) - mx.rho * np.full((t, t), 1.0 / t),
             v.centering_matrix(b),
         )
         z = Z.ravel()
-        Sig = mx.sigma_e2_hat * np.eye(t * b) + mx.sigma_b2_hat * np.kron(
+        Sig = mx.sigma_e2 * np.eye(t * b) + mx.sigma_b2 * np.kron(
             np.ones((t, t)), np.eye(b)
         )
         den = z @ M @ z
         quad = z @ M @ Sig @ M @ z
-        var = (mx.sigma_e2_hat + mx.sigma_b2_hat) / b + quad / den**2 * (
+        var = (mx.sigma_e2 + mx.sigma_b2) / b + quad / den**2 * (
             Z.mean(axis=1) - Z.mean()
         ) ** 2
         assert np.max(np.abs(np.sqrt(var) - mx.adjusted_se)) < 1e-12
@@ -197,7 +197,7 @@ class TestMixedFit:
         Zc = Z - Z.mean(axis=0, keepdims=True)
         f1 = v.fit_mixed_rcb(ds, spec, method="ml")
         f2 = v.fit_mixed_rcb(_dataset_from_matrices(Y, Zc), SPEC, method="ml")
-        assert abs(f1.gamma_mixed - f2.gamma_mixed) > 1e-4
+        assert abs(f1.gamma_e - f2.gamma_e) > 1e-4
 
     def test_ols_slope_independent_of_unadjusted_means(self):
         # conditional on one covariate draw, the doubly-centered slope is
