@@ -5,10 +5,11 @@ both within and between blocks, then runs the three estimators side by
 side: fixed blocks, the naive single-slope mixed model (the random-blocks
 fit without the block-mean regressor, whose one slope is ``gamma_e`` of
 its ``BlockConditionalFit``), and the joint (two-slope)
-variance-components fit.  Note how the fixed and joint fits
-agree on the means while their standard errors differ by the
-block-sampling term, and how the naive mixed fit shifts the means because
-it blends two different regressions into one slope.
+variance-components fit.  The fixed fit's slope is the within-block
+regression and the joint fit adds the block-mean regression; the naive
+mixed fit blends the two into one slope, which shifts its means.  The
+fixed and joint fits agree on the means while their standard errors
+differ by the block-sampling term.
 """
 
 import numpy as np
@@ -35,9 +36,9 @@ joint, joint_params, joint_cond = v.fit_bivariate_rcb_ml(ds, spec)
 jmeans, jse = v.adjusted_means_bivariate(joint)
 
 print("fitted slopes:")
-print("  fixed blocks (within-block OLS)  gamma = %8.3f" % fixed.gamma_ols)
-print("  naive mixed (one blended slope)  gamma = %8.3f" % mixed.gamma_e)
-print("  joint fit: cell-level %8.3f, block-mean %8.3f" % (joint.gamma_e_hat, joint.gamma_be_hat))
+print("  within-block (fixed blocks; the joint fit's cell level)  %8.3f" % fixed.gamma_ols)
+print("  block-mean (joint fit)                                   %8.3f" % joint.gamma_be_hat)
+print("  naive mixed (the two blended into one slope)             %8.3f" % mixed.gamma_e)
 print()
 
 print("%-10s %22s %22s %22s" % ("treatment", "fixed (mean, se)", "naive mixed", "joint"))
@@ -57,9 +58,3 @@ for i, lab in enumerate(fixed.treatments):
 print()
 print("joint means equal the fixed-blocks means (max diff %.2e)," % np.max(np.abs(jmeans - fixed.adjusted_means)))
 print("but their variance adds the block-sampling term sigma_b^2/b = %.2f" % (joint.sigma_b2 / joint.b))
-
-dec = v.intra_inter_decompose(ds, spec)
-print()
-print("decomposition of the two regressions the naive model collapses:")
-print("  within-block contrast slope : %.3f" % dec.intra_slope)
-print("  block-mean slope            : %.3f" % dec.inter_slope)

@@ -11,12 +11,13 @@ from .bivariate_rcb import (
     BivariateParams,
     BlockConditionalFit,
     ConditionalParams,
-    HelmertFit,
+    JointRcbFit,
     adjusted_means_bivariate,
     conditional_from_bivariate,
     direct_treatment_effects,
     fit_bivariate_rcb_ml,
     fit_conditional_ibd,
+    fit_mixed_rcb,
     fit_naive_block_mixed,
 )
 from .data_model import (
@@ -27,12 +28,7 @@ from .data_model import (
     load_dataset,
     load_design_spec,
 )
-from .design_algebra import (
-    OrthogonalPartition,
-    centering_matrix,
-    helmert_matrix,
-    validate_partition,
-)
+from .design_algebra import OrthogonalPartition, validate_partition
 from .errors import ConvergenceError, SingularityError, ValidationError, VcadjustError
 from .lmm import LmmFit, LmmSpec, contrast, fit_lmm
 from .mvc_em import (
@@ -54,13 +50,7 @@ from .orthogonal_conditional import (
     recipe_for,
     recipe_partition,
 )
-from .rcb_classical import (
-    FixedFitRCB,
-    fit_fixed_rcb,
-    fit_mixed_rcb,
-    gamma_mixed,
-    intra_inter_decompose,
-)
+from .rcb_classical import FixedFitRCB, fit_fixed_rcb, gamma_mixed
 from .simulate import BiasStudyResult, SimConfig, bias_study, gen_bivariate_rcb
 
 __version__ = "0.1.0"
@@ -76,7 +66,7 @@ __all__ = [
     "DesignRecipe",
     "DesignSpec",
     "FixedFitRCB",
-    "HelmertFit",
+    "JointRcbFit",
     "LmmFit",
     "LmmSpec",
     "MultivariateModel",
@@ -92,7 +82,6 @@ __all__ = [
     "adjusted_means_mvc",
     "bias_study",
     "build_stacked",
-    "centering_matrix",
     "conditional_from_bivariate",
     "conditional_regressors",
     "contrast",
@@ -108,8 +97,6 @@ __all__ = [
     "fit_orthogonal_conditional",
     "gamma_mixed",
     "gen_bivariate_rcb",
-    "helmert_matrix",
-    "intra_inter_decompose",
     "load_dataset",
     "load_design_spec",
     "m_step",

@@ -7,7 +7,9 @@ different slopes, and the implied conditional model for the response adds
 the block-mean covariate as a second regressor.  On a complete layout the
 likelihood factorizes over the block and residual strata, so maximum
 likelihood is closed form in the two strata's 2x2 sums of squares and
-products: that is :func:`fit_bivariate_rcb_ml`.
+products: that is :func:`fit_bivariate_rcb_ml`, which reads the stratum
+table of :mod:`.rcb_classical` like the fixed-blocks fit, and returns
+:class:`JointRcbFit`.
 
 The iterative fits here all run one random-blocks fit, :func:`_block_fit`,
 which is the package's one conditional builder,
@@ -16,8 +18,8 @@ blocks and a chosen regressor list, and they all return
 :class:`BlockConditionalFit`: :func:`fit_conditional_ibd` regresses on the
 covariate and its block mean (the two-slope model, for equal-size complete
 or incomplete blocks), and :func:`fit_naive_block_mixed` on the covariate
-alone (the single-slope model; :func:`.rcb_classical.fit_mixed_rcb` is the
-same fit with an ML default).
+alone (the single-slope model; :func:`fit_mixed_rcb` is the same fit with
+an ML default).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .data_model import Dataset, DesignSpec
 from .errors import SingularityError, ValidationError
 from .lmm import LmmFit
 from .orthogonal_conditional import _block_recipe, fit_orthogonal_conditional
-from .rcb_classical import _rcb_sscp, rcb_arrays
+from .rcb_classical import _rcb_table, rcb_arrays
 
 
 class HiddenExtrapolationWarning(UserWarning):
@@ -126,22 +128,18 @@ def conditional_from_bivariate(p: BivariateParams, t: int) -> ConditionalParams:
 
 
 @dataclass
-class HelmertFit:
+class JointRcbFit:
     """Closed-form ML pieces from the block- and residual-stratum SSCPs.
 
-    The block stratum (scaled block means, ``theta_1z`` the covariate's
-    grand-mean coordinate) estimates the block-mean regression; the
-    residual stratum gives the cell-level regression.  Sample moments of the
-    data needed by the adjusted means ride along.
+    The block stratum estimates the block-mean regression (``gamma_be_hat``,
+    ``sigma_be2``), the residual stratum the cell-level one (``gamma_e_hat``,
+    ``sigma_e2``).  The covariate mean's MLE is the grand mean ``zbar``.
     """
 
-    theta_1z: float
     gamma_be_hat: float
     gamma_e_hat: float
     sigma_be2: float  # block-mean conditional residual variance (ML)
     sigma_e2: float  # cell-level conditional residual variance (ML)
-    g0_zz: float  # ML variance of the scaled block-mean covariate
-    g1_zz: float  # ML residual covariate variance
     t: int
     b: int
     treatments: tuple[str, ...]
@@ -158,10 +156,6 @@ class HelmertFit:
         return self.loglik - self.loglik_z
 
     @property
-    def mu_z_hat(self) -> float:
-        return self.theta_1z / np.sqrt(self.t)
-
-    @property
     def mu_y_hat(self) -> np.ndarray:
         return self.ybar_i - self.gamma_e_hat * (self.zbar_i - self.zbar)
 
@@ -173,7 +167,7 @@ class HelmertFit:
 
 def fit_bivariate_rcb_ml(
     ds: Dataset, spec: DesignSpec
-) -> tuple[HelmertFit, BivariateParams, ConditionalParams]:
+) -> tuple[JointRcbFit, BivariateParams, ConditionalParams]:
     """Closed-form ML for the joint model on a complete RCB with one covariate.
 
     The block-stratum SSCP carries the block-mean regression, the
@@ -183,29 +177,27 @@ def fit_bivariate_rcb_ml(
     variance takes its within-block sum of squares unswept, since the
     covariate mean carries no treatment effects.
     """
-    Y, Z, labels, _blocks = rcb_arrays(ds, spec)
-    t, b = Y.shape
+    tab = _rcb_table(*rcb_arrays(ds, spec))
+    t, b = tab.Y.shape
     if b <= 1:
         raise ValidationError("need at least two blocks for inter-block information")
-    block, resid, within = _rcb_sscp(Y, Z)
-    scale = max(float(np.sum(Z * Z)), 1.0)
-    if block[1, 1] <= 1e-12 * scale:
-        raise SingularityError(
-            "block-mean covariate carries no variation: the block-stratum "
-            "covariate variance estimate is 0, so the joint likelihood is "
-            "unbounded; fit the conditional model instead (--model orthogonal, "
-            "or --model bivariate --method reml)"
-        )
-    if resid[1, 1] <= 1e-12 * scale:
-        raise SingularityError("within-block covariate carries no variation")
+    block, resid = tab.block, tab.resid
+    tab.require(
+        block[1, 1],
+        "block-mean covariate carries no variation: the block-stratum "
+        "covariate variance estimate is 0, so the joint likelihood is "
+        "unbounded; fit the conditional model instead (--model orthogonal, "
+        "or --model bivariate --method reml)",
+    )
+    tab.require(resid[1, 1], "within-block covariate carries no variation")
     n_e = b * (t - 1)
     gamma_be = float(block[0, 1] / block[1, 1])
     gamma_e = float(resid[0, 1] / resid[1, 1])
     sigma_be2 = float(block[0, 0] - gamma_be * block[0, 1]) / b
     sigma_e2 = float(resid[0, 0] - gamma_e * resid[0, 1]) / n_e
     g0_zz = float(block[1, 1]) / b
-    g1_zz = float(within[1, 1]) / n_e
-    if sigma_be2 <= 1e-12 * max(float(np.sum(Y * Y)), 1.0):
+    g1_zz = float(tab.within[1, 1]) / n_e
+    if sigma_be2 <= 1e-12 * max(float(np.sum(tab.Y * tab.Y)), 1.0):
         raise SingularityError(
             "inter-block residual variance is zero (need b >= 3 blocks for "
             "a proper block-mean regression)"
@@ -219,9 +211,6 @@ def fit_bivariate_rcb_ml(
     Sigma_E = g1_zz * np.outer(a, a) + np.diag([sigma_e2, 0.0])
     Sigma_B = (block / b - Sigma_E) / t
 
-    zbar_i, ybar_i = Z.mean(axis=1), Y.mean(axis=1)
-    zbar = float(Z.mean())
-
     # At the MLE each stratum's quadratic form is twice its record count, and
     # |G0| = sigma_be2 g0_zz, |Sigma_E| = sigma_e2 g1_zz: the joint likelihood
     # is the covariate marginal times the conditional.
@@ -229,43 +218,40 @@ def fit_bivariate_rcb_ml(
     ll_z = float(-0.5 * b * (c + np.log(g0_zz) + (t - 1) * np.log(g1_zz)))
     ll = ll_z - float(0.5 * b * (c + np.log(sigma_be2) + (t - 1) * np.log(sigma_e2)))
 
-    fit = HelmertFit(
-        theta_1z=float(np.sqrt(t) * zbar),
+    fit = JointRcbFit(
         gamma_be_hat=gamma_be,
         gamma_e_hat=gamma_e,
         sigma_be2=sigma_be2,
         sigma_e2=sigma_e2,
-        g0_zz=g0_zz,
-        g1_zz=g1_zz,
         t=t,
         b=b,
-        treatments=tuple(labels),
-        ybar_i=ybar_i,
-        zbar_i=zbar_i,
-        zbar=zbar,
+        treatments=tab.treatments,
+        ybar_i=tab.ybar_i,
+        zbar_i=tab.zbar_i,
+        zbar=tab.zbar,
         szz_within=float(resid[1, 1]),
         loglik=ll,
         loglik_z=ll_z,
     )
     params = BivariateParams(
-        mu_y=fit.mu_y_hat, mu_z=fit.mu_z_hat, Sigma_B=Sigma_B, Sigma_E=Sigma_E
+        mu_y=fit.mu_y_hat, mu_z=fit.zbar, Sigma_B=Sigma_B, Sigma_E=Sigma_E
     )
     cond = conditional_from_bivariate(params, t)
     return fit, params, cond
 
 
-def adjusted_means_bivariate(fit: HelmertFit) -> tuple[np.ndarray, np.ndarray]:
+def adjusted_means_bivariate(fit: JointRcbFit) -> tuple[np.ndarray, np.ndarray]:
     """Adjusted treatment means and standard errors from the closed-form fit.
 
-    The means evaluate the fitted treatment means at the grand covariate
-    mean (where the block-mean correction vanishes); the variance sums the
-    block-sampling term and the plug-in slope variance.
+    The means are the fitted treatment means ``mu_y_hat``: they sit at the
+    covariate mean's MLE, the grand mean, where the block-mean correction
+    vanishes.  The variance sums the block-sampling term and the plug-in
+    slope variance.
     """
-    means = fit.mu_y_hat + fit.gamma_be_hat * (fit.zbar - fit.mu_z_hat)
     var = (fit.sigma_e2 + fit.sigma_b2) / fit.b + fit.sigma_e2 * (
         fit.zbar_i - fit.zbar
     ) ** 2 / fit.szz_within
-    return means, np.sqrt(var)
+    return fit.mu_y_hat, np.sqrt(var)
 
 
 @dataclass
@@ -358,20 +344,37 @@ def fit_naive_block_mixed(
     return _block_fit(ds, spec, False, method, tol, max_iter)
 
 
+def fit_mixed_rcb(
+    ds: Dataset,
+    spec: DesignSpec,
+    method: str = "ml",
+    tol: float = 1e-10,
+    max_iter: int = 500,
+) -> BlockConditionalFit:
+    """Naive univariate mixed fit: random blocks, one covariate slope.
+
+    Variance components, the slope (``gamma_e``), and the treatment means
+    are estimated jointly by (RE)ML; the adjusted means carry their plug-in
+    GLS standard errors, and ``rho`` is the fitted block correlation of a
+    treatment mean.  The same fit as :func:`fit_naive_block_mixed`, ML by
+    default.
+    """
+    return _block_fit(ds, spec, False, method, tol, max_iter)
+
+
 def direct_treatment_effects(
     fit, covariate_treatment_means, within_group_sd: float
 ) -> np.ndarray:
     """Treatment effects when the treatments also move the covariate.
 
-    The conditional-model effects already measure the direct effect on the
-    response (net of the route through the covariate), so they are returned
-    unchanged.  Comparing treatments at a common covariate value is suspect
-    when their covariate means sit far apart, so a spread beyond two
-    within-group standard deviations raises a warning.
+    ``fit`` is any fit with sum-to-zero ``effects`` (a fixed-blocks or a
+    random-blocks fit).  Covariate-adjusted effects already measure the
+    direct effect on the response (net of the route through the covariate),
+    so they are returned unchanged.  Comparing treatments at a common
+    covariate value is suspect when their covariate means sit far apart, so
+    a spread beyond two within-group standard deviations raises a warning.
     """
-    effects = np.asarray(
-        fit.effects if hasattr(fit, "effects") else fit.tau, dtype=float
-    )
+    effects = np.asarray(fit.effects, dtype=float)
     zmeans = np.asarray(covariate_treatment_means, dtype=float)
     if len(zmeans) != len(effects):
         raise ValidationError("one covariate mean per treatment is required")

@@ -25,6 +25,7 @@ from .bivariate_rcb import (
     adjusted_means_bivariate,
     fit_bivariate_rcb_ml,
     fit_conditional_ibd,
+    fit_mixed_rcb,
     fit_naive_block_mixed,
 )
 from .data_model import build_stacked, load_dataset, load_design_spec
@@ -37,7 +38,7 @@ from .orthogonal_conditional import (
     recipe_for,
     recipe_partition,
 )
-from .rcb_classical import fit_fixed_rcb, fit_mixed_rcb, rcb_cells
+from .rcb_classical import fit_fixed_rcb, rcb_cells
 from .simulate import BivariateParams, SimConfig, bias_study, gen_bivariate_rcb
 
 MODELS = ("fixed", "mixed", "bivariate", "orthogonal", "mvc")
@@ -153,9 +154,7 @@ def _fields(**paths):
 
 
 def _fixed_scalars(f, req) -> dict:
-    n = len(f.treatments) * len(f.blocks)
-    loglik = -0.5 * n * (np.log(2 * np.pi) + np.log(f.sigma_e2_hat) + 1.0)
-    return {"gamma_ols": f.gamma_ols, "sigma_e2": f.sigma_e2_hat, "loglik": loglik}
+    return {"gamma_ols": f.gamma_ols, "sigma_e2": f.sigma_e2_hat, "loglik": f.loglik}
 
 
 def _orthogonal_scalars(f, req) -> dict:
@@ -204,7 +203,7 @@ def _mvc_scalars(f, req) -> dict:
 
 
 _MEANS = (("adj_mean", "adjusted_means"), ("std_err", "adjusted_se"))
-_TAU = _MEANS + (("effect", "tau_hat"),)
+_EFFECT = _MEANS + (("effect", "effects"),)
 _EFFECTS = (
     ("adj_mean", "adjusted_means"), ("adj_se", "adjusted_se"),
     ("effect", "effects"), ("effect_se", "effect_se"),
@@ -218,12 +217,12 @@ _BLOCK = dict(sigma_e2="sigma_e2", sigma_b2="sigma_b2", loglik="loglik",
 # methods in _RCB_METHODS; "mixed_rcb" runs the fit of "mixed" and only
 # prints other fields.  A false "converged" field exits 3.
 _MODELS = {
-    "fixed": (lambda ds, spec, req: fit_fixed_rcb(ds, spec), _fixed_scalars, _TAU),
+    "fixed": (lambda ds, spec, req: fit_fixed_rcb(ds, spec), _fixed_scalars, _EFFECT),
     "mixed_rcb": (
         lambda ds, spec, req: fit_mixed_rcb(ds, spec, req.method, **_iter_options(req)),
         _fields(gamma_mixed="gamma_e", sigma_e2="sigma_e2", sigma_b2="sigma_b2",
                 rho="rho", loglik="loglik", converged="lmm_fit.converged"),
-        _MEANS + (("effect", "effects"),),
+        _EFFECT,
     ),
     "mixed": (
         lambda ds, spec, req: fit_naive_block_mixed(
@@ -235,7 +234,7 @@ _MODELS = {
         _fit_bivariate_ml,
         _fields(gamma_e="fit.gamma_e_hat", gamma_be="fit.gamma_be_hat",
                 gamma_b="cond.gamma_b", sigma_e2="cond.sigma_e2",
-                sigma_b2="cond.sigma_b2", mu_z="fit.mu_z_hat",
+                sigma_b2="cond.sigma_b2", mu_z="fit.zbar",
                 loglik="fit.loglik", sigma_b_psd="params.sigma_b_psd"),
         _MEANS,
     ),

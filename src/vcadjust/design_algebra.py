@@ -4,9 +4,10 @@ The covariance of one replicate unit (block, wholeplot, Latin square) in an
 orthogonal blocking design can be written as ``V = sum_l G_l (x) A_l`` where
 the ``A_l`` are mutually orthogonal idempotents summing to the identity and
 each ``G_l`` is a small symmetric matrix over the variables (response first,
-then covariates).  This module builds and checks the projector sets
-(``check-design``); the complete-RCB closed forms use the same strata as
-sums of squares and products (:mod:`.rcb_classical`).
+then covariates).  This module holds the projector-set type and its checks
+(``check-design``); :func:`.orthogonal_conditional.recipe_partition` builds
+the sets.  The complete-RCB closed forms use the same strata as sums of
+squares and products (:func:`.rcb_classical._rcb_table`).
 """
 
 from __future__ import annotations
@@ -18,38 +19,11 @@ import numpy as np
 from .errors import ValidationError
 
 
-def centering_matrix(n: int) -> np.ndarray:
-    """Return ``I_n - J_n/n``: symmetric, idempotent, annihilates ones."""
-    if n < 1:
-        raise ValidationError(f"centering_matrix needs n >= 1, got {n}")
-    return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
 def averaging_matrix(n: int) -> np.ndarray:
     """Return ``J_n/n``, the projector onto the span of the ones vector."""
     if n < 1:
         raise ValidationError(f"averaging_matrix needs n >= 1, got {n}")
     return np.full((n, n), 1.0 / n)
-
-
-def helmert_matrix(t: int) -> np.ndarray:
-    """Orthogonal t x t matrix whose first column is the normalized ones.
-
-    Column 1 is ``1/sqrt(t)``; column j (j >= 2) is the classical contrast
-    with entries ``1/sqrt(j(j-1))`` in the first ``j-1`` rows,
-    ``-(j-1)/sqrt(j(j-1))`` in row j, zeros below.  Any orthonormal
-    completion of the ones column gives the same likelihoods; this one is
-    fixed for reproducibility.
-    """
-    if t < 1:
-        raise ValidationError(f"helmert_matrix needs t >= 1, got {t}")
-    H = np.zeros((t, t))
-    H[:, 0] = 1.0 / np.sqrt(t)
-    for j in range(2, t + 1):
-        norm = np.sqrt(j * (j - 1))
-        H[: j - 1, j - 1] = 1.0 / norm
-        H[j - 1, j - 1] = -(j - 1) / norm
-    return H
 
 
 @dataclass(frozen=True)

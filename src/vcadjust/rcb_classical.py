@@ -1,30 +1,26 @@
 """Classical estimators for the randomized complete blocks design.
 
-Two conventional fits for a complete-blocks experiment with one covariate:
-the fixed-blocks least-squares fit, and the naive univariate mixed fit that
-treats block effects as random but keeps a single covariate slope.  Both
-report treatment means adjusted to the grand covariate mean, with plug-in
-standard errors.  The mixed fit is the package's one random-blocks fit,
-:func:`.bivariate_rcb.fit_naive_block_mixed` with an ML default, and
-returns its :class:`~.bivariate_rcb.BlockConditionalFit`.
+The fixed-blocks analysis of covariance of a complete-blocks experiment
+with one covariate (:func:`fit_fixed_rcb`), which reports treatment means
+adjusted to the grand covariate mean with plug-in standard errors, and the
+single-slope GLS slope at a given block correlation (:func:`gamma_mixed`).
+The random-blocks fits, the naive single-slope one included, live in
+:mod:`.bivariate_rcb`.
 
-Every complete-RCB closed form here and in :mod:`.bivariate_rcb` comes from
-the stratum sums of squares and products of :func:`_rcb_sscp`.
+Every complete-RCB closed form here and in :mod:`.bivariate_rcb` reads one
+stratum table, :func:`_rcb_table`: the t x b arrays, the block, residual
+and within-block sums of squares and products of :func:`_rcb_sscp`, the
+treatment and grand means, and one singularity test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data_model import Dataset, DesignSpec, group_codes
-from .design_algebra import helmert_matrix
 from .errors import SingularityError, ValidationError
-
-if TYPE_CHECKING:
-    from .bivariate_rcb import BlockConditionalFit
 
 
 def rcb_cells(ds: Dataset, spec: DesignSpec):
@@ -84,18 +80,48 @@ def _rcb_sscp(Y: np.ndarray, Z: np.ndarray):
     return tuple(np.einsum("itb,jtb->ij", R, R) for R in (block, resid, D - col))
 
 
+@dataclass(frozen=True)
+class _RcbTable:
+    """A complete RCB as every closed form reads it: the (t, b) arrays and
+    their labels, the block, residual and within-block SSCPs of
+    :func:`_rcb_sscp`, and the treatment and grand means."""
+
+    Y: np.ndarray
+    Z: np.ndarray
+    treatments: tuple[str, ...]
+    blocks: tuple[str, ...]
+    block: np.ndarray
+    resid: np.ndarray
+    within: np.ndarray
+    ybar_i: np.ndarray
+    zbar_i: np.ndarray
+    zbar: float
+
+    def require(self, szz: float, message: str) -> None:
+        """Raise ``SingularityError(message)`` unless the covariate sum of
+        squares ``szz`` exceeds 1e-12 max(sum z^2, 1)."""
+        if szz <= 1e-12 * max(float(np.sum(self.Z * self.Z)), 1.0):
+            raise SingularityError(message)
+
+
+def _rcb_table(Y: np.ndarray, Z: np.ndarray, treatments=(), blocks=()) -> _RcbTable:
+    """The stratum table of (t, b) arrays, e.g. ``_rcb_table(*rcb_arrays(ds, spec))``."""
+    return _RcbTable(
+        Y, Z, tuple(treatments), tuple(blocks), *_rcb_sscp(Y, Z),
+        ybar_i=Y.mean(axis=1), zbar_i=Z.mean(axis=1), zbar=float(Z.mean()),
+    )
+
+
 @dataclass
 class FixedFitRCB:
-    mu_hat: float
-    tau_hat: np.ndarray
-    beta_hat_blocks: np.ndarray
+    effects: np.ndarray  # sum-to-zero treatment effects
     gamma_ols: float
     sigma_e2_hat: float
+    loglik: float  # maximized log-likelihood, at the ML variance
     adjusted_means: np.ndarray
     adjusted_se: np.ndarray
     treatments: tuple[str, ...]
     blocks: tuple[str, ...]
-    szz_within: float  # z'(C_t kron C_b)z
 
 
 def fit_fixed_rcb(ds: Dataset, spec: DesignSpec, divisor: str = "ml") -> FixedFitRCB:
@@ -103,21 +129,18 @@ def fit_fixed_rcb(ds: Dataset, spec: DesignSpec, divisor: str = "ml") -> FixedFi
 
     The slope is the doubly-centered least-squares regression; standard
     errors use the residual variance with the ML divisor n (or the unbiased
-    divisor n - t - b when ``divisor='unbiased'``).
+    divisor n - t - b when ``divisor='unbiased'``).  ``loglik`` is the
+    Gaussian log-likelihood at the ML variance whichever divisor is chosen.
     """
-    Y, Z, labels, blocks = rcb_arrays(ds, spec)
-    t, b = Y.shape
-    resid = _rcb_sscp(Y, Z)[1]
-    syy, szy, szz = resid[0, 0], resid[0, 1], resid[1, 1]
-    if szz <= 1e-12 * max(float(np.sum(Z * Z)), 1.0):
-        raise SingularityError(
-            "covariate has no within-treatment-within-block variation; "
-            "the regression is singular"
-        )
+    tab = _rcb_table(*rcb_arrays(ds, spec))
+    syy, szy, szz = tab.resid[0, 0], tab.resid[0, 1], tab.resid[1, 1]
+    tab.require(
+        szz,
+        "covariate has no within-treatment-within-block variation; "
+        "the regression is singular",
+    )
     gamma = szy / szz
-    zbar_i, ybar_i = Z.mean(axis=1), Y.mean(axis=1)
-    zbar_j, ybar_j = Z.mean(axis=0), Y.mean(axis=0)
-    zbar, ybar = float(Z.mean()), float(Y.mean())
+    t, b = tab.Y.shape
     rss = syy - gamma * szy
     n = t * b
     if divisor == "ml":
@@ -126,19 +149,18 @@ def fit_fixed_rcb(ds: Dataset, spec: DesignSpec, divisor: str = "ml") -> FixedFi
         s2 = rss / (n - t - b)
     else:
         raise ValidationError(f"divisor must be 'ml' or 'unbiased', got {divisor!r}")
-    adj = ybar_i - gamma * (zbar_i - zbar)
-    se = np.sqrt(s2 / b + s2 * (zbar_i - zbar) ** 2 / szz)
+    with np.errstate(divide="ignore"):  # a saturated fit, rss = 0, has loglik inf
+        loglik = float(-0.5 * n * (np.log(2 * np.pi) + np.log(rss / n) + 1.0))
+    dz = tab.zbar_i - tab.zbar
     return FixedFitRCB(
-        mu_hat=ybar - gamma * zbar,
-        tau_hat=(ybar_i - ybar) - gamma * (zbar_i - zbar),
-        beta_hat_blocks=(ybar_j - ybar) - gamma * (zbar_j - zbar),
+        effects=(tab.ybar_i - float(tab.Y.mean())) - gamma * dz,
         gamma_ols=float(gamma),
         sigma_e2_hat=float(s2),
-        adjusted_means=adj,
-        adjusted_se=se,
-        treatments=tuple(labels),
-        blocks=tuple(blocks),
-        szz_within=float(szz),
+        loglik=loglik,
+        adjusted_means=tab.ybar_i - gamma * dz,
+        adjusted_se=np.sqrt(s2 / b + s2 * dz**2 / szz),
+        treatments=tab.treatments,
+        blocks=tab.blocks,
     )
 
 
@@ -156,72 +178,7 @@ def gamma_mixed(Z: np.ndarray, Y: np.ndarray, rho: float) -> float:
     if not 0.0 <= rho <= 1.0:
         raise ValidationError(f"rho must lie in [0, 1], got {rho}")
     # (I_t - rho J_t/t) (x) C_b is the residual plus (1 - rho) times the block stratum
-    block, resid, _ = _rcb_sscp(Y, Z)
-    S = resid + (1.0 - rho) * block
-    if S[1, 1] <= 1e-12 * max(float(np.sum(Z * Z)), 1.0):
-        raise SingularityError("zero denominator in the GLS slope")
+    tab = _rcb_table(Y, Z)
+    S = tab.resid + (1.0 - rho) * tab.block
+    tab.require(S[1, 1], "zero denominator in the GLS slope")
     return float(S[0, 1] / S[1, 1])
-
-
-def fit_mixed_rcb(
-    ds: Dataset,
-    spec: DesignSpec,
-    method: str = "ml",
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> BlockConditionalFit:
-    """Naive univariate mixed fit: random blocks, one covariate slope.
-
-    Variance components, the slope (``gamma_e``), and the treatment means
-    are estimated jointly by (RE)ML; the adjusted means carry their plug-in
-    GLS standard errors, and ``rho`` is the fitted block correlation of a
-    treatment mean.  The same fit as
-    :func:`.bivariate_rcb.fit_naive_block_mixed`, ML by default.
-    """
-    from .bivariate_rcb import _block_fit  # bivariate_rcb imports this module
-
-    return _block_fit(ds, spec, False, method, tol, max_iter)
-
-
-@dataclass
-class IntraInterDecomposition:
-    """Within-block contrast pairs and block-mean pairs, with their slopes."""
-
-    intra_y: np.ndarray  # (t-1, b) contrast-transformed responses
-    intra_z: np.ndarray
-    inter_y: np.ndarray  # (b,) block means
-    inter_z: np.ndarray
-    intra_slope: float
-    inter_slope: float  # NaN when the block means carry no variation
-    inter_defined: bool
-
-
-def intra_inter_decompose(ds: Dataset, spec: DesignSpec) -> IntraInterDecomposition:
-    """Split a complete RCB into contrast-space and block-mean regressions.
-
-    The intra-block slope is the residual-stratum regression (the
-    fixed-blocks slope), the inter-block slope the block-stratum regression
-    of block means.  The contrast rows returned are the orthonormal
-    within-block contrasts of each block's observation vector.
-    """
-    Y, Z, _labels, _blocks = rcb_arrays(ds, spec)
-    t = Y.shape[0]
-    block, resid, _ = _rcb_sscp(Y, Z)
-    if resid[1, 1] <= 1e-12 * max(float(np.sum(Z * Z)), 1.0):
-        raise SingularityError("no within-block covariate variation")
-    intra_slope = float(resid[0, 1] / resid[1, 1])
-
-    inter_y, inter_z = Y.mean(axis=0), Z.mean(axis=0)
-    # the block stratum sums t copies of each block-mean deviation
-    defined = block[1, 1] / t > 1e-12 * max(float(np.sum(inter_z**2)), 1.0)
-    inter_slope = float(block[0, 1] / block[1, 1]) if defined else float("nan")
-    H = helmert_matrix(t)[:, 1:]
-    return IntraInterDecomposition(
-        intra_y=H.T @ Y,
-        intra_z=H.T @ Z,
-        inter_y=inter_y,
-        inter_z=inter_z,
-        intra_slope=intra_slope,
-        inter_slope=inter_slope,
-        inter_defined=bool(defined),
-    )

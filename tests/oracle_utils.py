@@ -20,10 +20,12 @@ the stacked ``position`` of a (cell, variable) pair and its inverse
 ``gen_multivariate``, one draw from the general model.
 
 The stratum algebra of one replicate unit is also kept here as a reference:
-``KroneckerCovariance`` (``V = sum_l G_l (x) A_l`` over a projector
-partition), its dense form and partition-wise inverse, ``rcb_partition``,
-and the per-stratum regressions of the response on the covariates with the
-orthogonal adjusted means they imply.  The package's fitters do not use it.
+the centering matrix ``centering_matrix``, the Helmert contrasts
+``helmert_matrix``, ``KroneckerCovariance`` (``V = sum_l G_l (x) A_l`` over
+a projector partition), its dense form and partition-wise inverse,
+``rcb_partition``, and the per-stratum regressions of the response on the
+covariates with the orthogonal adjusted means they imply.  The package's
+fitters do not use it.
 
 ``lmm_best_of_starts`` is the univariate fitter's former search, kept as an
 oracle: L-BFGS-B to convergence from each of five variance ratios over
@@ -40,7 +42,7 @@ from scipy.linalg import lapack
 
 import vcadjust as v
 from vcadjust.data_model import StackedData, incidence
-from vcadjust.design_algebra import OrthogonalPartition, averaging_matrix, centering_matrix
+from vcadjust.design_algebra import OrthogonalPartition, averaging_matrix
 from vcadjust.errors import SingularityError, ValidationError
 from vcadjust.lmm import LmmSpec, _cross_products, _neg_loglik
 from vcadjust.mvc_em import MultivariateModel, MVCParams, initial_params, make_model
@@ -294,6 +296,33 @@ def make_oracle_instance(seed: int):
 
 
 # ------------------------------------------------- stratum algebra reference
+
+
+def centering_matrix(n: int) -> np.ndarray:
+    """Return ``I_n - J_n/n``: symmetric, idempotent, annihilates ones."""
+    if n < 1:
+        raise ValidationError(f"centering_matrix needs n >= 1, got {n}")
+    return np.eye(n) - np.full((n, n), 1.0 / n)
+
+
+def helmert_matrix(t: int) -> np.ndarray:
+    """Orthogonal t x t matrix whose first column is the normalized ones.
+
+    Column 1 is ``1/sqrt(t)``; column j (j >= 2) is the classical contrast
+    with entries ``1/sqrt(j(j-1))`` in the first ``j-1`` rows,
+    ``-(j-1)/sqrt(j(j-1))`` in row j, zeros below.  Any orthonormal
+    completion of the ones column gives the same likelihoods; this one is
+    fixed for reproducibility.
+    """
+    if t < 1:
+        raise ValidationError(f"helmert_matrix needs t >= 1, got {t}")
+    H = np.zeros((t, t))
+    H[:, 0] = 1.0 / np.sqrt(t)
+    for j in range(2, t + 1):
+        norm = np.sqrt(j * (j - 1))
+        H[: j - 1, j - 1] = 1.0 / norm
+        H[j - 1, j - 1] = -(j - 1) / norm
+    return H
 
 
 def rcb_partition(t: int) -> OrthogonalPartition:

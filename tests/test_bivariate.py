@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,9 @@ from vcadjust.mvc_em import MVCParams, make_model, observed_loglik
 from vcadjust.rcb_classical import rcb_arrays
 
 from conftest import interior_bivariate_params
+from oracle_utils import centering_matrix, helmert_matrix
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden_cli"
 
 
 def _rand_pd(rng, scale=1.0):
@@ -91,9 +96,9 @@ class TestClosedFormML:
 
     def test_mu_z_is_grand_mean(self, rcb_dataset):
         ds, spec = rcb_dataset
-        hf, _, _ = v.fit_bivariate_rcb_ml(ds, spec)
-        assert np.isclose(hf.mu_z_hat, np.mean(ds.covariates[:, 0]), atol=1e-12)
-        assert np.isclose(hf.theta_1z, np.sqrt(hf.t) * hf.zbar, atol=1e-12)
+        hf, bp, _ = v.fit_bivariate_rcb_ml(ds, spec)
+        assert np.isclose(bp.mu_z, np.mean(ds.covariates[:, 0]), atol=1e-12)
+        assert bp.mu_z == hf.zbar
 
     def test_adjusted_means_equal_fixed_ols_means(self):
         params = interior_bivariate_params(5)
@@ -116,7 +121,7 @@ class TestClosedFormML:
             hf, bp, _ = v.fit_bivariate_rcb_ml(ds, cfg.design_spec)
             ge.append(hf.gamma_e_hat)
             gbe.append(hf.gamma_be_hat)
-            muz.append(hf.mu_z_hat)
+            muz.append(bp.mu_z)
             sez2.append(bp.Sigma_E[1, 1])
         for vals, target in (
             (ge, truth.gamma_e),
@@ -172,6 +177,27 @@ class TestClosedFormML:
         _, bp, _ = v.fit_bivariate_rcb_ml(ds, cfg.design_spec)
         assert not bp.sigma_b_psd  # reported as-is, with the flag
 
+    def test_conditional_params_round_trip_the_strata(self):
+        # the CLI prints cond.gamma_b, cond.sigma_e2 and cond.sigma_b2, which
+        # go from the stratum values into Sigma_E/Sigma_B and back;
+        # adjusted_means_bivariate reads the stratum values themselves
+        spec = v.load_design_spec(str(GOLDEN / "rcb.json"))
+        cases = [(v.load_dataset(str(GOLDEN / "rcb.csv"), spec), spec)]
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            t, b = int(rng.integers(2, 8)), int(rng.integers(3, 12))
+            cfg = v.SimConfig(t=t, b=b, params=interior_bivariate_params(t), seed=seed)
+            cases.append((v.gen_bivariate_rcb(cfg)[0], cfg.design_spec))
+        for ds, spec in cases:
+            hf, _, cond = v.fit_bivariate_rcb_ml(ds, spec)
+            for got, want in (
+                (cond.gamma_e, hf.gamma_e_hat),
+                (cond.gamma_b, hf.gamma_be_hat - hf.gamma_e_hat),
+                (cond.sigma_e2, hf.sigma_e2),
+                (cond.sigma_b2, hf.sigma_b2),
+            ):
+                assert np.isclose(got, want, rtol=1e-12, atol=0.0), (got, want)
+
     def test_helmert_pieces_are_independent(self):
         # empirical cross-covariance between contrast pairs with different
         # row index vanishes within Monte Carlo error
@@ -180,7 +206,7 @@ class TestClosedFormML:
         cfg = v.SimConfig(t=t, b=b, params=params, replicates=1, seed=23)
         ds = v.gen_bivariate_rcb(cfg)[0]
         Y, Z, _, _ = rcb_arrays(ds, cfg.design_spec)
-        H = v.helmert_matrix(t)
+        H = helmert_matrix(t)
         Ys, Zs = H.T @ Y, H.T @ Z
         pieces = [np.vstack([Ys[i], Zs[i]]) for i in range(t)]
         # variance scale of a sample covariance over b blocks
@@ -288,7 +314,7 @@ class TestAdjustedMeansBivariate:
         Y, Z, _, _ = rcb_arrays(ds, spec)
         hf, _, _ = v.fit_bivariate_rcb_ml(ds, spec)
         t, b = Y.shape
-        Ct, Cb = v.centering_matrix(t), v.centering_matrix(b)
+        Ct, Cb = centering_matrix(t), centering_matrix(b)
         Jt = np.full((t, t), 1.0 / t)
         w_intra = float(np.sum(Z * (Ct @ Z @ Cb)))
         w_inter = float(np.sum(Z * (Jt @ Z @ Cb)))
@@ -428,6 +454,16 @@ class TestConditionalIbd:
 
 
 class TestDirectTreatmentEffects:
+    def test_accepts_fixed_and_random_block_fits(self):
+        cfg = v.SimConfig(t=4, b=6, params=interior_bivariate_params(4), seed=3)
+        ds = v.gen_bivariate_rcb(cfg)[0]
+        spec = cfg.design_spec
+        zmeans = np.zeros(4)
+        for fit in (v.fit_fixed_rcb(ds, spec), v.fit_conditional_ibd(ds, spec, method="reml")):
+            out = v.direct_treatment_effects(fit, zmeans, within_group_sd=1.0)
+            assert np.array_equal(out, fit.effects)
+            assert abs(out.sum()) < 1e-10
+
     def test_zero_covariate_effects_pass_through(self):
         ds = _bib_dataset(seed=1)
         fit = v.fit_conditional_ibd(ds, IBD_SPEC, method="reml")

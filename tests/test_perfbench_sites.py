@@ -5,7 +5,9 @@ them up (``TRACED``) and scipy's ``minimize`` inside ``vcadjust.lmm``
 (``MINIMIZE_SITE``).  A span none of whose sites exists is left out of the
 per-layer metrics, so a refactor that moves or renames such a name would
 silently drop metrics.  This resolves every site with ``getattr``, as
-``tracing.install`` does, without installing anything.
+``tracing.install`` does, without installing anything.  ``install`` imports
+each traced module without a guard, so a module that is gone would end
+every traced run before its result line: each must import.
 """
 
 import importlib
@@ -46,3 +48,11 @@ def test_every_traced_span_has_a_site():
     # the per-layer metrics then all survive: none needs a missing span
     missing = tracing.absent_spans(absent)
     assert all(not missing.intersection(needs) for _, needs in tracing.PER_LAYER.values())
+
+
+def test_every_traced_module_imports():
+    tracing = _tracing()
+    # install also imports the module that holds MINIMIZE_SITE's "optimize"
+    modules = {m for m, _, _ in tracing.TRACED} | {tracing.MINIMIZE_SITE.rsplit(".", 2)[0]}
+    for name in sorted(modules):
+        importlib.import_module(name)

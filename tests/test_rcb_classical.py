@@ -6,6 +6,7 @@ from vcadjust.errors import SingularityError, ValidationError
 from vcadjust.rcb_classical import _rcb_sscp, rcb_arrays
 
 from conftest import interior_bivariate_params
+from oracle_utils import centering_matrix
 
 
 def _dataset_from_matrices(Y, Z):
@@ -55,7 +56,7 @@ class TestFixedFit:
 
     def test_no_complete_cells_is_an_input_error(self):
         ds = _dataset_from_matrices(np.full((3, 4), np.nan), np.full((3, 4), np.nan))
-        for fitter in (v.fit_fixed_rcb, v.fit_bivariate_rcb_ml, v.intra_inter_decompose):
+        for fitter in (v.fit_fixed_rcb, v.fit_bivariate_rcb_ml):
             with pytest.raises(ValidationError, match="no complete cells"):
                 fitter(ds, SPEC)
 
@@ -74,8 +75,23 @@ class TestFixedFit:
         zbar_i, zbar = Z_TOY.mean(axis=1), Z_TOY.mean()
         expected = Y_TOY.mean(axis=1) - 2.0 * (zbar_i - zbar)
         assert np.allclose(fit.adjusted_means, expected)
-        assert np.isclose(fit.tau_hat.sum(), 0.0)
-        assert np.isclose(fit.beta_hat_blocks.sum(), 0.0)
+        assert np.isclose(fit.effects.sum(), 0.0)
+
+    def test_loglik_is_the_dense_least_squares_maximum(self, rcb_dataset):
+        ds, spec = rcb_dataset
+        Y, Z, _, _ = rcb_arrays(ds, spec)
+        t, b = Y.shape
+        n = t * b
+        X = np.column_stack([
+            np.kron(np.eye(t), np.ones((b, 1))),
+            np.kron(np.ones((t, 1)), np.eye(b))[:, 1:],
+            Z.ravel(),
+        ])
+        r = Y.ravel() - X @ np.linalg.lstsq(X, Y.ravel(), rcond=None)[0]
+        expected = -0.5 * n * (np.log(2 * np.pi) + np.log(r @ r / n) + 1.0)
+        for divisor in ("ml", "unbiased"):
+            fit = v.fit_fixed_rcb(ds, spec, divisor=divisor)
+            assert np.isclose(fit.loglik, expected, rtol=1e-10, atol=0.0)
 
     def test_block_centering_invariance(self, rcb_dataset):
         ds, spec = rcb_dataset
@@ -175,7 +191,7 @@ class TestMixedFit:
         t, b = Y.shape
         M = np.kron(
             np.eye(t) - mx.rho * np.full((t, t), 1.0 / t),
-            v.centering_matrix(b),
+            centering_matrix(b),
         )
         z = Z.ravel()
         Sig = mx.sigma_e2 * np.eye(t * b) + mx.sigma_b2 * np.kron(
@@ -257,7 +273,7 @@ class TestStratumSscp:
         Z = -2.0 + 3.0 * rng.normal(size=(t, b)) + rng.normal(size=(t, 1))
         D = np.column_stack([Y.ravel(), Z.ravel()])  # treatment-major vec
         Jt = np.full((t, t), 1.0 / t)
-        Ct, Cb = v.centering_matrix(t), v.centering_matrix(b)
+        Ct, Cb = centering_matrix(t), centering_matrix(b)
         strata = (np.kron(Jt, Cb), np.kron(Ct, Cb), np.kron(Ct, np.eye(b)))
         scale = float(np.sum(D * D))
         for got, P in zip(_rcb_sscp(Y, Z), strata, strict=True):
@@ -266,13 +282,21 @@ class TestStratumSscp:
 
 
 class TestIntraInter:
+    """The within-block (intra) and block-mean (inter) slopes, as the fixed
+    and joint fits report them."""
+
     def test_slopes_reproduce_both_regressions(self, rcb_dataset):
         ds, spec = rcb_dataset
-        dec = v.intra_inter_decompose(ds, spec)
+        Y, Z, _, _ = rcb_arrays(ds, spec)
         fx = v.fit_fixed_rcb(ds, spec)
         hf, _, _ = v.fit_bivariate_rcb_ml(ds, spec)
-        assert np.isclose(dec.intra_slope, fx.gamma_ols, atol=1e-10)
-        assert np.isclose(dec.inter_slope, hf.gamma_be_hat, atol=1e-10)
+        assert fx.gamma_ols == hf.gamma_e_hat
+        # dense regressions: doubly-centered cells, then centered block means
+        Zc = Z - Z.mean(axis=1, keepdims=True) - Z.mean(axis=0) + Z.mean()
+        Yc = Y - Y.mean(axis=1, keepdims=True) - Y.mean(axis=0) + Y.mean()
+        zb, yb = Z.mean(axis=0) - Z.mean(), Y.mean(axis=0) - Y.mean()
+        assert np.isclose(fx.gamma_ols, np.sum(Zc * Yc) / np.sum(Zc * Zc), atol=1e-10)
+        assert np.isclose(hf.gamma_be_hat, zb @ yb / (zb @ zb), atol=1e-10)
 
     def test_equal_block_means_flagged(self):
         rng = np.random.default_rng(6)
@@ -280,13 +304,12 @@ class TestIntraInter:
         Z = rng.normal(size=(t, b))
         Z = Z - Z.mean(axis=0, keepdims=True) + 3.0  # same mean in every block
         Y = rng.normal(size=(t, b))
-        dec = v.intra_inter_decompose(_dataset_from_matrices(Y, Z), SPEC)
-        assert not dec.inter_defined
-        assert np.isnan(dec.inter_slope)
+        with pytest.raises(SingularityError, match="block-mean covariate carries no variation"):
+            v.fit_bivariate_rcb_ml(_dataset_from_matrices(Y, Z), SPEC)
 
     def test_treatment_permutation_invariance(self, rcb_dataset):
         ds, spec = rcb_dataset
-        dec1 = v.intra_inter_decompose(ds, spec)
+        fx1, (hf1, _, _) = v.fit_fixed_rcb(ds, spec), v.fit_bivariate_rcb_ml(ds, spec)
         rng = np.random.default_rng(0)
         perm = rng.permutation(ds.n_records)
         ds2 = v.Dataset(
@@ -296,6 +319,6 @@ class TestIntraInter:
             covariate_names=ds.covariate_names,
             levels={},
         )
-        dec2 = v.intra_inter_decompose(ds2, spec)
-        assert np.isclose(dec1.intra_slope, dec2.intra_slope)
-        assert np.isclose(dec1.inter_slope, dec2.inter_slope)
+        fx2, (hf2, _, _) = v.fit_fixed_rcb(ds2, spec), v.fit_bivariate_rcb_ml(ds2, spec)
+        assert np.isclose(fx1.gamma_ols, fx2.gamma_ols)
+        assert np.isclose(hf1.gamma_be_hat, hf2.gamma_be_hat)
