@@ -29,7 +29,7 @@ from .data_model import (
     load_design_spec,
 )
 from .design_algebra import OrthogonalPartition, validate_partition
-from .errors import ConvergenceError, SingularityError, ValidationError, VcadjustError
+from .errors import SingularityError, ValidationError, VcadjustError
 from .lmm import LmmFit, LmmSpec, contrast, fit_lmm
 from .mvc_em import (
     AdjustedMeansResult,
@@ -61,7 +61,6 @@ __all__ = [
     "BivariateParams",
     "BlockConditionalFit",
     "ConditionalParams",
-    "ConvergenceError",
     "Dataset",
     "DesignRecipe",
     "DesignSpec",

@@ -15,7 +15,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -30,7 +30,7 @@ from .bivariate_rcb import (
 )
 from .data_model import build_stacked, load_dataset, load_design_spec
 from .design_algebra import validate_partition
-from .errors import ConvergenceError, SingularityError, ValidationError
+from .errors import SingularityError, ValidationError
 from .lmm import contrast as lmm_contrast
 from .mvc_em import adjusted_means_mvc, fit_em, make_model
 from .orthogonal_conditional import (
@@ -47,21 +47,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_SINGULAR = 4
-
-
-@dataclass
-class RunRequest:
-    command: str
-    model: str = "bivariate"
-    method: str = "ml"
-    data_path: str | None = None
-    design_path: str | None = None
-    output_path: str | None = None
-    format: str = "tsv"
-    tol: float | None = None
-    max_iter: int | None = None
-    coeffs: str | None = None
-    sim: dict = field(default_factory=dict)
 
 
 def _fmt(x) -> str:
@@ -112,23 +97,21 @@ class Artifact:
         return "\n".join(lines) + "\n"
 
 
-def _write(text: str, req: RunRequest):
-    if req.output_path:
-        with open(req.output_path, "w", encoding="utf-8") as fh:
+def _write(text: str, args):
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit(artifact: Artifact, req: RunRequest):
-    _write(artifact.render(req.format), req)
+def _emit(artifact: Artifact, args):
+    _write(artifact.render(args.format), args)
 
 
-def _load(req: RunRequest):
-    if not req.design_path or not req.data_path:
-        raise ValidationError("both --data and --design are required")
-    spec = load_design_spec(req.design_path)
-    ds = load_dataset(req.data_path, spec)
+def _load(args):
+    spec = load_design_spec(args.design)
+    ds = load_dataset(args.data, spec)
     return ds, spec
 
 
@@ -139,27 +122,27 @@ def _is_complete_rcb(ds, spec) -> bool:
     return bool(np.all(rcb_cells(ds, spec)[-1] == 1))
 
 
-def _iter_options(req: RunRequest) -> dict:
+def _iter_options(args) -> dict:
     """``--tol``/``--max-iter`` when given; each fitter keeps its own defaults."""
-    opts = {"tol": req.tol, "max_iter": req.max_iter}
+    opts = {"tol": args.tol, "max_iter": args.max_iter}
     return {k: val for k, val in opts.items() if val is not None}
 
 
 def _fields(**paths):
     """Scalar fields after ``method``: output name -> dotted fit attribute."""
     getters = {name: attrgetter(path) for name, path in paths.items()}
-    return lambda f, req: {
-        "method": req.method, **{name: get(f) for name, get in getters.items()}
+    return lambda f, args: {
+        "method": args.method, **{name: get(f) for name, get in getters.items()}
     }
 
 
-def _fixed_scalars(f, req) -> dict:
+def _fixed_scalars(f, args) -> dict:
     return {"gamma_ols": f.gamma_ols, "sigma_e2": f.sigma_e2_hat, "loglik": f.loglik}
 
 
-def _orthogonal_scalars(f, req) -> dict:
+def _orthogonal_scalars(f, args) -> dict:
     return {
-        "method": req.method,
+        "method": args.method,
         "loglik": f.loglik,
         **{f"slope[{name}]": val for name, val in f.slopes.items()},
         **{f"varcomp[{name}]": val for name, val in f.var_comps.items()},
@@ -167,7 +150,7 @@ def _orthogonal_scalars(f, req) -> dict:
     }
 
 
-def _fit_bivariate_ml(ds, spec, req):
+def _fit_bivariate_ml(ds, spec, args):
     fit, params, cond = fit_bivariate_rcb_ml(ds, spec)
     means, se = adjusted_means_bivariate(fit)
     return SimpleNamespace(
@@ -176,11 +159,11 @@ def _fit_bivariate_ml(ds, spec, req):
     )
 
 
-def _fit_mvc(ds, spec, req):
-    if req.method == "reml":
+def _fit_mvc(ds, spec, args):
+    if args.method == "reml":
         raise ValidationError("reml unsupported for mvc")
     stacked = build_stacked(ds, spec)
-    fit = fit_em(make_model(stacked), **_iter_options(req))
+    fit = fit_em(make_model(stacked), **_iter_options(args))
     res = adjusted_means_mvc(fit)
     return SimpleNamespace(
         fit=fit, stacked=stacked, evaluated_at=res.evaluated_at,
@@ -188,8 +171,8 @@ def _fit_mvc(ds, spec, req):
     )
 
 
-def _mvc_scalars(f, req) -> dict:
-    out = {"method": req.method, "loglik": f.fit.loglik,
+def _mvc_scalars(f, args) -> dict:
+    out = {"method": args.method, "loglik": f.fit.loglik,
            "iterations": f.fit.iterations, "converged": f.fit.converged}
     # cov_mean_cols preserves covariate declaration order, matching
     # the order of the evaluated-at vector
@@ -211,22 +194,22 @@ _EFFECTS = (
 _BLOCK = dict(sigma_e2="sigma_e2", sigma_b2="sigma_b2", loglik="loglik",
               converged="lmm_fit.converged")
 
-# model -> (fitter(ds, spec, req), scalar fields after "model" (fit, req),
+# model -> (fitter(ds, spec, args), scalar fields after "model" (fit, args),
 # treatment-table columns after "treatment" as (header, fit attribute)).
 # A "<model>_rcb" row replaces its model's row on a complete RCB for the
 # methods in _RCB_METHODS; "mixed_rcb" runs the fit of "mixed" and only
 # prints other fields.  A false "converged" field exits 3.
 _MODELS = {
-    "fixed": (lambda ds, spec, req: fit_fixed_rcb(ds, spec), _fixed_scalars, _EFFECT),
+    "fixed": (lambda ds, spec, args: fit_fixed_rcb(ds, spec), _fixed_scalars, _EFFECT),
     "mixed_rcb": (
-        lambda ds, spec, req: fit_mixed_rcb(ds, spec, req.method, **_iter_options(req)),
+        lambda ds, spec, args: fit_mixed_rcb(ds, spec, args.method, **_iter_options(args)),
         _fields(gamma_mixed="gamma_e", sigma_e2="sigma_e2", sigma_b2="sigma_b2",
                 rho="rho", loglik="loglik", converged="lmm_fit.converged"),
         _EFFECT,
     ),
     "mixed": (
-        lambda ds, spec, req: fit_naive_block_mixed(
-            ds, spec, req.method, **_iter_options(req)),
+        lambda ds, spec, args: fit_naive_block_mixed(
+            ds, spec, args.method, **_iter_options(args)),
         _fields(gamma="gamma_e", **_BLOCK),
         _EFFECTS,
     ),
@@ -239,14 +222,14 @@ _MODELS = {
         _MEANS,
     ),
     "bivariate": (
-        lambda ds, spec, req: fit_conditional_ibd(
-            ds, spec, req.method, **_iter_options(req)),
+        lambda ds, spec, args: fit_conditional_ibd(
+            ds, spec, args.method, **_iter_options(args)),
         _fields(gamma_e="gamma_e", gamma_b="gamma_b", **_BLOCK),
         _EFFECTS,
     ),
     "orthogonal": (
-        lambda ds, spec, req: fit_orthogonal_conditional(
-            recipe_for(spec), ds, req.method, **_iter_options(req)),
+        lambda ds, spec, args: fit_orthogonal_conditional(
+            recipe_for(spec), ds, args.method, **_iter_options(args)),
         _orthogonal_scalars,
         _MEANS,
     ),
@@ -255,15 +238,13 @@ _MODELS = {
 _RCB_METHODS = {"mixed": ("ml", "reml"), "bivariate": ("ml",)}
 
 
-def _fit_artifact(req: RunRequest, ds, spec) -> tuple[Artifact, int]:
-    if req.model not in MODELS:
-        raise ValidationError(f"unknown model {req.model!r}; expected one of {MODELS}")
-    key = req.model
-    if req.method in _RCB_METHODS.get(key, ()) and _is_complete_rcb(ds, spec):
+def _fit_artifact(args, ds, spec) -> tuple[Artifact, int]:
+    key = args.model
+    if args.method in _RCB_METHODS.get(key, ()) and _is_complete_rcb(ds, spec):
         key += "_rcb"
     fitter, scalar_fields, columns = _MODELS[key]
-    f = fitter(ds, spec, req)
-    scalars = {"model": req.model, **scalar_fields(f, req)}
+    f = fitter(ds, spec, args)
+    scalars = {"model": args.model, **scalar_fields(f, args)}
     cols = ["treatment"] + [name for name, _ in columns]
     rows = [
         [lab] + [getattr(f, attr)[i] for _, attr in columns]
@@ -273,34 +254,34 @@ def _fit_artifact(req: RunRequest, ds, spec) -> tuple[Artifact, int]:
     return Artifact(scalars, {"treatments": (cols, rows)}), code
 
 
-def _cmd_fit(req: RunRequest) -> int:
-    ds, spec = _load(req)
-    artifact, code = _fit_artifact(req, ds, spec)
-    _emit(artifact, req)
+def _cmd_fit(args) -> int:
+    ds, spec = _load(args)
+    artifact, code = _fit_artifact(args, ds, spec)
+    _emit(artifact, args)
     return code
 
 
-def _cmd_adjust(req: RunRequest) -> int:
-    ds, spec = _load(req)
-    artifact, code = _fit_artifact(req, ds, spec)
+def _cmd_adjust(args) -> int:
+    ds, spec = _load(args)
+    artifact, code = _fit_artifact(args, ds, spec)
     # every model's table starts with treatment, adjusted mean, standard error
     rows = [row[:3] for row in artifact.tables["treatments"][1]]
     table = (["treatment", "adj_mean", "std_err"], rows)
-    scalars = {"model": req.model, "method": req.method}
-    _emit(Artifact(scalars, {"adjusted_means": table}), req)
+    scalars = {"model": args.model, "method": args.method}
+    _emit(Artifact(scalars, {"adjusted_means": table}), args)
     return code
 
 
-def _cmd_compare(req: RunRequest) -> int:
-    ds, spec = _load(req)
+def _cmd_compare(args) -> int:
+    ds, spec = _load(args)
     if not _is_complete_rcb(ds, spec):
         raise ValidationError(
             "compare needs a complete randomized-blocks layout with one covariate"
         )
     fits = {
         "fixed": fit_fixed_rcb(ds, spec),
-        "mixed": fit_mixed_rcb(ds, spec, req.method, **_iter_options(req)),
-        "bivariate": _fit_bivariate_ml(ds, spec, req),
+        "mixed": fit_mixed_rcb(ds, spec, args.method, **_iter_options(args)),
+        "bivariate": _fit_bivariate_ml(ds, spec, args),
     }
     fx, mx = fits["fixed"], fits["mixed"]
     scalars = {
@@ -310,7 +291,7 @@ def _cmd_compare(req: RunRequest) -> int:
         "sigma_e2_mixed": mx.sigma_e2,
         "sigma_b2_mixed": mx.sigma_b2,
         "rho_mixed": mx.rho,
-        "method": req.method,
+        "method": args.method,
     }
     cols = ["treatment"]
     for name in fits:
@@ -319,15 +300,15 @@ def _cmd_compare(req: RunRequest) -> int:
         [lab] + [v for f in fits.values() for v in (f.adjusted_means[i], f.adjusted_se[i])]
         for i, lab in enumerate(fx.treatments)
     ]
-    _emit(Artifact(scalars, {"comparison": (cols, rows)}), req)
+    _emit(Artifact(scalars, {"comparison": (cols, rows)}), args)
     return EXIT_OK if mx.lmm_fit.converged else EXIT_NONCONVERGENCE
 
 
-def _cmd_check_design(req: RunRequest) -> int:
-    ds, spec = _load(req)
+def _cmd_check_design(args) -> int:
+    ds, spec = _load(args)
     recipe = recipe_for(spec)
     part = recipe_partition(recipe, ds)
-    report = validate_partition(part, tol=req.tol if req.tol is not None else 1e-10)
+    report = validate_partition(part, tol=args.tol if args.tol is not None else 1e-10)
     scalars = {
         "recipe": recipe.name,
         "partition": "pass" if report.passed else "fail",
@@ -338,7 +319,7 @@ def _cmd_check_design(req: RunRequest) -> int:
         "completeness": report.completeness,
         "grand_mean": report.grand_mean,
     }
-    _emit(Artifact(scalars, {}), req)
+    _emit(Artifact(scalars, {}), args)
     return EXIT_OK if report.passed else EXIT_INPUT
 
 
@@ -359,61 +340,62 @@ def _parse_coeffs(text: str, labels) -> np.ndarray:
     return out
 
 
-def _cmd_contrast(req: RunRequest) -> int:
-    if not req.coeffs:
+def _cmd_contrast(args) -> int:
+    if not args.coeffs:
         raise ValidationError("--coeffs is required for contrast")
-    ds, spec = _load(req)
-    fitters = {"mixed": fit_naive_block_mixed, "bivariate": fit_conditional_ibd}
-    if req.model not in fitters:
-        raise ValidationError("contrast supports models 'mixed' and 'bivariate'")
-    f = fitters[req.model](ds, spec, req.method, **_iter_options(req))
-    c = _parse_coeffs(req.coeffs, f.treatments)
+    ds, spec = _load(args)
+    fitter = fit_naive_block_mixed if args.model == "mixed" else fit_conditional_ibd
+    f = fitter(ds, spec, args.method, **_iter_options(args))
+    c = _parse_coeffs(args.coeffs, f.treatments)
     full = np.zeros(len(f.lmm_fit.beta_hat))
     full[: len(c)] = c
     est, se = lmm_contrast(f.lmm_fit, full)
-    scalars = {"model": req.model, "method": req.method, "contrast": req.coeffs,
+    scalars = {"model": args.model, "method": args.method, "contrast": args.coeffs,
                "estimate": est, "std_err": se}
-    _emit(Artifact(scalars, {}), req)
+    _emit(Artifact(scalars, {}), args)
     return EXIT_OK if f.lmm_fit.converged else EXIT_NONCONVERGENCE
 
 
-def _sym2(v) -> np.ndarray:
-    """Symmetric 2x2 matrix from its (yy, yz, zz) entries."""
+def _sym2(flag: str, text: str) -> np.ndarray:
+    """Symmetric 2x2 matrix from a flag's ``yy,yz,zz`` entries."""
+    try:
+        v = [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    if len(v) != 3:
+        raise ValidationError(f"{flag} takes three numbers yy,yz,zz; got {len(v)}")
     return np.array([[v[0], v[1]], [v[1], v[2]]])
 
 
-def _cmd_simulate(req: RunRequest) -> int:
-    sim = req.sim
+def _cmd_simulate(args) -> int:
+    Sigma_B, Sigma_E = _sym2("--sigma-b", args.sigma_b), _sym2("--sigma-e", args.sigma_e)
+    bias = args.study == "bias"
+    if bias and args.b < 2:
+        raise ValidationError(f"the bias study needs --b of at least 2; got {args.b}")
+    if not bias and not 0 <= args.rep < args.replicates:
+        raise ValidationError(
+            f"--rep {args.rep} is not one of the {args.replicates} replicates (0-based)")
     params = BivariateParams(
-        mu_y=np.full(sim["t"], sim.get("mu_y", 0.0)),
-        mu_z=sim.get("mu_z", 0.0),
-        Sigma_B=_sym2(sim["sigma_b"]),
-        Sigma_E=_sym2(sim["sigma_e"]),
+        mu_y=np.full(args.t, args.mu_y), mu_z=args.mu_z, Sigma_B=Sigma_B, Sigma_E=Sigma_E
     )
-    cfg = SimConfig(
-        t=sim["t"],
-        b=sim["b"],
-        params=params,
-        replicates=sim.get("replicates", 1),
-        seed=sim.get("seed", 0),
-        condition_on_z=sim.get("study") == "bias",
-    )
-    if sim.get("study") == "bias":
+    cfg = SimConfig(t=args.t, b=args.b, params=params, replicates=args.replicates,
+                    seed=args.seed, condition_on_z=bias)
+    if bias:
         res = bias_study(cfg)
         scalars = {"replicates": res.replicates, "gamma_e": res.gamma_e,
                    "gamma_be": res.gamma_be, "rho": res.rho,
                    "mixing_value": res.mixing_value}
         cols = ["estimator", "target", "mc_mean", "mc_se", "bias", "flag"]
         rows = [[getattr(r, c) for c in cols] for r in res.rows]
-        _emit(Artifact(scalars, {"study": (cols, rows)}), req)
+        _emit(Artifact(scalars, {"study": (cols, rows)}), args)
         return EXIT_OK
-    ds = gen_bivariate_rcb(cfg)[sim.get("rep", 0)]
+    ds = gen_bivariate_rcb(cfg)[args.rep]
     records = zip(ds.factors["treatment"], ds.factors["block"], ds.response,
                   ds.covariates[:, 0])
     lines = ["treatment,block,y,z"] + [
         f"{trt},{blk},{_fmt(float(y))},{_fmt(float(z))}" for trt, blk, y, z in records
     ]
-    _write("\n".join(lines) + "\n", req)
+    _write("\n".join(lines) + "\n", args)
     return EXIT_OK
 
 
@@ -427,23 +409,17 @@ _COMMANDS = {
 }
 
 
-def run(request: RunRequest) -> int:
-    """Execute one request; returns the process exit code."""
-    handler = _COMMANDS.get(request.command)
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the process exit code."""
     try:
-        if handler is None:
-            raise ValidationError(f"unknown command {request.command!r}")
-        if request.format not in ("tsv", "json"):
-            raise ValidationError(f"unknown format {request.format!r}")
-        if request.method not in ("ml", "reml"):
-            raise ValidationError(f"unknown method {request.method!r}")
-        code = handler(request)
+        code = _COMMANDS[args.command](args)
         if code == EXIT_NONCONVERGENCE:
             # for mvc, --tol only ends the EM start early: it cannot turn a
             # max_iter or stall exit into a converged fit
+            mvc = getattr(args, "model", None) == "mvc"
             _diag(code, "non-convergence", "the fit stopped before converging; " + (
                 "raise --max-iter (--tol only ends the EM start early)"
-                if request.model == "mvc" else "raise --max-iter or loosen --tol"))
+                if mvc else "raise --max-iter or loosen --tol"))
         return code
     except (ValidationError, FileNotFoundError) as exc:
         _diag(EXIT_INPUT, "input", exc)
@@ -451,9 +427,6 @@ def run(request: RunRequest) -> int:
     except SingularityError as exc:
         _diag(EXIT_SINGULAR, "singularity", exc)
         return EXIT_SINGULAR
-    except ConvergenceError as exc:
-        _diag(EXIT_NONCONVERGENCE, "non-convergence", exc)
-        return EXIT_NONCONVERGENCE
 
 
 def _diag(code: int, kind: str, detail: Exception | str):
@@ -512,35 +485,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _request_from_args(args) -> RunRequest:
-    req = RunRequest(
-        command=args.command,
-        model=getattr(args, "model", "bivariate"),
-        method=getattr(args, "method", "ml"),
-        data_path=getattr(args, "data", None),
-        design_path=getattr(args, "design", None),
-        output_path=args.out,
-        format=args.format,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        coeffs=getattr(args, "coeffs", None),
-    )
-    if args.command == "simulate":
-        names = ("study", "t", "b", "replicates", "seed", "rep", "mu_y", "mu_z")
-        req.sim = {name: getattr(args, name) for name in names}
-        for name in ("sigma_b", "sigma_e"):
-            req.sim[name] = [float(v) for v in getattr(args, name).split(",")]
-    return req
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        req = _request_from_args(args)
-    except (ValueError, ValidationError) as exc:
-        _diag(EXIT_INPUT, "input", exc)
-        return EXIT_INPUT
-    return run(req)
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

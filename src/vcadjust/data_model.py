@@ -3,10 +3,12 @@
 A :class:`Dataset` is long-format: one record per experimental cell, with
 factor labels, an optional response, and optional covariates.  Missingness
 is all-or-none per record — a cell either has its response and every
-covariate, or none of them.  :func:`build_stacked` turns a dataset plus a
+covariate, or none of them.  :func:`complete_records` selects the records
+every fit reads: the complete ones, in one canonical order, refusing a
+treatment that has none.  :func:`build_stacked` turns a dataset plus a
 :class:`DesignSpec` into the stacked vector/matrix layout used by the
 general fitting engine: all responses first, then covariate 1, and so on
-(variable-major).
+(variable-major), cell c being the c-th complete record in canonical order.
 
 :func:`group_codes` is the package's one map from factor labels to integer
 codes: every order of treatments, blocks and random-term levels is the sorted
@@ -337,12 +339,39 @@ def incidence(codes: np.ndarray, n_levels: int) -> np.ndarray:
     return W
 
 
+def complete_records(
+    ds: Dataset, treatment_factors: tuple[str, ...]
+) -> tuple[Dataset, list[str], np.ndarray]:
+    """The complete records of ``ds`` sorted by treatment label, then by the
+    labels of every other factor in column order, whatever the row order of
+    the input; the sorted treatment labels; each record's treatment code.
+
+    Raises when no record is complete, then when a treatment has records
+    but no complete one (its mean is inestimable).
+    """
+    mask = ds.complete_mask
+    if not mask.any():
+        raise ValidationError("no complete cells")
+    labels, codes = group_codes(ds, treatment_factors)
+    lost = np.flatnonzero(np.bincount(codes[mask], minlength=len(labels)) == 0)
+    if lost.size:
+        raise ValidationError(
+            f"treatment {labels[lost[0]]!r} has no complete cells; its mean is inestimable"
+        )
+    others = [group_codes(ds, (f,))[1] for f in ds.factors if f not in treatment_factors]
+    # lexsort's last key sorts first; only complete records are kept
+    order = np.lexsort(others[::-1] + [codes])
+    order = order[mask[order]]
+    return ds.subset(order), labels, codes[order]
+
+
 @dataclass(frozen=True)
 class StackedData:
     """Variable-major stacked layout of the complete cells.
 
     ``z`` has length ``n_obs * (m+1)``; position ``v * n_obs + c`` holds
-    variable ``v`` of complete cell ``c``.  ``X`` carries treatment-mean
+    variable ``v`` of complete cell ``c``, the c-th record of
+    :func:`complete_records` (canonical order).  ``X`` carries treatment-mean
     columns acting on the response block and one grand-mean column per
     covariate (plus treatment columns on covariate blocks when treatments
     affect the covariates).
@@ -388,22 +417,11 @@ def build_stacked(
     enter as random treatment-associated factors; their incidence acts on
     the response block only unless treatments affect the covariates.
     """
-    mask = ds.complete_mask
-    sub = ds.subset(mask)
-    n = sub.n_records
-    if n == 0:
-        raise ValidationError("no complete cells")
     m = spec.m
-    if sub.m != m:
+    if ds.m != m:
         raise ValidationError("dataset covariate count does not match design")
-
-    labels, codes = group_codes(ds, spec.treatment_factors)
-    lost = np.flatnonzero(np.bincount(codes[mask], minlength=len(labels)) == 0)
-    if lost.size:
-        raise ValidationError(
-            f"treatment {labels[lost[0]]!r} has no complete cells; its mean is inestimable"
-        )
-    codes = codes[mask]
+    sub, labels, codes = complete_records(ds, spec.treatment_factors)
+    n = sub.n_records
     t = len(labels)
 
     # fixed-effects design, variable-major blocks: treatment means on the

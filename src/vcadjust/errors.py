@@ -12,7 +12,3 @@ class ValidationError(VcadjustError):
 class SingularityError(VcadjustError):
     """A matrix that must be invertible is singular (degenerate regressor,
     singular stratum, inestimable configuration)."""
-
-
-class ConvergenceError(VcadjustError):
-    """An iterative fit failed to converge and no usable iterate exists."""

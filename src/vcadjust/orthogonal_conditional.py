@@ -10,8 +10,10 @@ and which projector partition its replicate unit carries.
 :func:`fit_orthogonal_conditional` is the package's one conditional-LMM
 builder: every univariate mixed fit (the naive single-slope model, the
 two-slope block model and the recipes) is this function with a different
-regressor list.  Every grouping it reads is coded by
-:func:`.data_model.group_codes` over the complete records.
+regressor list.  It and :func:`recipe_partition` read the complete
+records of :func:`.data_model.complete_records`, cell c being the c-th
+complete record in canonical order, and every grouping is coded by
+:func:`.data_model.group_codes` over them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset, DesignSpec, group_codes, incidence
+from .data_model import Dataset, DesignSpec, complete_records, group_codes, incidence
 from .design_algebra import OrthogonalPartition, averaging_matrix, validate_partition
 from .errors import SingularityError, ValidationError
 from .lmm import LmmFit, LmmSpec, fit_lmm
@@ -158,9 +160,7 @@ def recipe_partition(recipe: DesignRecipe, ds: Dataset) -> OrthogonalPartition:
     the grand-mean projector, one centered averaging projector per unit
     classifier, and the residual.  The result is validated before return.
     """
-    sub = ds.subset(ds.complete_mask)
-    if sub.n_records == 0:
-        raise ValidationError("no complete cells")
+    sub = complete_records(ds, recipe.treatment_factors)[0]
     _, units = group_codes(sub, recipe.replicate_factors)
     counts = np.bincount(units)
     if counts.min() != counts.max():
@@ -206,23 +206,6 @@ class OrthogonalConditionalFit:
     dropped_regressors: tuple[str, ...]
 
 
-def _canonical_records(ds: Dataset, treatment_factors: tuple[str, ...]):
-    """Complete records sorted by treatment label, then by the sorted level
-    labels of every other factor in column order, with the labels and label
-    codes.
-
-    Fitting in this one order makes the result independent of the row
-    order of the input.
-    """
-    sub = ds.subset(ds.complete_mask)
-    if sub.n_records == 0:
-        raise ValidationError("no complete cells")
-    labels, codes = group_codes(sub, treatment_factors)
-    keys = [codes] + [group_codes(sub, (f,))[1] for f in sub.factors if f not in treatment_factors]
-    order = np.lexsort(keys[::-1])
-    return sub.subset(order), labels, codes[order]
-
-
 def _check_blocks(bcodes: np.ndarray, codes: np.ndarray, t: int):
     """Equal block sizes and a connected treatment/block graph."""
     sizes = np.bincount(bcodes)
@@ -260,7 +243,7 @@ def fit_orthogonal_conditional(
     replicate factor (random blocks) must have equal block sizes and a
     connected design.  ``tol`` and ``max_iter`` go to :func:`fit_lmm`.
     """
-    sub, labels, codes = _canonical_records(ds, recipe.treatment_factors)
+    sub, labels, codes = complete_records(ds, recipe.treatment_factors)
     rf = recipe.replicate_factors
     groupings = {*recipe.mean_groupings, *(g for _name, g in recipe.random_groupings)}
     group = {g: group_codes(sub, g)[1] for g in groupings}  # each grouping coded once

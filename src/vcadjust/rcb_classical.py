@@ -10,7 +10,9 @@ The random-blocks fits, the naive single-slope one included, live in
 Every complete-RCB closed form here and in :mod:`.bivariate_rcb` reads one
 stratum table, :func:`_rcb_table`: the t x b arrays, the block, residual
 and within-block sums of squares and products of :func:`_rcb_sscp`, the
-treatment and grand means, and one singularity test.
+treatment and grand means, and one singularity test.  Its cells are the
+complete records of :func:`.data_model.complete_records`, in canonical
+order, placed in the t x b table by their labels.
 """
 
 from __future__ import annotations
@@ -19,18 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset, DesignSpec, group_codes
+from .data_model import Dataset, DesignSpec, complete_records, group_codes
 from .errors import SingularityError, ValidationError
 
 
 def rcb_cells(ds: Dataset, spec: DesignSpec):
-    """Complete records of a one-blocking-factor layout, their treatment and
-    block labels (label-sorted), each record's treatment-major cell index
-    in the t x b table, and the number of records in each cell."""
-    sub = ds.subset(ds.complete_mask)
-    if sub.n_records == 0:
-        raise ValidationError("no complete cells")
-    labels, codes = group_codes(sub, spec.treatment_factors)
+    """Complete records of a one-blocking-factor layout in canonical order,
+    their treatment and block labels (label-sorted), each record's
+    treatment-major cell index in the t x b table, and the number of
+    records in each cell."""
+    sub, labels, codes = complete_records(ds, spec.treatment_factors)
     blocks, bcodes = group_codes(sub, spec.blocking_factors)
     cell = codes * len(blocks) + bcodes
     return sub, labels, blocks, cell, np.bincount(cell, minlength=len(labels) * len(blocks))
@@ -128,8 +128,9 @@ def fit_fixed_rcb(ds: Dataset, spec: DesignSpec, divisor: str = "ml") -> FixedFi
     """Fixed-blocks analysis of covariance on a complete RCB.
 
     The slope is the doubly-centered least-squares regression; standard
-    errors use the residual variance with the ML divisor n (or the unbiased
-    divisor n - t - b when ``divisor='unbiased'``).  ``loglik`` is the
+    errors use the residual variance with the ML divisor n (or, when
+    ``divisor='unbiased'``, the residual df left after the slope,
+    n - t - b, which a singular 2 x 2 layout lacks).  ``loglik`` is the
     Gaussian log-likelihood at the ML variance whichever divisor is chosen.
     """
     tab = _rcb_table(*rcb_arrays(ds, spec))
@@ -139,17 +140,22 @@ def fit_fixed_rcb(ds: Dataset, spec: DesignSpec, divisor: str = "ml") -> FixedFi
         "covariate has no within-treatment-within-block variation; "
         "the regression is singular",
     )
-    gamma = szy / szz
     t, b = tab.Y.shape
+    n, df = t * b, (t - 1) * (b - 1) - 1  # residual df left after the slope
+    if df < 1:
+        raise SingularityError(
+            f"no residual degrees of freedom after the slope ({t} treatments, "
+            f"{b} blocks); the residual variance is inestimable"
+        )
+    gamma = szy / szz
     rss = syy - gamma * szy
-    n = t * b
     if divisor == "ml":
         s2 = rss / n
     elif divisor == "unbiased":
-        s2 = rss / (n - t - b)
+        s2 = rss / df
     else:
         raise ValidationError(f"divisor must be 'ml' or 'unbiased', got {divisor!r}")
-    with np.errstate(divide="ignore"):  # a saturated fit, rss = 0, has loglik inf
+    with np.errstate(divide="ignore"):  # an exact fit, rss = 0, has loglik inf
         loglik = float(-0.5 * n * (np.log(2 * np.pi) + np.log(rss / n) + 1.0))
     dz = tab.zbar_i - tab.zbar
     return FixedFitRCB(

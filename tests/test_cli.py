@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import vcadjust as v
-from vcadjust.cli import main
+from vcadjust.cli import MODELS, main
 
 from conftest import interior_bivariate_params
+
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden_cli"
 
 
 def _write_rcb(tmp_path, seed=1, t=6, b=8, missing=()):
@@ -301,6 +304,15 @@ class TestAdjustAndFit:
         )
         assert code == 3
 
+    def test_fixed_fit_without_residual_df_is_singular(self, tmp_path, capsys):
+        # a complete 2 x 2 RCB leaves (t-1)(b-1) - 1 = 0 df after the slope
+        data, design = _write_rcb(tmp_path, t=2, b=2)
+        for model in (["fixed"], ["bivariate", "--method", "ml"]):
+            argv = ["fit", "--model", *model, "--data", str(data), "--design", str(design)]
+            assert main(argv) == 4
+            out, err = capsys.readouterr()
+            assert out == "" and "code=4 kind=singularity" in err
+
     def test_singularity_exit_code(self, tmp_path, capsys):
         data, design = _write_rcb(tmp_path)
         # constant covariate: the fixed-blocks regression is singular
@@ -394,6 +406,48 @@ class TestCheckDesign:
         assert 'code=2 kind=input msg="no complete cells"' in err
 
 
+def _blank_golden_rcb(tmp_path, blank) -> Path:
+    """The golden ``rcb`` with every record whose treatment is in ``blank``
+    left without its response and covariate."""
+    header, *rows = (GOLDEN / "rcb.csv").read_text().splitlines()
+    rows = [",".join(r.split(",")[:2]) + ",," if r.split(",")[0] in blank else r
+            for r in rows]
+    data = tmp_path / "blanked.csv"
+    data.write_text("\n".join([header] + rows) + "\n")
+    return data
+
+
+DATA_COMMANDS = [
+    *([cmd, "--model", model] for cmd in ("fit", "adjust") for model in MODELS),
+    ["compare"],
+    ["contrast", "--model", "mixed", "--coeffs", "T1=1,T2=-1"],
+    ["contrast", "--model", "bivariate", "--coeffs", "T1=1,T2=-1"],
+    ["check-design"],
+]
+
+
+class TestCompleteRecords:
+    """Every data command reads one set of complete records and refuses a
+    treatment that has records but no complete cell."""
+
+    @pytest.mark.parametrize("argv", DATA_COMMANDS, ids=" ".join)
+    def test_lost_treatment_is_an_input_error(self, argv, tmp_path, capsys):
+        data = _blank_golden_rcb(tmp_path, {"T3"})
+        code = main(argv + ["--data", str(data), "--design", str(GOLDEN / "rcb.json")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("vcadjust: code=2 kind=input msg=\"treatment 'T3' has no complete "
+                       "cells; its mean is inestimable\"\n")
+
+    @pytest.mark.parametrize("argv", DATA_COMMANDS, ids=" ".join)
+    def test_all_blank_file_has_no_complete_cells(self, argv, tmp_path, capsys):
+        data = _blank_golden_rcb(tmp_path, {"T1", "T2", "T3", "T4", "T5"})
+        code = main(argv + ["--data", str(data), "--design", str(GOLDEN / "rcb.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == 'vcadjust: code=2 kind=input msg="no complete cells"\n'
+
+
 class TestContrast:
     def test_contrast_estimate_and_se(self, tmp_path, capsys):
         data, design = _write_rcb(tmp_path)
@@ -479,6 +533,26 @@ class TestSimulateCommand:
         assert code == 0
         assert "estimator\ttarget\tmc_mean\tmc_se\tbias\tflag" in out
         assert "gamma_mixed_vs_gamma_e" in out
+
+    @pytest.mark.parametrize("extra, flag", [
+        (["--sigma-b", "1,0"], "--sigma-b"),
+        (["--sigma-b", "1,0,1,5"], "--sigma-b"),
+        (["--sigma-e", "1,0.5"], "--sigma-e"),
+        (["--rep", "5"], "--rep"),
+        (["--study", "bias", "--b", "1"], "--b"),
+    ])
+    def test_bad_request_names_its_flag(self, extra, flag, capsys):
+        code = main(["simulate", "--t", "3", "--b", "4", *extra])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("vcadjust: code=2 kind=input msg=") and err.count("\n") == 1
+        assert flag in err
+
+    def test_non_numeric_covariance_entry(self, capsys):
+        code = main(["simulate", "--t", "3", "--b", "4", "--sigma-b", "a,b,c"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "vcadjust: code=2 kind=input msg=\"could not convert string to float: 'a'\"\n")
 
 
 @pytest.mark.skipif(shutil.which("vcadjust") is None, reason="entry point not installed")

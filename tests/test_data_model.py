@@ -209,10 +209,11 @@ class TestBuildStacked:
         sd1 = v.build_stacked(ds, SPEC)
         sd2 = v.build_stacked(ds2, SPEC)
         assert sd1.col_names == sd2.col_names
-        # same rows, permuted consistently across all variables
-        stacked_perm = np.concatenate([perm + k * 24 for k in range(2)])
-        assert np.allclose(sd2.z, sd1.z[stacked_perm])
-        assert np.allclose(sd2.X, sd1.X[stacked_perm])
+        # both read the complete records in one canonical order
+        assert np.array_equal(sd2.z, sd1.z)
+        assert np.array_equal(sd2.X, sd1.X)
+        for c1, c2 in zip(sd1.block_codes, sd2.block_codes, strict=True):
+            assert np.array_equal(c2, c1)
 
     def test_blocking_incidence_replicated_per_variable(self):
         ds = v.load_dataset(_rcb_csv(), SPEC)

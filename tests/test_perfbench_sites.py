@@ -7,7 +7,9 @@ per-layer metrics, so a refactor that moves or renames such a name would
 silently drop metrics.  This resolves every site with ``getattr``, as
 ``tracing.install`` does, without installing anything.  ``install`` imports
 each traced module without a guard, so a module that is gone would end
-every traced run before its result line: each must import.
+every traced run before its result line: each must import.  A site that exists but is not looked up when it is
+called (a function reference bound at import, say) records no span, so
+the last test installs the tracer in-process and runs the CLI.
 """
 
 import importlib
@@ -56,3 +58,35 @@ def test_every_traced_module_imports():
     modules = {m for m, _, _ in tracing.TRACED} | {tracing.MINIMIZE_SITE.rsplit(".", 2)[0]}
     for name in sorted(modules):
         importlib.import_module(name)
+
+
+GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden_cli"
+SPAN_RUNS = (
+    ["compare"],
+    ["fit", "--model", "orthogonal"],
+    ["fit", "--model", "bivariate", "--method", "reml"],
+    ["fit", "--model", "mvc"],
+)
+
+
+def test_every_traced_span_fires(tmp_path):
+    tracing = _tracing()
+    from vcadjust import cli, lmm
+
+    sites = [importlib.import_module(m) for m, _, _ in tracing.TRACED]
+    saved = [(mod, attr, getattr(mod, attr))
+             for mod, (_, attr, _) in zip(sites, tracing.TRACED) if hasattr(mod, attr)]
+    saved.append((lmm, "optimize", lmm.optimize))
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        tracer.enabled = True
+        data = ["--data", str(GOLDEN / "rcb.csv"), "--design", str(GOLDEN / "rcb.json")]
+        for argv in SPAN_RUNS:
+            assert cli.main(argv + data + ["--out", str(tmp_path / "out.tsv")]) == 0, argv
+    finally:
+        for mod, attr, value in saved:
+            setattr(mod, attr, value)
+    recorded = {span["name"] for span in tracer.spans}
+    expected = {span for _, _, span in tracing.TRACED} | {"lmm.minimize"}
+    assert expected - tracing.absent_spans(tracer.absent) - recorded == set()

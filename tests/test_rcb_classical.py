@@ -69,13 +69,24 @@ class TestFixedFit:
             v.fit_fixed_rcb(ds, SPEC)
 
     def test_toy_slope_and_means(self):
-        ds = _dataset_from_matrices(Y_TOY, Z_TOY)
-        fit = v.fit_fixed_rcb(ds, SPEC)
+        # the 2x2 toy plus a third block whose treatment difference in z is
+        # the toy's mean difference: the slope stays at 2 and one residual
+        # df is left after it
+        Y = np.column_stack([Y_TOY, [7.0, 8.0]])
+        Z = np.column_stack([Z_TOY, [4.0, 6.5]])
+        fit = v.fit_fixed_rcb(_dataset_from_matrices(Y, Z), SPEC)
         assert np.isclose(fit.gamma_ols, 2.0)  # doubly-centered slope by hand
-        zbar_i, zbar = Z_TOY.mean(axis=1), Z_TOY.mean()
-        expected = Y_TOY.mean(axis=1) - 2.0 * (zbar_i - zbar)
+        zbar_i, zbar = Z.mean(axis=1), Z.mean()
+        expected = Y.mean(axis=1) - 2.0 * (zbar_i - zbar)
         assert np.allclose(fit.adjusted_means, expected)
         assert np.isclose(fit.effects.sum(), 0.0)
+
+    def test_no_residual_df_after_the_slope_is_singular(self):
+        # 2 x 2: (t-1)(b-1) - 1 = 0, so neither divisor leaves a variance
+        ds = _dataset_from_matrices(Y_TOY, Z_TOY)
+        for divisor in ("ml", "unbiased"):
+            with pytest.raises(SingularityError, match="no residual degrees of freedom"):
+                v.fit_fixed_rcb(ds, SPEC, divisor=divisor)
 
     def test_loglik_is_the_dense_least_squares_maximum(self, rcb_dataset):
         ds, spec = rcb_dataset
