@@ -2,8 +2,9 @@
 
 Each orthogonal design conditions the response on the covariate through
 stratum means: the split-plot model gains a wholeplot-mean regressor, the
-Latin square gains row-mean and column-mean regressors.  The projector
-partition behind each recipe is built from the layout and validated.
+Latin square gains row-mean and column-mean regressors.  Each layout is
+first checked for the hypothesis of the conditional route: every treatment
+term orthogonal to every random grouping, tested on the count tables.
 """
 
 import numpy as np
@@ -45,11 +46,16 @@ split_spec = v.DesignSpec(
     recipe="split_plot",
 )
 
+
+def print_orthogonality(title, recipe, ds):
+    print("%s: is each pair orthogonal (deviation 0)?" % title)
+    print("%-14s %-10s %-10s %s" % ("term", "grouping", "orthogonal", "deviation"))
+    for term, grouping, dev in v.orthogonality(recipe, ds):
+        print("%-14s %-10s %-10s %g" % (term, grouping, dev == 0, dev))
+
+
 recipe = v.recipe_for(split_spec)
-part = v.recipe_partition(recipe, split_ds)
-report = v.validate_partition(part)
-print("split plot: wholeplot partition dim %d, %d strata, valid=%s"
-      % (part.dim, part.n_strata, report.passed))
+print_orthogonality("split plot", recipe, split_ds)
 
 fit = v.fit_orthogonal_conditional(recipe, split_ds, method="ml")
 print("slopes:", {k: round(val, 3) for k, val in fit.slopes.items()})
@@ -92,9 +98,7 @@ latin_spec = v.DesignSpec(
     recipe="latin_square",
 )
 recipe = v.recipe_for(latin_spec)
-part = v.recipe_partition(recipe, latin_ds)
-print("latin square: partition dim %d, %d strata, ranks %s"
-      % (part.dim, part.n_strata, tuple(int(r) for r in part.ranks())))
+print_orthogonality("latin square", recipe, latin_ds)
 fit = v.fit_orthogonal_conditional(recipe, latin_ds, method="ml")
 print("slopes:", {k: round(val, 3) for k, val in fit.slopes.items()})
 print("%-8s %10s %8s" % ("trt", "adj.mean", "se"))

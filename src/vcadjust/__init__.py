@@ -28,7 +28,6 @@ from .data_model import (
     load_dataset,
     load_design_spec,
 )
-from .design_algebra import OrthogonalPartition, validate_partition
 from .errors import SingularityError, ValidationError, VcadjustError
 from .lmm import LmmFit, LmmSpec, contrast, fit_lmm
 from .mvc_em import (
@@ -47,8 +46,8 @@ from .orthogonal_conditional import (
     DesignRecipe,
     conditional_regressors,
     fit_orthogonal_conditional,
+    orthogonality,
     recipe_for,
-    recipe_partition,
 )
 from .rcb_classical import FixedFitRCB, fit_fixed_rcb, gamma_mixed
 from .simulate import BiasStudyResult, SimConfig, bias_study, gen_bivariate_rcb
@@ -71,7 +70,6 @@ __all__ = [
     "MultivariateModel",
     "MVCFit",
     "MVCParams",
-    "OrthogonalPartition",
     "SimConfig",
     "SingularityError",
     "StackedData",
@@ -101,7 +99,6 @@ __all__ = [
     "m_step",
     "make_model",
     "observed_loglik",
+    "orthogonality",
     "recipe_for",
-    "recipe_partition",
-    "validate_partition",
 ]

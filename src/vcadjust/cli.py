@@ -3,8 +3,9 @@
 Subcommands: ``fit`` (parameter estimates and log-likelihood), ``adjust``
 (adjusted-means table), ``compare`` (fixed/mixed/bivariate side by side on
 a complete RCB), ``contrast`` (a treatment contrast with its standard
-error), ``check-design`` (projector-partition and layout validation), and
-``simulate`` (data generation and the bias study).  Exit codes: 0 success,
+error), ``check-design`` (is the design orthogonal with respect to its
+random groupings, as the conditional route assumes), and ``simulate``
+(data generation and the bias study).  Exit codes: 0 success,
 2 input/validation error, 3 non-convergence, 4 singularity; every failure
 prints one machine-parseable line on stderr.
 """
@@ -29,15 +30,10 @@ from .bivariate_rcb import (
     fit_naive_block_mixed,
 )
 from .data_model import build_stacked, load_dataset, load_design_spec
-from .design_algebra import validate_partition
 from .errors import SingularityError, ValidationError
 from .lmm import contrast as lmm_contrast
 from .mvc_em import adjusted_means_mvc, fit_em, make_model
-from .orthogonal_conditional import (
-    fit_orthogonal_conditional,
-    recipe_for,
-    recipe_partition,
-)
+from .orthogonal_conditional import fit_orthogonal_conditional, orthogonality, recipe_for
 from .rcb_classical import fit_fixed_rcb, rcb_cells
 from .simulate import BivariateParams, SimConfig, bias_study, gen_bivariate_rcb
 
@@ -307,20 +303,16 @@ def _cmd_compare(args) -> int:
 def _cmd_check_design(args) -> int:
     ds, spec = _load(args)
     recipe = recipe_for(spec)
-    part = recipe_partition(recipe, ds)
-    report = validate_partition(part, tol=args.tol if args.tol is not None else 1e-10)
-    scalars = {
-        "recipe": recipe.name,
-        "partition": "pass" if report.passed else "fail",
-        "dim": part.dim,
-        "strata": part.n_strata,
-        "idempotency": report.idempotency,
-        "orthogonality": report.orthogonality,
-        "completeness": report.completeness,
-        "grand_mean": report.grand_mean,
-    }
-    _emit(Artifact(scalars, {}), args)
-    return EXIT_OK if report.passed else EXIT_INPUT
+    pairs = orthogonality(recipe, ds)
+    passed = all(dev == 0 for *_, dev in pairs)
+    scalars = {"recipe": recipe.name, "orthogonal": "pass" if passed else "fail"}
+    rows = [[term, grouping, dev == 0, dev] for term, grouping, dev in pairs]
+    table = (["term", "grouping", "orthogonal", "deviation"], rows)
+    _emit(Artifact(scalars, {"pairs": table}), args)
+    if passed:
+        return EXIT_OK
+    _diag(EXIT_INPUT, "input", "the design is not orthogonal with respect to its random groupings")
+    return EXIT_INPUT
 
 
 def _parse_coeffs(text: str, labels) -> np.ndarray:
@@ -370,8 +362,12 @@ def _sym2(flag: str, text: str) -> np.ndarray:
 def _cmd_simulate(args) -> int:
     Sigma_B, Sigma_E = _sym2("--sigma-b", args.sigma_b), _sym2("--sigma-e", args.sigma_e)
     bias = args.study == "bias"
-    if bias and args.b < 2:
-        raise ValidationError(f"the bias study needs --b of at least 2; got {args.b}")
+    least = 2 if bias else 1  # the study needs within-block contrasts and a Monte Carlo SE
+    for flag, value in (("--t", args.t), ("--b", args.b), ("--replicates", args.replicates)):
+        if value < least:
+            raise ValidationError(
+                f"{'the bias study' if bias else 'simulate'} needs {flag} of at least "
+                f"{least}; got {value}")
     if not bias and not 0 <= args.rep < args.replicates:
         raise ValidationError(
             f"--rep {args.rep} is not one of the {args.replicates} replicates (0-based)")
@@ -442,14 +438,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True):
+    def common(p, data=True, iterative=True):
         if data:
             p.add_argument("--data", required=True, help="delimited data file")
             p.add_argument("--design", required=True, help="JSON design spec")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", default="tsv", choices=["tsv", "json"])
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iter", type=int, default=None)
+        if iterative:
+            p.add_argument("--tol", type=float, default=None)
+            p.add_argument("--max-iter", type=int, default=None)
 
     for name in ("fit", "adjust"):
         p = sub.add_parser(name)
@@ -462,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="ml", choices=["ml", "reml"])
 
     p = sub.add_parser("check-design")
-    common(p)
+    common(p, iterative=False)
 
     p = sub.add_parser("contrast")
     common(p)

@@ -1,18 +1,19 @@
 """Stratum regressions and conditional fits for orthogonal blocking designs.
 
-When the replicate-unit covariance has the projector form handled by
-:mod:`.design_algebra`, conditioning the response on the covariates yields
-a univariate mixed model whose extra regressors are stratum means of the
-covariates (block means, wholeplot means, row and column means).  Each
-shipped recipe knows which means to append, which random factors to keep,
-and which projector partition its replicate unit carries.
+When the design is orthogonal with respect to its random blocking factors,
+conditioning the response on the covariates yields a univariate mixed
+model whose extra regressors are stratum means of the covariates (block
+means, wholeplot means, row and column means).  Each shipped recipe knows
+which means to append and which random factors to keep;
+:func:`orthogonality` tests the hypothesis on the count tables of the
+layout.
 
 :func:`fit_orthogonal_conditional` is the package's one conditional-LMM
 builder: every univariate mixed fit (the naive single-slope model, the
 two-slope block model and the recipes) is this function with a different
-regressor list.  It and :func:`recipe_partition` read the complete
-records of :func:`.data_model.complete_records`, cell c being the c-th
-complete record in canonical order, and every grouping is coded by
+regressor list.  It and :func:`orthogonality` read the complete records of
+:func:`.data_model.complete_records`, cell c being the c-th complete record
+in canonical order, and every grouping is coded by
 :func:`.data_model.group_codes` over them.
 """
 
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset, DesignSpec, complete_records, group_codes, incidence
-from .design_algebra import OrthogonalPartition, averaging_matrix, validate_partition
 from .errors import SingularityError, ValidationError
 from .lmm import LmmFit, LmmSpec, fit_lmm
 
@@ -34,17 +34,14 @@ class DesignRecipe:
 
     ``mean_groupings`` are the factor tuples whose group means enter the
     conditional model as regressors; ``random_groupings`` name the random
-    factors (each the crossing of the listed factors); ``replicate_factors``
-    identify one replicate unit and ``unit_classifiers`` the sub-unit
-    groupings that generate the unit's projector partition.
+    factors (each the crossing of the listed factors), against which
+    :func:`orthogonality` tests the treatment terms.
     """
 
     name: str
     treatment_factors: tuple[str, ...]
     mean_groupings: tuple[tuple[str, ...], ...]
     random_groupings: tuple[tuple[str, tuple[str, ...]], ...]
-    replicate_factors: tuple[str, ...]
-    unit_classifiers: tuple[tuple[str, ...], ...]
 
 
 def recipe_for(spec: DesignSpec) -> DesignRecipe:
@@ -61,8 +58,6 @@ def recipe_for(spec: DesignSpec) -> DesignRecipe:
             treatment_factors=tf,
             mean_groupings=(wholeplot,),
             random_groupings=(("wholeplot", wholeplot),),
-            replicate_factors=wholeplot,
-            unit_classifiers=(),
         )
     if spec.recipe == "blocked_split_plot":
         wp_trt, sp_trt = tf
@@ -79,8 +74,6 @@ def recipe_for(spec: DesignSpec) -> DesignRecipe:
                 (f"{block}*{sp_trt}", (block, sp_trt)),
                 (f"{block}*{wp_trt}*{sp_trt}", (block, wp_trt, sp_trt)),
             ),
-            replicate_factors=(block,),
-            unit_classifiers=((wp_trt, rep),),
         )
     if spec.recipe == "latin_square":
         row, col = bf
@@ -89,8 +82,6 @@ def recipe_for(spec: DesignSpec) -> DesignRecipe:
             treatment_factors=tf,
             mean_groupings=((row,), (col,)),
             random_groupings=((row, (row,)), (col, (col,))),
-            replicate_factors=(),
-            unit_classifiers=((row,), (col,)),
         )
     raise ValidationError(
         f"recipe {spec.recipe!r} has no orthogonal-conditional expansion"
@@ -106,8 +97,6 @@ def _block_recipe(spec: DesignSpec, block_means: bool = True) -> DesignRecipe:
         treatment_factors=spec.treatment_factors,
         mean_groupings=((block,),) if block_means else (),
         random_groupings=((block, (block,)),),
-        replicate_factors=(block,),
-        unit_classifiers=(),
     )
 
 
@@ -153,42 +142,62 @@ def conditional_regressors(
     )
 
 
-def recipe_partition(recipe: DesignRecipe, ds: Dataset) -> OrthogonalPartition:
-    """Projector partition of one replicate unit, built from the layout.
+def _table(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Count table ``N_FG`` of two groupings' codes."""
+    shape = (f.max() + 1, g.max() + 1)
+    return np.bincount(f * shape[1] + g, minlength=shape[0] * shape[1]).reshape(shape)
 
-    Every replicate unit must show the same cell count; the partition is
-    the grand-mean projector, one centered averaging projector per unit
-    classifier, and the residual.  The result is validated before return.
+
+def _classes(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class of every row and column of the count table ``N``: the classes
+    of ``F ∧ G`` are the connected components of its occupied cells, each
+    labelled by its first row."""
+    rows, cols = np.nonzero(N)
+    row_class = np.arange(N.shape[0])
+    while True:
+        col_class = np.full(N.shape[1], N.shape[0])
+        np.minimum.at(col_class, cols, row_class[rows])
+        joined = row_class.copy()
+        np.minimum.at(joined, rows, col_class[cols])
+        if np.array_equal(joined, row_class):
+            return row_class, col_class
+        row_class = joined
+
+
+def _deviation(N: np.ndarray) -> float:
+    """Worst ``|n_fg n_h - n_f n_g| / (n_f n_g)`` over the cells (f, g) of a
+    class h of ``F ∧ G``; 0 exactly when F and G have proportional
+    frequencies within every class, that is, when they are orthogonal."""
+    row_class, col_class = _classes(N)
+    n_f, n_g = N.sum(axis=1), N.sum(axis=0)
+    n_h = np.bincount(row_class, weights=n_f).astype(N.dtype)[row_class]
+    expected = np.outer(n_f, n_g)
+    gap = np.abs(N * n_h[:, None] - expected)
+    inside = row_class[:, None] == col_class[None, :]
+    return float(np.max(gap[inside] / expected[inside]))
+
+
+def orthogonality(recipe: DesignRecipe, ds: Dataset) -> list[tuple[str, str, float]]:
+    """Test the theorem's hypothesis: every treatment term orthogonal to every
+    random grouping, and the random groupings to one another.
+
+    The treatment terms are the treatment factors and, when there are two or
+    more, their combination.  Returns ``(term, grouping, deviation)`` for
+    each pair, in order: the treatment terms against the random groupings,
+    then each pair of random groupings.  The deviation (:func:`_deviation`)
+    is computed on the count table of the complete records and is 0
+    exactly when the pair is orthogonal; the test is exact on counts.
+    Orthogonality is sufficient for the conditional route, not necessary.
     """
-    sub = complete_records(ds, recipe.treatment_factors)[0]
-    _, units = group_codes(sub, recipe.replicate_factors)
-    counts = np.bincount(units)
-    if counts.min() != counts.max():
-        raise ValidationError(
-            "replicate units have unequal cell counts; not an orthogonal layout"
-        )
-    k = int(counts[0])
-    unit = sub.subset(units == 0)
-
-    A0 = averaging_matrix(k)
-    projs = [A0]
-    for classifier in recipe.unit_classifiers:
-        _, codes = group_codes(unit, classifier)
-        P = np.zeros((k, k))
-        for g in range(codes.max() + 1):
-            idx = np.where(codes == g)[0]
-            P[np.ix_(idx, idx)] = 1.0 / len(idx)
-        projs.append(P - A0)
-    resid = np.eye(k) - sum(projs)
-    projs.append(resid)
-    part = OrthogonalPartition(dim=k, projectors=tuple(projs))
-    report = validate_partition(part, tol=1e-8)
-    if not report.passed:
-        raise ValidationError(
-            f"layout does not generate an orthogonal partition for recipe "
-            f"{recipe.name!r}"
-        )
-    return part
+    tf = recipe.treatment_factors
+    sub = complete_records(ds, tf)[0]
+    terms = [(f, (f,)) for f in tf] + ([("*".join(tf), tf)] if len(tf) > 1 else [])
+    randoms = list(recipe.random_groupings)
+    pairs = [(a, b) for a in terms for b in randoms]
+    pairs += [(a, b) for i, a in enumerate(randoms) for b in randoms[i + 1:]]
+    code = {g: group_codes(sub, g)[1] for _name, g in terms + randoms}
+    return [(a, b, _deviation(_table(code[fa], code[fb])))
+            for (a, fa), (b, fb) in pairs]
 
 
 @dataclass
@@ -206,19 +215,15 @@ class OrthogonalConditionalFit:
     dropped_regressors: tuple[str, ...]
 
 
-def _check_blocks(bcodes: np.ndarray, codes: np.ndarray, t: int):
+def _check_blocks(bcodes: np.ndarray, codes: np.ndarray):
     """Equal block sizes and a connected treatment/block graph."""
     sizes = np.bincount(bcodes)
     if sizes.min() != sizes.max():
         raise ValidationError(
             "blocks have unequal sizes; route this layout to the general engine"
         )
-    # treatments reachable from the first through shared blocks (t x b counts)
-    N = np.bincount(codes * len(sizes) + bcodes, minlength=t * len(sizes)).reshape(t, -1)
-    reach = np.arange(t) == 0
-    for _ in range(t):
-        reach = N @ (N.T @ reach) > 0
-    if not reach.all():
+    # the treatment x block table must form one class
+    if _classes(_table(codes, bcodes))[0].any():
         raise SingularityError(
             "design is disconnected; treatment effects are inestimable"
         )
@@ -239,16 +244,15 @@ def fit_orthogonal_conditional(
     (for instance an identically-zero covariate, or a covariate whose
     block means are all equal) are dropped, pinning their slopes at zero.
     Means are evaluated with every covariate column at the grand mean of
-    its parent covariate.  A recipe whose only random factor is its
-    replicate factor (random blocks) must have equal block sizes and a
-    connected design.  ``tol`` and ``max_iter`` go to :func:`fit_lmm`.
+    its parent covariate.  A recipe whose only random grouping is a single
+    factor (random blocks) must have equal block sizes and a connected
+    design.  ``tol`` and ``max_iter`` go to :func:`fit_lmm`.
     """
     sub, labels, codes = complete_records(ds, recipe.treatment_factors)
-    rf = recipe.replicate_factors
-    groupings = {*recipe.mean_groupings, *(g for _name, g in recipe.random_groupings)}
-    group = {g: group_codes(sub, g)[1] for g in groupings}  # each grouping coded once
-    if len(rf) == 1 and recipe.random_groupings == ((rf[0], rf),):
-        _check_blocks(group[rf], codes, len(labels))
+    random_groupings = [g for _name, g in recipe.random_groupings]
+    group = {g: group_codes(sub, g)[1] for g in {*recipe.mean_groupings, *random_groupings}}
+    if len(random_groupings) == 1 and len(random_groupings[0]) == 1:  # random blocks
+        _check_blocks(group[random_groupings[0]], codes)
     aug = conditional_regressors(recipe, sub, group)
     t, n_orig = len(labels), sub.m
     T = incidence(codes, t)
@@ -263,7 +267,7 @@ def fit_orthogonal_conditional(
             keep.append(r)
     R = aug.covariates[:, keep]
 
-    randoms = tuple(group[grouping] for _name, grouping in recipe.random_groupings)
+    randoms = tuple(group[g] for g in random_groupings)
 
     X = np.column_stack([T, R]) if R.size else T
     names = tuple(name for name, _ in recipe.random_groupings)

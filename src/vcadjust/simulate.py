@@ -254,7 +254,6 @@ def bias_study(cfg: SimConfig) -> BiasStudyResult:
 
     rows = [
         _row("gamma_e_bivariate", ge_vals, cond.gamma_e),
-        _row("gamma_ols", ge_vals, cond.gamma_e),
         _row("gamma_mixed", gm_vals, mix),
         _row("gamma_mixed_vs_gamma_e", gm_vals, cond.gamma_e),
     ]

@@ -20,12 +20,13 @@ the stacked ``position`` of a (cell, variable) pair and its inverse
 ``gen_multivariate``, one draw from the general model.
 
 The stratum algebra of one replicate unit is also kept here as a reference:
-the centering matrix ``centering_matrix``, the Helmert contrasts
-``helmert_matrix``, ``KroneckerCovariance`` (``V = sum_l G_l (x) A_l`` over
-a projector partition), its dense form and partition-wise inverse,
-``rcb_partition``, and the per-stratum regressions of the response on the
-covariates with the orthogonal adjusted means they imply.  The package's
-fitters do not use it.
+the averaging and centering matrices ``averaging_matrix`` and
+``centering_matrix``, the Helmert contrasts ``helmert_matrix``, the
+projector set ``OrthogonalPartition``, ``KroneckerCovariance``
+(``V = sum_l G_l (x) A_l`` over a projector partition), its dense form and
+partition-wise inverse, ``rcb_partition``, and the per-stratum regressions
+of the response on the covariates with the orthogonal adjusted means they
+imply.  The package's fitters do not use it.
 
 ``lmm_best_of_starts`` is the univariate fitter's former search, kept as an
 oracle: L-BFGS-B to convergence from each of five variance ratios over
@@ -42,7 +43,6 @@ from scipy.linalg import lapack
 
 import vcadjust as v
 from vcadjust.data_model import StackedData, incidence
-from vcadjust.design_algebra import OrthogonalPartition, averaging_matrix
 from vcadjust.errors import SingularityError, ValidationError
 from vcadjust.lmm import LmmSpec, _cross_products, _neg_loglik
 from vcadjust.mvc_em import MultivariateModel, MVCParams, initial_params, make_model
@@ -296,6 +296,42 @@ def make_oracle_instance(seed: int):
 
 
 # ------------------------------------------------- stratum algebra reference
+
+
+def averaging_matrix(n: int) -> np.ndarray:
+    """Return ``J_n/n``, the projector onto the span of the ones vector."""
+    if n < 1:
+        raise ValidationError(f"averaging_matrix needs n >= 1, got {n}")
+    return np.full((n, n), 1.0 / n)
+
+
+@dataclass(frozen=True)
+class OrthogonalPartition:
+    """Ordered projector set ``A_0..A_q`` on R^dim, with ``A_0 = J/dim``.
+
+    Each projector is symmetric idempotent, the set is mutually orthogonal,
+    and the projectors sum to the identity.
+    """
+
+    dim: int
+    projectors: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        projs = tuple(np.asarray(A, dtype=float) for A in self.projectors)
+        for A in projs:
+            if A.shape != (self.dim, self.dim):
+                raise ValidationError(
+                    f"projector shape {A.shape} does not match dim {self.dim}"
+                )
+        object.__setattr__(self, "projectors", projs)
+
+    @property
+    def n_strata(self) -> int:
+        return len(self.projectors)
+
+    def ranks(self) -> np.ndarray:
+        """Projector ranks (traces, rounded to the nearest integer)."""
+        return np.array([int(round(np.trace(A))) for A in self.projectors])
 
 
 def centering_matrix(n: int) -> np.ndarray:

@@ -394,7 +394,23 @@ class TestCheckDesign:
         code = main(["check-design", "--data", str(data), "--design", str(design)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "partition\tpass" in out
+        assert "orthogonal\tpass" in out
+
+    def test_non_orthogonal_design_fails_with_one_stderr_line(self, capsys):
+        code = main(["check-design", "--data", str(GOLDEN / "bib.csv"),
+                     "--design", str(GOLDEN / "bib.json")])
+        out, err = capsys.readouterr()
+        assert code == 2 and "orthogonal\tfail" in out
+        assert err == ('vcadjust: code=2 kind=input msg="the design is not orthogonal '
+                       'with respect to its random groupings"\n')
+
+    def test_tolerance_is_a_usage_error(self, tmp_path, capsys):
+        # the verdict is exact on counts, so check-design takes no --tol
+        data, design = _write_rcb(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["check-design", "--data", str(data), "--design", str(design), "--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
 
     def test_no_complete_cells_is_an_input_error(self, tmp_path, capsys):
         data, design = _write_rcb(tmp_path, t=2, b=2)
@@ -540,6 +556,10 @@ class TestSimulateCommand:
         (["--sigma-e", "1,0.5"], "--sigma-e"),
         (["--rep", "5"], "--rep"),
         (["--study", "bias", "--b", "1"], "--b"),
+        (["--t", "0"], "--t"),
+        (["--b", "0"], "--b"),
+        (["--study", "bias", "--t", "1", "--replicates", "5"], "--t"),
+        (["--study", "bias", "--replicates", "1"], "--replicates"),
     ])
     def test_bad_request_names_its_flag(self, extra, flag, capsys):
         code = main(["simulate", "--t", "3", "--b", "4", *extra])

@@ -44,6 +44,17 @@ of that point (dense gradient up to 9.5e-4); no log-likelihood fell, two
 rose by 2e-7 and 8e-8, and ``iterations`` now reads 13 or 20.
 ``test_mvc_em.py::test_golden_mvc_fits_are_stationary`` checks all five
 ``fit`` cases; ``fit --model mvc --max-iter 3`` did not change.
+
+The four ``check-design`` cases were re-captured, and ``check-design`` on
+``rcb_missing`` appended as the last case, when ``check-design`` stopped
+checking the projectors of one replicate unit and began testing whether
+each treatment term is orthogonal to each random grouping on the count
+tables.  ``bib`` now fails (exit 2, deviation 1: its 0/1 table has empty
+cells inside one connected class), as does ``rcb_missing``, which the old
+check refused with "replicate units have unequal cell counts".  ``rcb``,
+``split_plot`` and ``latin_square`` pass with deviation 0.  ``simulate
+--study bias`` was re-captured when its ``gamma_ols`` row, a copy of the
+``gamma_e_bivariate`` row, was removed; no other line changed.
 Text fields must match exactly and numbers to 1e-9 relative.
 
 Every case on ``rcb``, ``rcb_missing`` and ``bib`` runs a second time with

@@ -1,7 +1,7 @@
 """Every script under ``demos/`` runs to completion in-process.
 
 The demos call the closed-form RCB fits, the bias study, the EM engine and
-the recipe partitions; each is run with ``runpy`` as ``__main__`` and must
+the recipe orthogonality check; each is run with ``runpy`` as ``__main__`` and must
 print its report without raising.
 """
 

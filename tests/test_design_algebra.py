@@ -1,20 +1,36 @@
+"""The stratum algebra reference of ``oracle_utils``: projector sets of one
+replicate unit and covariances over them."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import vcadjust as v
-from vcadjust.design_algebra import averaging_matrix
 from vcadjust.errors import SingularityError, ValidationError
 
 from oracle_utils import (
     KroneckerCovariance,
+    OrthogonalPartition,
+    averaging_matrix,
     centering_matrix,
     helmert_matrix,
     kron_cov_dense,
     kron_cov_inverse,
     rcb_partition,
 )
+
+
+def _assert_partition(p: OrthogonalPartition, tol: float = 1e-10):
+    """Symmetric idempotents, mutually orthogonal, summing to the identity,
+    the first of them ``J/dim``."""
+    projs = p.projectors
+    for i, A in enumerate(projs):
+        assert np.max(np.abs(A @ A - A)) <= tol
+        assert np.max(np.abs(A - A.T)) <= tol
+        for B in projs[i + 1:]:
+            assert np.max(np.abs(A @ B)) <= tol
+    assert np.max(np.abs(sum(projs) - np.eye(p.dim))) <= tol
+    assert np.max(np.abs(projs[0] - averaging_matrix(p.dim))) <= tol
 
 
 class TestCenteringMatrix:
@@ -71,8 +87,7 @@ class TestRcbPartition:
         assert np.allclose(p.projectors[1], centering_matrix(2))
 
     def test_t6_validates(self):
-        report = v.validate_partition(rcb_partition(6))
-        assert report.passed
+        _assert_partition(rcb_partition(6))
 
     def test_t3_ranks(self):
         assert tuple(rcb_partition(3).ranks()) == (1, 2)
@@ -92,24 +107,10 @@ class TestRcbPartition:
             assert np.max(np.abs(H.T @ A1 @ H - np.diag(1.0 - d0))) <= 1e-10
 
 
-class TestValidatePartition:
-    def test_identity_alone_fails_grand_mean_convention(self):
-        p = v.OrthogonalPartition(dim=3, projectors=(np.eye(3),))
-        report = v.validate_partition(p)
-        assert not report.passed
-        assert report.grand_mean > 1e-10
-        assert report.completeness <= 1e-10  # the sum is fine, the labeling isn't
-
-    def test_duplicate_grand_mean_fails_orthogonality(self):
-        J = averaging_matrix(3)
-        p = v.OrthogonalPartition(dim=3, projectors=(J, J))
-        report = v.validate_partition(p)
-        assert not report.passed
-        assert report.orthogonality > 1e-10
-
+class TestOrthogonalPartition:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            v.OrthogonalPartition(dim=3, projectors=(np.eye(2),))
+            OrthogonalPartition(dim=3, projectors=(np.eye(2),))
 
 
 def _random_spd(k, rng, scale=1.0):
@@ -119,7 +120,7 @@ def _random_spd(k, rng, scale=1.0):
 
 class TestKroneckerCovariance:
     def test_inverse_identity_single_stratum(self):
-        part = v.OrthogonalPartition(dim=2, projectors=(averaging_matrix(2), centering_matrix(2)))
+        part = OrthogonalPartition(dim=2, projectors=(averaging_matrix(2), centering_matrix(2)))
         kc = KroneckerCovariance(partition=part, strata=(np.eye(1), np.eye(1)))
         inv = kron_cov_inverse(kc)
         assert np.allclose(kron_cov_dense(inv), np.eye(2))
@@ -160,7 +161,7 @@ class TestKroneckerCovariance:
         assert np.max(np.abs(kron_cov_dense(kc) - direct)) <= 1e-10
 
     def test_dense_trivial_identity(self):
-        part = v.OrthogonalPartition(
+        part = OrthogonalPartition(
             dim=2, projectors=(averaging_matrix(2), centering_matrix(2))
         )
         kc = KroneckerCovariance(partition=part, strata=(np.eye(1), np.eye(1)))
@@ -179,10 +180,10 @@ class TestKroneckerCovariance:
             ir, ic = np.where(row == g)[0], np.where(col == g)[0]
             Pr[np.ix_(ir, ir)] = 0.5
             Pc[np.ix_(ic, ic)] = 0.5
-        part = v.OrthogonalPartition(
+        part = OrthogonalPartition(
             dim=k, projectors=(J, Pr - J, Pc - J, np.eye(k) - Pr - Pc + J)
         )
-        assert v.validate_partition(part).passed
+        _assert_partition(part)
         kc = KroneckerCovariance(
             partition=part, strata=tuple(_random_spd(2, rng) for _ in range(4))
         )

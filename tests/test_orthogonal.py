@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vcadjust as v
-from vcadjust.design_algebra import averaging_matrix
 from vcadjust.errors import SingularityError, ValidationError
 from vcadjust.rcb_classical import rcb_arrays
 
+from conftest import drop_cells
 from oracle_utils import (
     KroneckerCovariance,
     adjusted_means_orthogonal,
+    averaging_matrix,
     kron_cov_dense,
     rcb_partition,
     stratum_regressions,
@@ -256,63 +257,107 @@ class TestConditionalRegressors:
                 assert np.allclose(aug.covariates[sel, 1], A0 @ z_unit)
 
 
-class TestRecipePartition:
-    def test_rcb_partition_matches(self, rcb_dataset):
-        ds, spec = rcb_dataset
-        part = v.recipe_partition(v.recipe_for(spec), ds)
-        assert part.dim == 6
-        assert part.n_strata == 2
-        assert v.validate_partition(part).passed
+def _layout(blank=(), **factors) -> v.Dataset:
+    """Dataset with the given factor columns, random response and covariate,
+    and the records at the indices in ``blank`` left incomplete."""
+    n = len(next(iter(factors.values())))
+    rng = np.random.default_rng(0)
+    y, z = rng.normal(size=n), rng.normal(size=(n, 1))
+    y[list(blank)] = z[list(blank)] = np.nan
+    return v.Dataset(
+        factors={k: np.array(col, dtype=object) for k, col in factors.items()},
+        response=y,
+        covariates=z,
+        covariate_names=("z",),
+        levels={},
+    )
 
-    def test_split_plot_partition(self):
-        ds = split_plot_dataset()
-        part = v.recipe_partition(v.recipe_for(SPLIT_SPEC), ds)
-        assert part.dim == 3
-        assert part.n_strata == 2
 
-    def test_latin_square_partition_four_strata(self):
-        ds = latin_square_dataset(b=4)
-        part = v.recipe_partition(v.recipe_for(LATIN_SPEC), ds)
-        assert part.dim == 16
-        assert part.n_strata == 4
-        assert tuple(part.ranks()) == (1, 3, 3, 9)
+def _block_layout(blocks, blank=()) -> tuple[v.Dataset, v.DesignSpec]:
+    """Block design with the treatments listed per block."""
+    trt = [t for blk in blocks for t in blk]
+    blk = [f"B{j + 1}" for j, b in enumerate(blocks) for _ in b]
+    spec = v.DesignSpec(response="y", treatment_factors=("treatment",),
+                        blocking_factors=("block",), covariates=("z",),
+                        recipe="incomplete_block")
+    return _layout(blank, treatment=trt, block=blk), spec
 
-    def test_blocked_split_plot_partition(self):
-        # two blocks, each holding two wholeplot treatments x two reps x two splits
-        rng = np.random.default_rng(0)
-        blocks, wt, rep, sp = [], [], [], []
-        for bl in range(2):
-            for i in range(2):
-                for j in range(2):
-                    for k in range(2):
-                        blocks.append(f"B{bl + 1}")
-                        wt.append(f"A{i + 1}")
-                        rep.append(f"R{j + 1}")
-                        sp.append(f"S{k + 1}")
-        n = len(blocks)
-        ds = v.Dataset(
-            factors={
-                "block": np.array(blocks, dtype=object),
-                "wp_trt": np.array(wt, dtype=object),
-                "wp_rep": np.array(rep, dtype=object),
-                "sp_trt": np.array(sp, dtype=object),
-            },
-            response=rng.normal(size=n),
-            covariates=rng.normal(size=n).reshape(-1, 1),
-            covariate_names=("z",),
-            levels={},
-        )
-        spec = v.DesignSpec(
-            response="y",
-            treatment_factors=("wp_trt", "sp_trt"),
-            blocking_factors=("block", "wp_rep"),
-            covariates=("z",),
-            recipe="blocked_split_plot",
-        )
-        part = v.recipe_partition(v.recipe_for(spec), ds)
-        assert part.dim == 8
-        assert part.n_strata == 3
-        assert tuple(part.ranks()) == (1, 3, 4)
+
+def _blocked_split_plot() -> tuple[v.Dataset, v.DesignSpec]:
+    """Two blocks, each holding two wholeplot treatments x two reps x two splits."""
+    cells = [(bl, i, j, k) for bl in (1, 2) for i in (1, 2) for j in (1, 2) for k in (1, 2)]
+    ds = _layout(
+        block=[f"B{c[0]}" for c in cells], wp_trt=[f"A{c[1]}" for c in cells],
+        wp_rep=[f"R{c[2]}" for c in cells], sp_trt=[f"S{c[3]}" for c in cells],
+    )
+    spec = v.DesignSpec(response="y", treatment_factors=("wp_trt", "sp_trt"),
+                        blocking_factors=("block", "wp_rep"), covariates=("z",),
+                        recipe="blocked_split_plot")
+    return ds, spec
+
+
+def _verdict(ds, spec):
+    pairs = v.orthogonality(v.recipe_for(spec), ds)
+    return all(dev == 0 for *_, dev in pairs), pairs
+
+
+class TestOrthogonality:
+    """The theorem's hypothesis on hand-built layouts: every treatment term
+    orthogonal to every random grouping, and the groupings to each other."""
+
+    def test_complete_rcb_passes(self):
+        ds, spec = _block_layout([["T1", "T2", "T3"]] * 4)
+        assert _verdict(ds, spec) == (True, [("treatment", "block", 0.0)])
+
+    def test_bib_fails(self):
+        # 4 treatments in the 4 triples: a 0/1 table, one class, empty cells
+        ds, spec = _block_layout([["T1", "T2", "T3"], ["T1", "T2", "T4"],
+                                  ["T1", "T3", "T4"], ["T2", "T3", "T4"]])
+        assert _verdict(ds, spec) == (False, [("treatment", "block", 1.0)])
+
+    def test_rcb_with_one_blanked_cell_fails(self):
+        ds, spec = _block_layout([["T1", "T2", "T3"]] * 4, blank=[4])
+        assert _verdict(ds, spec) == (False, [("treatment", "block", 1.0)])
+
+    def test_treatment_twice_in_every_block_passes(self):
+        ds, spec = _block_layout([["T1", "T1", "T2", "T2", "T3", "T3"]] * 3)
+        assert _verdict(ds, spec) == (True, [("treatment", "block", 0.0)])
+
+    def test_proportional_unequal_replication_passes(self):
+        ds, spec = _block_layout([["T1", "T1", "T2"]] * 3)
+        assert _verdict(ds, spec)[0]
+
+    def test_proportional_within_each_class_passes(self):
+        # two disconnected halves, each proportional; cells across classes
+        # are not compared
+        ds, spec = _block_layout([["T1", "T1", "T2"], ["T1", "T1", "T2"], ["T3", "T4"]])
+        assert _verdict(ds, spec)[0]
+
+    def test_split_plot_passes(self):
+        assert _verdict(split_plot_dataset(), SPLIT_SPEC) == (True, [
+            ("wp_trt", "wholeplot", 0.0), ("sp_trt", "wholeplot", 0.0),
+            ("wp_trt*sp_trt", "wholeplot", 0.0),
+        ])
+
+    def test_blocked_split_plot_passes(self):
+        passed, pairs = _verdict(*_blocked_split_plot())
+        groupings = ["block", "block*wp_trt", "wholeplot", "block*sp_trt",
+                     "block*wp_trt*sp_trt"]
+        terms = ["wp_trt", "sp_trt", "wp_trt*sp_trt"]
+        assert passed
+        assert [p[:2] for p in pairs] == (
+            [(t, g) for t in terms for g in groupings]
+            + [(a, b) for i, a in enumerate(groupings) for b in groupings[i + 1:]])
+
+    def test_latin_square_passes(self):
+        assert _verdict(latin_square_dataset(b=4), LATIN_SPEC) == (True, [
+            ("trt", "row", 0.0), ("trt", "col", 0.0), ("row", "col", 0.0),
+        ])
+
+    def test_blanked_latin_square_cell_fails_every_pair(self):
+        ds = drop_cells(latin_square_dataset(b=4), [("T3", "r2")], "trt", "row")
+        passed, pairs = _verdict(ds, LATIN_SPEC)
+        assert not passed and all(dev > 0 for *_, dev in pairs)
 
 
 class TestFitOrthogonalConditional:
