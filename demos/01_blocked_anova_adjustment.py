@@ -5,7 +5,8 @@ both within and between blocks, then runs the three estimators side by
 side: fixed blocks, the naive single-slope mixed model (the random-blocks
 fit without the block-mean regressor, whose one slope is ``gamma_e`` of
 its ``BlockConditionalFit``), and the joint (two-slope)
-variance-components fit.  The fixed fit's slope is the within-block
+variance-components fit, whose ``JointRcbFit`` carries its adjusted means
+and standard errors.  The fixed fit's slope is the within-block
 regression and the joint fit adds the block-mean regression; the naive
 mixed fit blends the two into one slope, which shifts its means.  The
 fixed and joint fits agree on the means while their standard errors
@@ -32,8 +33,7 @@ print()
 
 fixed = v.fit_fixed_rcb(ds, spec)
 mixed = v.fit_mixed_rcb(ds, spec, method="ml")
-joint, joint_params, joint_cond = v.fit_bivariate_rcb_ml(ds, spec)
-jmeans, jse = v.adjusted_means_bivariate(joint)
+joint = v.fit_bivariate_rcb_ml(ds, spec)
 
 print("fitted slopes:")
 print("  within-block (fixed blocks; the joint fit's cell level)  %8.3f" % fixed.gamma_ols)
@@ -51,10 +51,10 @@ for i, lab in enumerate(fixed.treatments):
             fixed.adjusted_se[i],
             mixed.adjusted_means[i],
             mixed.adjusted_se[i],
-            jmeans[i],
-            jse[i],
+            joint.adjusted_means[i],
+            joint.adjusted_se[i],
         )
     )
 print()
-print("joint means equal the fixed-blocks means (max diff %.2e)," % np.max(np.abs(jmeans - fixed.adjusted_means)))
+print("joint means equal the fixed-blocks means (max diff %.2e)," % np.max(np.abs(joint.adjusted_means - fixed.adjusted_means)))
 print("but their variance adds the block-sampling term sigma_b^2/b = %.2f" % (joint.sigma_b2 / joint.b))

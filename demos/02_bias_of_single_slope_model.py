@@ -26,7 +26,10 @@ print("cell-level slope %.4f, block-mean slope %.4f, block correlation %.3f"
       % (res.gamma_e, res.gamma_be, res.rho))
 print("predicted resting point of the single-slope estimate: %.4f" % res.mixing_value)
 print()
-print(res.to_delimited(sep="  "))
+print("%-26s %10s %10s %10s %10s  %s" % ("estimator", "target", "mc_mean", "mc_se", "bias", "flag"))
+for r in res.rows:
+    print("%-26s %10.4f %10.4f %10.4f %10.4f  %s"
+          % (r.estimator, r.target, r.mc_mean, r.mc_se, r.bias, r.flag))
 
 naive = res.row("gamma_mixed_vs_gamma_e")
 print(

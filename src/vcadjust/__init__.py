@@ -12,7 +12,6 @@ from .bivariate_rcb import (
     BlockConditionalFit,
     ConditionalParams,
     JointRcbFit,
-    adjusted_means_bivariate,
     conditional_from_bivariate,
     direct_treatment_effects,
     fit_bivariate_rcb_ml,
@@ -44,7 +43,6 @@ from .mvc_em import (
 )
 from .orthogonal_conditional import (
     DesignRecipe,
-    conditional_regressors,
     fit_orthogonal_conditional,
     orthogonality,
     recipe_for,
@@ -75,12 +73,10 @@ __all__ = [
     "StackedData",
     "ValidationError",
     "VcadjustError",
-    "adjusted_means_bivariate",
     "adjusted_means_mvc",
     "bias_study",
     "build_stacked",
     "conditional_from_bivariate",
-    "conditional_regressors",
     "contrast",
     "direct_treatment_effects",
     "e_step",

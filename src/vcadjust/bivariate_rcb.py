@@ -8,14 +8,17 @@ the block-mean covariate as a second regressor.  On a complete layout the
 likelihood factorizes over the block and residual strata, so maximum
 likelihood is closed form in the two strata's 2x2 sums of squares and
 products: that is :func:`fit_bivariate_rcb_ml`, which reads the stratum
-table of :mod:`.rcb_classical` like the fixed-blocks fit, and returns
-:class:`JointRcbFit`.
+table of :mod:`.rcb_classical` like the fixed-blocks fit and returns one
+:class:`JointRcbFit`: the stratum values, the conditional model's
+block-mean slope and block variance read off them, the fitted joint
+parameters, and the adjusted means with their standard errors.
 
 The iterative fits here all run one random-blocks fit, :func:`_block_fit`,
 which is the package's one conditional builder,
 :func:`~.orthogonal_conditional.fit_orthogonal_conditional`, with random
 blocks and a chosen regressor list, and they all return
-:class:`BlockConditionalFit`: :func:`fit_conditional_ibd` regresses on the
+:class:`BlockConditionalFit`, that function's result with the two slopes
+under block-model names: :func:`fit_conditional_ibd` regresses on the
 covariate and its block mean (the two-slope model, for equal-size complete
 or incomplete blocks), and :func:`fit_naive_block_mixed` on the covariate
 alone (the single-slope model; :func:`fit_mixed_rcb` is the same fit with
@@ -25,14 +28,20 @@ an ML default).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data_model import Dataset, DesignSpec
 from .errors import SingularityError, ValidationError
-from .lmm import LmmFit
-from .orthogonal_conditional import _block_recipe, fit_orthogonal_conditional
+# lmm goes ahead of orthogonal_conditional, which imports it: the other order
+# costs ~9000 more page faults inside scipy's import, ~60 ms of start-up
+from .lmm import LmmFit  # noqa: F401
+from .orthogonal_conditional import (
+    OrthogonalConditionalFit,
+    _block_recipe,
+    fit_orthogonal_conditional,
+)
 from .rcb_classical import _rcb_table, rcb_arrays
 
 
@@ -129,11 +138,12 @@ def conditional_from_bivariate(p: BivariateParams, t: int) -> ConditionalParams:
 
 @dataclass
 class JointRcbFit:
-    """Closed-form ML pieces from the block- and residual-stratum SSCPs.
+    """Closed-form ML fit from the block- and residual-stratum SSCPs.
 
     The block stratum estimates the block-mean regression (``gamma_be_hat``,
     ``sigma_be2``), the residual stratum the cell-level one (``gamma_e_hat``,
-    ``sigma_e2``).  The covariate mean's MLE is the grand mean ``zbar``.
+    ``sigma_e2``).  The covariate mean's MLE is the grand mean ``zbar``;
+    ``params`` holds the fitted joint parameters.
     """
 
     gamma_be_hat: float
@@ -143,12 +153,12 @@ class JointRcbFit:
     t: int
     b: int
     treatments: tuple[str, ...]
-    ybar_i: np.ndarray
     zbar_i: np.ndarray
     zbar: float
     szz_within: float  # doubly-centered covariate sum of squares
     loglik: float
     loglik_z: float  # covariate-marginal part of the likelihood
+    params: BivariateParams
 
     @property
     def conditional_loglik(self) -> float:
@@ -156,18 +166,32 @@ class JointRcbFit:
         return self.loglik - self.loglik_z
 
     @property
-    def mu_y_hat(self) -> np.ndarray:
-        return self.ybar_i - self.gamma_e_hat * (self.zbar_i - self.zbar)
+    def gamma_b(self) -> float:
+        """Slope on the block-mean covariate in the conditional model."""
+        return self.gamma_be_hat - self.gamma_e_hat
 
     @property
     def sigma_b2(self) -> float:
         """Conditional block variance implied by the two residual variances."""
         return (self.sigma_be2 - self.sigma_e2) / self.t
 
+    @property
+    def adjusted_means(self) -> np.ndarray:
+        """The fitted treatment means ``params.mu_y``, at the covariate mean's
+        MLE (the grand mean), where the block-mean correction vanishes."""
+        return self.params.mu_y
 
-def fit_bivariate_rcb_ml(
-    ds: Dataset, spec: DesignSpec
-) -> tuple[JointRcbFit, BivariateParams, ConditionalParams]:
+    @property
+    def adjusted_se(self) -> np.ndarray:
+        """Standard errors of the adjusted means: the block-sampling term
+        plus the plug-in slope variance."""
+        var = (self.sigma_e2 + self.sigma_b2) / self.b + self.sigma_e2 * (
+            self.zbar_i - self.zbar
+        ) ** 2 / self.szz_within
+        return np.sqrt(var)
+
+
+def fit_bivariate_rcb_ml(ds: Dataset, spec: DesignSpec) -> JointRcbFit:
     """Closed-form ML for the joint model on a complete RCB with one covariate.
 
     The block-stratum SSCP carries the block-mean regression, the
@@ -175,7 +199,8 @@ def fit_bivariate_rcb_ml(
     variance MLEs (divisor b for blocks, b(t-1) for residuals) reassemble
     into the block and residual covariances.  The covariate's residual
     variance takes its within-block sum of squares unswept, since the
-    covariate mean carries no treatment effects.
+    covariate mean carries no treatment effects.  The conditional-model
+    parameters are ``conditional_from_bivariate(fit.params, fit.t)``.
     """
     tab = _rcb_table(*rcb_arrays(ds, spec))
     t, b = tab.Y.shape
@@ -218,7 +243,8 @@ def fit_bivariate_rcb_ml(
     ll_z = float(-0.5 * b * (c + np.log(g0_zz) + (t - 1) * np.log(g1_zz)))
     ll = ll_z - float(0.5 * b * (c + np.log(sigma_be2) + (t - 1) * np.log(sigma_e2)))
 
-    fit = JointRcbFit(
+    mu_y = tab.ybar_i - gamma_e * (tab.zbar_i - tab.zbar)
+    return JointRcbFit(
         gamma_be_hat=gamma_be,
         gamma_e_hat=gamma_e,
         sigma_be2=sigma_be2,
@@ -226,56 +252,45 @@ def fit_bivariate_rcb_ml(
         t=t,
         b=b,
         treatments=tab.treatments,
-        ybar_i=tab.ybar_i,
         zbar_i=tab.zbar_i,
         zbar=tab.zbar,
         szz_within=float(resid[1, 1]),
         loglik=ll,
         loglik_z=ll_z,
+        params=BivariateParams(mu_y=mu_y, mu_z=tab.zbar, Sigma_B=Sigma_B, Sigma_E=Sigma_E),
     )
-    params = BivariateParams(
-        mu_y=fit.mu_y_hat, mu_z=fit.zbar, Sigma_B=Sigma_B, Sigma_E=Sigma_E
-    )
-    cond = conditional_from_bivariate(params, t)
-    return fit, params, cond
-
-
-def adjusted_means_bivariate(fit: JointRcbFit) -> tuple[np.ndarray, np.ndarray]:
-    """Adjusted treatment means and standard errors from the closed-form fit.
-
-    The means are the fitted treatment means ``mu_y_hat``: they sit at the
-    covariate mean's MLE, the grand mean, where the block-mean correction
-    vanishes.  The variance sums the block-sampling term and the plug-in
-    slope variance.
-    """
-    var = (fit.sigma_e2 + fit.sigma_b2) / fit.b + fit.sigma_e2 * (
-        fit.zbar_i - fit.zbar
-    ) ** 2 / fit.szz_within
-    return fit.mu_y_hat, np.sqrt(var)
 
 
 @dataclass
-class BlockConditionalFit:
+class BlockConditionalFit(OrthogonalConditionalFit):
     """Random-blocks conditional fit on a (possibly incomplete) block design:
-    the two-slope model, or the single-slope model with ``gamma_b`` at 0."""
+    the recipe fit with block-model names, for the two-slope model or the
+    single-slope model with ``gamma_b`` at 0.  ``effects`` are the
+    sum-to-zero treatment effects, with their covariance and standard
+    errors."""
 
-    effects: np.ndarray  # sum-to-zero treatment effects
-    effect_cov: np.ndarray
     gamma_e: float
     gamma_b: float  # zero for the naive single-slope model
-    adjusted_means: np.ndarray
-    adjusted_se: np.ndarray
-    treatments: tuple[str, ...]
-    sigma_e2: float
-    sigma_b2: float
-    loglik: float
-    method: str
-    lmm_fit: LmmFit
     model: str  # "conditional" or "naive"
+    effects: np.ndarray = field(init=False)
+    effect_cov: np.ndarray = field(init=False)
+    effect_se: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        t = len(self.treatments)
+        L = np.eye(t) - np.full((t, t), 1.0 / t)
+        cov = L @ self.lmm_fit.beta_cov[:t, :t] @ L.T
+        self.effects = L @ self.lmm_fit.beta_hat[:t]
+        self.effect_cov = 0.5 * (cov + cov.T)
+        self.effect_se = np.sqrt(np.diag(self.effect_cov))
 
     @property
-    def effect_se(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.effect_cov))
+    def sigma_e2(self) -> float:
+        return self.lmm_fit.sigma_e2
+
+    @property
+    def sigma_b2(self) -> float:
+        return float(self.lmm_fit.sigma2[0])
 
     @property
     def rho(self) -> float:
@@ -293,24 +308,11 @@ def _block_fit(ds, spec, block_means, method, tol, max_iter) -> BlockConditional
         raise ValidationError("block-design fitters need one blocking factor")
     recipe = _block_recipe(spec, block_means)
     f = fit_orthogonal_conditional(recipe, ds, method, tol=tol, max_iter=max_iter)
-    t = len(f.treatments)
     cov_name = ds.covariate_names[0]
-    block = spec.blocking_factors[0]
-    L = np.eye(t) - np.full((t, t), 1.0 / t)
-    effect_cov = L @ f.lmm_fit.beta_cov[:t, :t] @ L.T
     return BlockConditionalFit(
-        effects=L @ f.lmm_fit.beta_hat[:t],
-        effect_cov=0.5 * (effect_cov + effect_cov.T),
+        **vars(f),
         gamma_e=f.slopes[cov_name],
-        gamma_b=f.slopes.get(f"mean({cov_name}|{block})", 0.0),
-        adjusted_means=f.adjusted_means,
-        adjusted_se=f.adjusted_se,
-        treatments=f.treatments,
-        sigma_e2=f.lmm_fit.sigma_e2,
-        sigma_b2=float(f.lmm_fit.sigma2[0]),
-        loglik=f.loglik,
-        method=method,
-        lmm_fit=f.lmm_fit,
+        gamma_b=f.slopes.get(f"mean({cov_name}|{spec.blocking_factors[0]})", 0.0),
         model="conditional" if block_means else "naive",
     )
 

@@ -23,7 +23,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .bivariate_rcb import (
-    adjusted_means_bivariate,
     fit_bivariate_rcb_ml,
     fit_conditional_ibd,
     fit_mixed_rcb,
@@ -146,15 +145,6 @@ def _orthogonal_scalars(f, args) -> dict:
     }
 
 
-def _fit_bivariate_ml(ds, spec, args):
-    fit, params, cond = fit_bivariate_rcb_ml(ds, spec)
-    means, se = adjusted_means_bivariate(fit)
-    return SimpleNamespace(
-        fit=fit, params=params, cond=cond, treatments=fit.treatments,
-        adjusted_means=means, adjusted_se=se,
-    )
-
-
 def _fit_mvc(ds, spec, args):
     if args.method == "reml":
         raise ValidationError("reml unsupported for mvc")
@@ -210,11 +200,10 @@ _MODELS = {
         _EFFECTS,
     ),
     "bivariate_rcb": (
-        _fit_bivariate_ml,
-        _fields(gamma_e="fit.gamma_e_hat", gamma_be="fit.gamma_be_hat",
-                gamma_b="cond.gamma_b", sigma_e2="cond.sigma_e2",
-                sigma_b2="cond.sigma_b2", mu_z="fit.zbar",
-                loglik="fit.loglik", sigma_b_psd="params.sigma_b_psd"),
+        lambda ds, spec, args: fit_bivariate_rcb_ml(ds, spec),
+        _fields(gamma_e="gamma_e_hat", gamma_be="gamma_be_hat", gamma_b="gamma_b",
+                sigma_e2="sigma_e2", sigma_b2="sigma_b2", mu_z="zbar",
+                loglik="loglik", sigma_b_psd="params.sigma_b_psd"),
         _MEANS,
     ),
     "bivariate": (
@@ -242,10 +231,8 @@ def _fit_artifact(args, ds, spec) -> tuple[Artifact, int]:
     f = fitter(ds, spec, args)
     scalars = {"model": args.model, **scalar_fields(f, args)}
     cols = ["treatment"] + [name for name, _ in columns]
-    rows = [
-        [lab] + [getattr(f, attr)[i] for _, attr in columns]
-        for i, lab in enumerate(f.treatments)
-    ]
+    values = [getattr(f, attr) for _, attr in columns]
+    rows = [[lab] + [col[i] for col in values] for i, lab in enumerate(f.treatments)]
     code = EXIT_OK if scalars.get("converged", True) else EXIT_NONCONVERGENCE
     return Artifact(scalars, {"treatments": (cols, rows)}), code
 
@@ -277,13 +264,13 @@ def _cmd_compare(args) -> int:
     fits = {
         "fixed": fit_fixed_rcb(ds, spec),
         "mixed": fit_mixed_rcb(ds, spec, args.method, **_iter_options(args)),
-        "bivariate": _fit_bivariate_ml(ds, spec, args),
+        "bivariate": fit_bivariate_rcb_ml(ds, spec),
     }
     fx, mx = fits["fixed"], fits["mixed"]
     scalars = {
         "gamma_ols": fx.gamma_ols,
         "gamma_mixed": mx.gamma_e,
-        "gamma_be": fits["bivariate"].fit.gamma_be_hat,
+        "gamma_be": fits["bivariate"].gamma_be_hat,
         "sigma_e2_mixed": mx.sigma_e2,
         "sigma_b2_mixed": mx.sigma_b2,
         "rho_mixed": mx.rho,
@@ -292,10 +279,8 @@ def _cmd_compare(args) -> int:
     cols = ["treatment"]
     for name in fits:
         cols += [f"{name}_adj_mean", f"{name}_std_err"]
-    rows = [
-        [lab] + [v for f in fits.values() for v in (f.adjusted_means[i], f.adjusted_se[i])]
-        for i, lab in enumerate(fx.treatments)
-    ]
+    values = [col for f in fits.values() for col in (f.adjusted_means, f.adjusted_se)]
+    rows = [[lab] + [col[i] for col in values] for i, lab in enumerate(fx.treatments)]
     _emit(Artifact(scalars, {"comparison": (cols, rows)}), args)
     return EXIT_OK if mx.lmm_fit.converged else EXIT_NONCONVERGENCE
 
@@ -363,18 +348,20 @@ def _cmd_simulate(args) -> int:
     Sigma_B, Sigma_E = _sym2("--sigma-b", args.sigma_b), _sym2("--sigma-e", args.sigma_e)
     bias = args.study == "bias"
     least = 2 if bias else 1  # the study needs within-block contrasts and a Monte Carlo SE
-    for flag, value in (("--t", args.t), ("--b", args.b), ("--replicates", args.replicates)):
-        if value < least:
+    # generate draws one replicate unless told otherwise; the study has no default
+    replicates = 1 if args.replicates is None and not bias else args.replicates
+    for flag, value in (("--t", args.t), ("--b", args.b), ("--replicates", replicates)):
+        if value is None or value < least:
             raise ValidationError(
                 f"{'the bias study' if bias else 'simulate'} needs {flag} of at least "
-                f"{least}; got {value}")
-    if not bias and not 0 <= args.rep < args.replicates:
+                f"{least}; " + ("none was given" if value is None else f"got {value}"))
+    if not bias and not 0 <= args.rep < replicates:
         raise ValidationError(
-            f"--rep {args.rep} is not one of the {args.replicates} replicates (0-based)")
+            f"--rep {args.rep} is not one of the {replicates} replicates (0-based)")
     params = BivariateParams(
         mu_y=np.full(args.t, args.mu_y), mu_z=args.mu_z, Sigma_B=Sigma_B, Sigma_E=Sigma_E
     )
-    cfg = SimConfig(t=args.t, b=args.b, params=params, replicates=args.replicates,
+    cfg = SimConfig(t=args.t, b=args.b, params=params, replicates=replicates,
                     seed=args.seed, condition_on_z=bias)
     if bias:
         res = bias_study(cfg)
@@ -468,11 +455,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", required=True, help="e.g. 'A=1,B=-1'")
 
     p = sub.add_parser("simulate")
-    common(p, data=False)
+    common(p, data=False, iterative=False)
     p.add_argument("--study", default="generate", choices=["generate", "bias"])
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--replicates", type=int, default=1)
+    p.add_argument("--replicates", type=int, default=None)  # generate: 1; bias: required
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rep", type=int, default=0)
     p.add_argument("--mu-y", type=float, default=0.0)

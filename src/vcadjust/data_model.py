@@ -396,7 +396,6 @@ class StackedData:
     block_levels: tuple[int, ...]
     treatment_random_codes: tuple[np.ndarray, ...]
     treatment_random_levels: tuple[int, ...]
-    treatment_random_names: tuple[str, ...]
     treatments_affect_covariates: bool
     n_obs: int
     m: int
@@ -461,7 +460,6 @@ def build_stacked(
         block_levels=tuple(len(lv) for lv, _ in blocks),
         treatment_random_codes=tuple(c for _, c in terms),
         treatment_random_levels=tuple(len(lv) for lv, _ in terms),
-        treatment_random_names=tuple("*".join(term) for term in random_treatment_terms),
         treatments_affect_covariates=spec.treatments_affect_covariates,
         n_obs=n,
         m=m,

@@ -89,14 +89,6 @@ class MultivariateModel:
     stacked: StackedData
     params: MVCParams
 
-    @property
-    def r(self) -> int:
-        return len(self.stacked.treatment_random_codes)
-
-    @property
-    def q(self) -> int:
-        return len(self.stacked.block_codes)
-
     def with_params(self, params: MVCParams) -> "MultivariateModel":
         return replace(self, params=params)
 

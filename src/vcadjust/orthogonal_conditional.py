@@ -11,7 +11,9 @@ layout.
 :func:`fit_orthogonal_conditional` is the package's one conditional-LMM
 builder: every univariate mixed fit (the naive single-slope model, the
 two-slope block model and the recipes) is this function with a different
-regressor list.  It and :func:`orthogonality` read the complete records of
+regressor list, and returns one :class:`OrthogonalConditionalFit` (the
+block models a subclass with block-model names).  It and
+:func:`orthogonality` read the complete records of
 :func:`.data_model.complete_records`, cell c being the c-th complete record
 in canonical order, and every grouping is coded by
 :func:`.data_model.group_codes` over them.
@@ -100,48 +102,6 @@ def _block_recipe(spec: DesignSpec, block_means: bool = True) -> DesignRecipe:
     )
 
 
-def conditional_regressors(
-    recipe: DesignRecipe, ds: Dataset, codes: dict[tuple[str, ...], np.ndarray] | None = None
-) -> Dataset:
-    """Append the recipe's stratum-mean covariate columns to the dataset.
-
-    Means are taken over complete cells; every group inside one grouping
-    must hold the same number of complete cells, otherwise the layout is
-    not orthogonal and belongs to the general engine.  ``codes`` maps each
-    mean grouping to its group codes in ``ds`` when the caller has them.
-    """
-    if codes is None:
-        codes = {g: group_codes(ds, g)[1] for g in recipe.mean_groupings}
-    mask = ds.complete_mask
-    new_cols = []
-    new_names = []
-    for grouping in recipe.mean_groupings:
-        inside = codes[grouping][mask]
-        sizes = np.bincount(inside)
-        counts = sizes[sizes > 0]
-        if len(counts) == 0:
-            raise ValidationError("no complete cells to average")
-        if counts.min() != counts.max():
-            raise ValidationError(
-                f"grouping {grouping} has ragged cell counts; "
-                "route this layout to the general engine"
-            )
-        for j, cov in enumerate(ds.covariate_names):
-            sums = np.bincount(inside, weights=ds.covariates[mask, j])
-            col = np.full(ds.n_records, np.nan)
-            col[mask] = sums[inside] / sizes[inside]
-            new_cols.append(col)
-            new_names.append(f"mean({cov}|{','.join(grouping)})")
-    covs = np.column_stack([ds.covariates] + [c.reshape(-1, 1) for c in new_cols])
-    return Dataset(
-        factors=dict(ds.factors),
-        response=ds.response,
-        covariates=covs,
-        covariate_names=ds.covariate_names + tuple(new_names),
-        levels=dict(ds.levels),
-    )
-
-
 def _table(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Count table ``N_FG`` of two groupings' codes."""
     shape = (f.max() + 1, g.max() + 1)
@@ -202,17 +162,27 @@ def orthogonality(recipe: DesignRecipe, ds: Dataset) -> list[tuple[str, str, flo
 
 @dataclass
 class OrthogonalConditionalFit:
-    """Conditional mixed fit of an orthogonal recipe with adjusted means."""
+    """Conditional mixed fit of an orthogonal recipe with adjusted means;
+    the log-likelihood, method and variance components read ``lmm_fit``."""
 
     treatments: tuple[str, ...]
     adjusted_means: np.ndarray
     adjusted_se: np.ndarray
     slopes: dict[str, float]
-    var_comps: dict[str, float]
-    loglik: float
-    method: str
     lmm_fit: LmmFit
     dropped_regressors: tuple[str, ...]
+
+    @property
+    def loglik(self) -> float:
+        return self.lmm_fit.loglik
+
+    @property
+    def method(self) -> str:
+        return self.lmm_fit.method
+
+    @property
+    def var_comps(self) -> dict[str, float]:
+        return self.lmm_fit.var_comps
 
 
 def _check_blocks(bcodes: np.ndarray, codes: np.ndarray):
@@ -227,6 +197,26 @@ def _check_blocks(bcodes: np.ndarray, codes: np.ndarray):
         raise SingularityError(
             "design is disconnected; treatment effects are inestimable"
         )
+
+
+def _stratum_means(recipe: DesignRecipe, sub: Dataset, group: dict) -> list:
+    """The recipe's stratum-mean regressors on the complete records ``sub``
+    as (name, parent covariate index, column); ``group`` maps each mean
+    grouping to its codes.  Groups of unequal size are refused: such a
+    layout is not orthogonal and belongs to the general engine."""
+    out = []
+    for grouping in recipe.mean_groupings:
+        inside = group[grouping]
+        sizes = np.bincount(inside)
+        if sizes.min() != sizes.max():
+            raise ValidationError(
+                f"grouping {grouping} has ragged cell counts; "
+                "route this layout to the general engine"
+            )
+        for j, cov in enumerate(sub.covariate_names):
+            sums = np.bincount(inside, weights=sub.covariates[:, j])
+            out.append((f"mean({cov}|{','.join(grouping)})", j, (sums / sizes)[inside]))
+    return out
 
 
 def fit_orthogonal_conditional(
@@ -253,47 +243,37 @@ def fit_orthogonal_conditional(
     group = {g: group_codes(sub, g)[1] for g in {*recipe.mean_groupings, *random_groupings}}
     if len(random_groupings) == 1 and len(random_groupings[0]) == 1:  # random blocks
         _check_blocks(group[random_groupings[0]], codes)
-    aug = conditional_regressors(recipe, sub, group)
-    t, n_orig = len(labels), sub.m
-    T = incidence(codes, t)
-    grand = np.array([sub.covariates[:, j].mean() for j in range(n_orig)])
+    columns = [(cov, j, sub.covariates[:, j]) for j, cov in enumerate(sub.covariate_names)]
+    columns += _stratum_means(recipe, sub, group)
+    grand = [sub.covariates[:, j].mean() for j in range(sub.m)]
 
     keep, dropped = [], []
-    for r in range(aug.m):
-        col = aug.covariates[:, r]
+    for name, j, col in columns:
         if np.var(col) <= 1e-12 * max(1.0, float(np.mean(col**2))):
-            dropped.append(aug.covariate_names[r])
+            dropped.append(name)
         else:
-            keep.append(r)
-    R = aug.covariates[:, keep]
+            keep.append((name, j, col))
 
-    randoms = tuple(group[g] for g in random_groupings)
-
-    X = np.column_stack([T, R]) if R.size else T
+    t = len(labels)
+    X = np.column_stack([incidence(codes, t)] + [col for *_, col in keep])
     names = tuple(name for name, _ in recipe.random_groupings)
-    lmm_spec = LmmSpec(y=sub.response, X=X, random=randoms, names=names)
+    lmm_spec = LmmSpec(y=sub.response, X=X, random=tuple(group[g] for g in random_groupings),
+                       names=names)
     fit = fit_lmm(lmm_spec, method=method, tol=tol, max_iter=max_iter)
 
-    # each appended column is evaluated at the grand mean of its parent
+    # each column is evaluated at the grand mean of its parent covariate
     coef = np.zeros((t, X.shape[1]))
     coef[:, :t] = np.eye(t)
-    for pos, r in enumerate(keep):
-        coef[:, t + pos] = grand[r % n_orig]
-    adj = coef @ fit.beta_hat
+    for pos, (_name, j, _col) in enumerate(keep):
+        coef[:, t + pos] = grand[j]
     adj_cov = coef @ fit.beta_cov @ coef.T
-    slopes = {aug.covariate_names[r]: float(fit.beta_hat[t + pos])
-              for pos, r in enumerate(keep)}
-    for nm in dropped:
-        slopes[nm] = 0.0
+    slopes = {name: float(fit.beta_hat[t + pos]) for pos, (name, *_) in enumerate(keep)}
+    slopes.update(dict.fromkeys(dropped, 0.0))
     return OrthogonalConditionalFit(
         treatments=tuple(labels),
-        adjusted_means=adj,
+        adjusted_means=coef @ fit.beta_hat,
         adjusted_se=np.sqrt(np.clip(np.diag(adj_cov), 0.0, None)),
         slopes=slopes,
-        var_comps=fit.var_comps,
-        loglik=fit.loglik,
-        method=method,
         lmm_fit=fit,
         dropped_regressors=tuple(dropped),
     )
-

@@ -2,8 +2,9 @@
 
 The fixed-blocks analysis of covariance of a complete-blocks experiment
 with one covariate (:func:`fit_fixed_rcb`), which reports treatment means
-adjusted to the grand covariate mean with plug-in standard errors, and the
-single-slope GLS slope at a given block correlation (:func:`gamma_mixed`).
+adjusted to the grand covariate mean with plug-in standard errors at the
+ML residual variance, and the single-slope GLS slope at a given block
+correlation (:func:`gamma_mixed`).
 The random-blocks fits, the naive single-slope one included, live in
 :mod:`.bivariate_rcb`.
 
@@ -124,14 +125,13 @@ class FixedFitRCB:
     blocks: tuple[str, ...]
 
 
-def fit_fixed_rcb(ds: Dataset, spec: DesignSpec, divisor: str = "ml") -> FixedFitRCB:
+def fit_fixed_rcb(ds: Dataset, spec: DesignSpec) -> FixedFitRCB:
     """Fixed-blocks analysis of covariance on a complete RCB.
 
     The slope is the doubly-centered least-squares regression; standard
-    errors use the residual variance with the ML divisor n (or, when
-    ``divisor='unbiased'``, the residual df left after the slope,
-    n - t - b, which a singular 2 x 2 layout lacks).  ``loglik`` is the
-    Gaussian log-likelihood at the ML variance whichever divisor is chosen.
+    errors use the ML residual variance, divisor n, and ``loglik`` is the
+    Gaussian log-likelihood at that variance.  A layout with no residual
+    degrees of freedom after the slope (a 2 x 2 one) is refused.
     """
     tab = _rcb_table(*rcb_arrays(ds, spec))
     syy, szy, szz = tab.resid[0, 0], tab.resid[0, 1], tab.resid[1, 1]
@@ -149,14 +149,9 @@ def fit_fixed_rcb(ds: Dataset, spec: DesignSpec, divisor: str = "ml") -> FixedFi
         )
     gamma = szy / szz
     rss = syy - gamma * szy
-    if divisor == "ml":
-        s2 = rss / n
-    elif divisor == "unbiased":
-        s2 = rss / df
-    else:
-        raise ValidationError(f"divisor must be 'ml' or 'unbiased', got {divisor!r}")
+    s2 = rss / n
     with np.errstate(divide="ignore"):  # an exact fit, rss = 0, has loglik inf
-        loglik = float(-0.5 * n * (np.log(2 * np.pi) + np.log(rss / n) + 1.0))
+        loglik = float(-0.5 * n * (np.log(2 * np.pi) + np.log(s2) + 1.0))
     dz = tab.zbar_i - tab.zbar
     return FixedFitRCB(
         effects=(tab.ybar_i - float(tab.Y.mean())) - gamma * dz,

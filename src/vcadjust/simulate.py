@@ -181,24 +181,6 @@ class BiasStudyResult:
                 return r
         raise KeyError(estimator)
 
-    def to_delimited(self, sep: str = "\t") -> str:
-        header = sep.join(["estimator", "target", "mc_mean", "mc_se", "bias", "flag"])
-        lines = [header]
-        for r in self.rows:
-            lines.append(
-                sep.join(
-                    [
-                        r.estimator,
-                        f"{r.target:.10g}",
-                        f"{r.mc_mean:.10g}",
-                        f"{r.mc_se:.10g}",
-                        f"{r.bias:.10g}",
-                        r.flag,
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
-
 
 def bias_study(cfg: SimConfig) -> BiasStudyResult:
     """Conditional Monte Carlo comparison of the slope estimators.
@@ -211,6 +193,10 @@ def bias_study(cfg: SimConfig) -> BiasStudyResult:
     """
     if not cfg.condition_on_z:
         raise ValidationError("bias_study requires condition_on_z=True")
+    # the two strata need two treatments and two blocks, a Monte Carlo SE two replicates
+    for name, value in (("t", cfg.t), ("b", cfg.b), ("replicates", cfg.replicates)):
+        if value < 2:
+            raise ValidationError(f"bias_study needs {name} of at least 2; got {value}")
     p = cfg.params
     t, b = cfg.t, cfg.b
     cond = conditional_from_bivariate(p, t)

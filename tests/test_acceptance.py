@@ -80,8 +80,8 @@ def test_criterion_1_complete_blocks_benchmark():
     t0 = time.time()
     fx = v.fit_fixed_rcb(ds, spec)
     mx = v.fit_mixed_rcb(ds, spec, method="ml")
-    hf, _, _ = v.fit_bivariate_rcb_ml(ds, spec)
-    bmeans, bse = v.adjusted_means_bivariate(hf)
+    hf = v.fit_bivariate_rcb_ml(ds, spec)
+    bmeans, bse = hf.adjusted_means, hf.adjusted_se
     elapsed = time.time() - t0
     ok = list(fx.treatments) == APPLE_COMPLETE["treatments"]
     errs = []
@@ -216,8 +216,8 @@ def test_criterion_5_identity_suite():
     for seed in range(10):
         cfg = v.SimConfig(t=5, b=6, params=params, replicates=1, seed=seed)
         ds = v.gen_bivariate_rcb(cfg)[0]
-        hf, _, _ = v.fit_bivariate_rcb_ml(ds, cfg.design_spec)
-        means, _ = v.adjusted_means_bivariate(hf)
+        hf = v.fit_bivariate_rcb_ml(ds, cfg.design_spec)
+        means = hf.adjusted_means
         fixed = v.fit_fixed_rcb(ds, cfg.design_spec).adjusted_means
         worst_a = max(worst_a, float(np.max(np.abs(means - fixed))))
     ok_a = worst_a <= 1e-10
@@ -225,14 +225,15 @@ def test_criterion_5_identity_suite():
     # (b) EM on a complete RCB reproduces the closed forms
     cfg = v.SimConfig(t=6, b=8, params=interior_bivariate_params(6), replicates=1, seed=1)
     ds = v.gen_bivariate_rcb(cfg)[0]
-    hf, bp, _ = v.fit_bivariate_rcb_ml(ds, cfg.design_spec)
+    hf = v.fit_bivariate_rcb_ml(ds, cfg.design_spec)
+    bp = hf.params
     sd = v.build_stacked(ds, cfg.design_spec)
     fit = v.fit_em(make_model(sd), tol=1e-12, max_iter=50000)
     _EM_TRACES.append(fit.loglik_trace)
     worst_b = max(
         float(np.max(np.abs(fit.params.Sigmas[0] - bp.Sigma_E))),
         float(np.max(np.abs(fit.params.Sigmas[1] - bp.Sigma_B))),
-        float(np.max(np.abs(fit.params.beta[:6] - hf.mu_y_hat))),
+        float(np.max(np.abs(fit.params.beta[:6] - hf.adjusted_means))),
         abs(float(fit.params.beta[6]) - bp.mu_z),
     )
     ok_b = worst_b <= 1e-4 and abs(fit.loglik - hf.loglik) <= 1e-6
@@ -314,8 +315,8 @@ def test_criterion_7_property_suite(tmp_path):
     params = interior_bivariate_params(4)
     cfg = v.SimConfig(t=4, b=5, params=params, replicates=1, seed=2)
     ds = v.gen_bivariate_rcb(cfg)[0]
-    hf1, _, _ = v.fit_bivariate_rcb_ml(ds, cfg.design_spec)
-    m1, _ = v.adjusted_means_bivariate(hf1)
+    hf1 = v.fit_bivariate_rcb_ml(ds, cfg.design_spec)
+    m1 = hf1.adjusted_means
     ds2 = v.Dataset(
         factors=dict(ds.factors),
         response=ds.response,
@@ -323,8 +324,8 @@ def test_criterion_7_property_suite(tmp_path):
         covariate_names=ds.covariate_names,
         levels={},
     )
-    hf2, _, _ = v.fit_bivariate_rcb_ml(ds2, cfg.design_spec)
-    m2, _ = v.adjusted_means_bivariate(hf2)
+    hf2 = v.fit_bivariate_rcb_ml(ds2, cfg.design_spec)
+    m2 = hf2.adjusted_means
     if np.max(np.abs(m1 - m2)) > 1e-10 * max(1.0, float(np.max(np.abs(m1)))):
         failures.append("affine equivariance")
 

@@ -9,6 +9,7 @@ import vcadjust as v
 from vcadjust.bivariate_rcb import HiddenExtrapolationWarning
 from vcadjust.errors import SingularityError, ValidationError
 from vcadjust.mvc_em import MVCParams, make_model, observed_loglik
+from vcadjust.orthogonal_conditional import OrthogonalConditionalFit
 from vcadjust.rcb_classical import rcb_arrays
 
 from conftest import interior_bivariate_params
@@ -91,12 +92,13 @@ class TestConditionalFromBivariate:
 class TestClosedFormML:
     def test_cell_slope_equals_fixed_ols(self, rcb_dataset):
         ds, spec = rcb_dataset
-        hf, _, _ = v.fit_bivariate_rcb_ml(ds, spec)
+        hf = v.fit_bivariate_rcb_ml(ds, spec)
         assert np.isclose(hf.gamma_e_hat, v.fit_fixed_rcb(ds, spec).gamma_ols, atol=1e-12)
 
     def test_mu_z_is_grand_mean(self, rcb_dataset):
         ds, spec = rcb_dataset
-        hf, bp, _ = v.fit_bivariate_rcb_ml(ds, spec)
+        hf = v.fit_bivariate_rcb_ml(ds, spec)
+        bp = hf.params
         assert np.isclose(bp.mu_z, np.mean(ds.covariates[:, 0]), atol=1e-12)
         assert bp.mu_z == hf.zbar
 
@@ -105,8 +107,8 @@ class TestClosedFormML:
         for seed in range(10):
             cfg = v.SimConfig(t=5, b=6, params=params, replicates=1, seed=seed)
             ds = v.gen_bivariate_rcb(cfg)[0]
-            hf, _, _ = v.fit_bivariate_rcb_ml(ds, cfg.design_spec)
-            means, _ = v.adjusted_means_bivariate(hf)
+            hf = v.fit_bivariate_rcb_ml(ds, cfg.design_spec)
+            means = hf.adjusted_means
             fixed = v.fit_fixed_rcb(ds, cfg.design_spec).adjusted_means
             assert np.max(np.abs(means - fixed)) <= 1e-10
 
@@ -118,7 +120,8 @@ class TestClosedFormML:
         cfg = v.SimConfig(t=3, b=50, params=params, replicates=reps, seed=19)
         ge, gbe, muz, sez2 = [], [], [], []
         for ds in v.gen_bivariate_rcb(cfg):
-            hf, bp, _ = v.fit_bivariate_rcb_ml(ds, cfg.design_spec)
+            hf = v.fit_bivariate_rcb_ml(ds, cfg.design_spec)
+            bp = hf.params
             ge.append(hf.gamma_e_hat)
             gbe.append(hf.gamma_be_hat)
             muz.append(bp.mu_z)
@@ -174,13 +177,12 @@ class TestClosedFormML:
         )
         cfg = v.SimConfig(t=6, b=4, params=params, replicates=1, seed=42)
         ds = v.gen_bivariate_rcb(cfg)[0]
-        _, bp, _ = v.fit_bivariate_rcb_ml(ds, cfg.design_spec)
+        bp = v.fit_bivariate_rcb_ml(ds, cfg.design_spec).params
         assert not bp.sigma_b_psd  # reported as-is, with the flag
 
     def test_conditional_params_round_trip_the_strata(self):
-        # the CLI prints cond.gamma_b, cond.sigma_e2 and cond.sigma_b2, which
-        # go from the stratum values into Sigma_E/Sigma_B and back;
-        # adjusted_means_bivariate reads the stratum values themselves
+        # the CLI prints the stratum values; mapped into Sigma_E/Sigma_B and
+        # back through conditional_from_bivariate they come out unchanged
         spec = v.load_design_spec(str(GOLDEN / "rcb.json"))
         cases = [(v.load_dataset(str(GOLDEN / "rcb.csv"), spec), spec)]
         for seed in range(50):
@@ -189,7 +191,8 @@ class TestClosedFormML:
             cfg = v.SimConfig(t=t, b=b, params=interior_bivariate_params(t), seed=seed)
             cases.append((v.gen_bivariate_rcb(cfg)[0], cfg.design_spec))
         for ds, spec in cases:
-            hf, _, cond = v.fit_bivariate_rcb_ml(ds, spec)
+            hf = v.fit_bivariate_rcb_ml(ds, spec)
+            cond = v.conditional_from_bivariate(hf.params, hf.t)
             for got, want in (
                 (cond.gamma_e, hf.gamma_e_hat),
                 (cond.gamma_b, hf.gamma_be_hat - hf.gamma_e_hat),
@@ -224,7 +227,8 @@ class TestClosedFormML:
     def test_loglik_equals_stacked_density(self, seed, t, b):
         cfg = v.SimConfig(t=t, b=b, params=interior_bivariate_params(t), seed=seed)
         ds = v.gen_bivariate_rcb(cfg)[0]
-        hf, params, _ = v.fit_bivariate_rcb_ml(ds, cfg.design_spec)
+        hf = v.fit_bivariate_rcb_ml(ds, cfg.design_spec)
+        params = hf.params
         assert params.sigma_b_psd
         sd = v.build_stacked(ds, cfg.design_spec)
         assert sd.treatments == hf.treatments
@@ -260,8 +264,8 @@ class TestAdjustedMeansBivariate:
             covariates=("z",),
             recipe="rcb",
         )
-        hf, _, _ = v.fit_bivariate_rcb_ml(ds, spec)
-        _, se = v.adjusted_means_bivariate(hf)
+        hf = v.fit_bivariate_rcb_ml(ds, spec)
+        se = hf.adjusted_se
         base = np.sqrt((hf.sigma_e2 + hf.sigma_b2) / b)
         assert np.allclose(se, base, atol=1e-12)
 
@@ -269,8 +273,8 @@ class TestAdjustedMeansBivariate:
         # at a common residual variance, the variance exceeds the
         # fixed-blocks formula by exactly sigma_b^2 / b for every treatment
         ds, spec = rcb_dataset
-        hf, _, _ = v.fit_bivariate_rcb_ml(ds, spec)
-        _, se = v.adjusted_means_bivariate(hf)
+        hf = v.fit_bivariate_rcb_ml(ds, spec)
+        se = hf.adjusted_se
         eq4_at_same_sigma = (
             hf.sigma_e2 / hf.b
             + hf.sigma_e2 * (hf.zbar_i - hf.zbar) ** 2 / hf.szz_within
@@ -291,8 +295,8 @@ class TestAdjustedMeansBivariate:
         cfg = v.SimConfig(t=4, b=5, params=params, replicates=1, seed=2)
         ds = v.gen_bivariate_rcb(cfg)[0]
         spec = cfg.design_spec
-        hf1, _, _ = v.fit_bivariate_rcb_ml(ds, spec)
-        m1, se1 = v.adjusted_means_bivariate(hf1)
+        hf1 = v.fit_bivariate_rcb_ml(ds, spec)
+        m1, se1 = hf1.adjusted_means, hf1.adjusted_se
         ds2 = v.Dataset(
             factors=dict(ds.factors),
             response=ds.response,
@@ -300,8 +304,8 @@ class TestAdjustedMeansBivariate:
             covariate_names=ds.covariate_names,
             levels={},
         )
-        hf2, _, _ = v.fit_bivariate_rcb_ml(ds2, spec)
-        m2, se2 = v.adjusted_means_bivariate(hf2)
+        hf2 = v.fit_bivariate_rcb_ml(ds2, spec)
+        m2, se2 = hf2.adjusted_means, hf2.adjusted_se
         assert np.isclose(hf2.gamma_e_hat, hf1.gamma_e_hat / a, rtol=1e-9)
         assert np.isclose(hf2.gamma_be_hat, hf1.gamma_be_hat / a, rtol=1e-9)
         assert np.max(np.abs(m2 - m1)) <= 1e-10 * max(1.0, np.max(np.abs(m1)))
@@ -312,7 +316,7 @@ class TestAdjustedMeansBivariate:
         # estimates reproduces the single-slope GLS form at any rho
         ds, spec = rcb_dataset
         Y, Z, _, _ = rcb_arrays(ds, spec)
-        hf, _, _ = v.fit_bivariate_rcb_ml(ds, spec)
+        hf = v.fit_bivariate_rcb_ml(ds, spec)
         t, b = Y.shape
         Ct, Cb = centering_matrix(t), centering_matrix(b)
         Jt = np.full((t, t), 1.0 / t)
@@ -367,7 +371,8 @@ IBD_SPEC = v.DesignSpec(
 class TestConditionalIbd:
     def test_complete_blocks_match_closed_form(self, rcb_dataset):
         ds, spec = rcb_dataset
-        hf, _, cond = v.fit_bivariate_rcb_ml(ds, spec)
+        hf = v.fit_bivariate_rcb_ml(ds, spec)
+        cond = v.conditional_from_bivariate(hf.params, hf.t)
         ib = v.fit_conditional_ibd(ds, spec, method="ml")
         assert abs(ib.gamma_e - cond.gamma_e) < 1e-6
         assert abs(ib.gamma_b - cond.gamma_b) < 1e-6
@@ -385,6 +390,18 @@ class TestConditionalIbd:
         ge, gb = np.asarray(ge), np.asarray(gb)
         assert abs(ge.mean() - 2.0) < 3.5 * ge.std(ddof=1) / np.sqrt(reps) + 1e-3
         assert abs(gb.mean() - 1.0) < 3.5 * gb.std(ddof=1) / np.sqrt(reps) + 1e-3
+
+    def test_is_the_recipe_fit(self):
+        # the two-slope block model is the incomplete_block recipe's fit
+        # under block-model names, not a copy of it
+        ds = _bib_dataset(seed=5)
+        fit = v.fit_conditional_ibd(ds, IBD_SPEC, method="reml")
+        recipe_fit = v.fit_orthogonal_conditional(v.recipe_for(IBD_SPEC), ds, method="reml")
+        assert isinstance(fit, OrthogonalConditionalFit)
+        assert np.array_equal(fit.adjusted_means, recipe_fit.adjusted_means)
+        assert np.array_equal(fit.adjusted_se, recipe_fit.adjusted_se)
+        assert fit.slopes == recipe_fit.slopes
+        assert fit.loglik == recipe_fit.loglik
 
     def test_effects_sum_to_zero(self):
         ds = _bib_dataset(seed=3)

@@ -568,6 +568,22 @@ class TestSimulateCommand:
         assert err.startswith("vcadjust: code=2 kind=input msg=") and err.count("\n") == 1
         assert flag in err
 
+    def test_bias_study_without_replicates_names_the_flag(self, capsys):
+        # generate draws one replicate by default; the study has no default
+        code = main(["simulate", "--study", "bias", "--t", "3", "--b", "3"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("vcadjust: code=2 kind=input msg=\"the bias study needs --replicates "
+                       "of at least 2; none was given\"\n")
+
+    def test_iteration_options_are_usage_errors(self, capsys):
+        # simulate runs no iterative fit, so it takes no --tol or --max-iter
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--t", "2", "--b", "2", "--tol", "5", "--max-iter", "-3"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --tol 5 --max-iter -3" in err
+
     def test_non_numeric_covariance_entry(self, capsys):
         code = main(["simulate", "--t", "3", "--b", "4", "--sigma-b", "a,b,c"])
         assert code == 2

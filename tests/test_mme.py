@@ -133,8 +133,7 @@ def test_mvc_adjusted_means_factor_matches_dense(layout):
 def test_one_term_factor_has_an_empty_schur_complement():
     """With one blocking factor nothing is left for the dense Cholesky step."""
     sd, params = LAYOUTS["_rcb"]()
-    sd = replace(sd, treatment_random_codes=(), treatment_random_levels=(),
-                 treatment_random_names=())
+    sd = replace(sd, treatment_random_codes=(), treatment_random_levels=())
     model = make_model(sd, replace(params, sigma2=np.zeros(0)))
     f = _factorise(model)
     assert f.mme.LS.shape == (0, 0) and f.mme.G.shape == (0, f.mme.layout.q)

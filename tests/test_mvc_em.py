@@ -759,14 +759,15 @@ class TestMStep:
 class TestFitEm:
     def test_matches_closed_form_on_complete_rcb(self):
         ds, spec, sd = _rcb_stacked(seed=1, b=8)
-        hf, bp, _ = v.fit_bivariate_rcb_ml(ds, spec)
+        hf = v.fit_bivariate_rcb_ml(ds, spec)
+        bp = hf.params
         assert bp.sigma_b_psd  # interior optimum for this draw
         fit = v.fit_em(make_model(sd), tol=1e-12, max_iter=50000)
         assert fit.converged
         assert abs(fit.loglik - hf.loglik) < 1e-6
         assert np.max(np.abs(fit.params.Sigmas[0] - bp.Sigma_E)) < 1e-4
         assert np.max(np.abs(fit.params.Sigmas[1] - bp.Sigma_B)) < 1e-4
-        assert np.max(np.abs(fit.params.beta[:6] - hf.mu_y_hat)) < 1e-4
+        assert np.max(np.abs(fit.params.beta[:6] - hf.adjusted_means)) < 1e-4
         assert abs(fit.params.beta[6] - bp.mu_z) < 1e-4
 
     def test_direct_optimizer_oracle_small_instance(self):
@@ -810,8 +811,8 @@ class TestFitEm:
         f1 = v.fit_fixed_rcb(ds, spec)
         f2 = v.fit_fixed_rcb(ds2, spec)
         assert np.array_equal(f1.adjusted_means, f2.adjusted_means)
-        h1, _, _ = v.fit_bivariate_rcb_ml(ds, spec)
-        h2, _, _ = v.fit_bivariate_rcb_ml(ds2, spec)
+        h1 = v.fit_bivariate_rcb_ml(ds, spec)
+        h2 = v.fit_bivariate_rcb_ml(ds2, spec)
         assert h1.gamma_e_hat == h2.gamma_e_hat
         # the iterative engine reads the records in canonical order: exactly invariant
         e1 = v.fit_em(make_model(v.build_stacked(ds, spec)), tol=1e-11, max_iter=20000)
@@ -1051,7 +1052,7 @@ class TestAdjustedMeansMVC:
         base = (cond.sigma_e2 + cond.sigma_b2) / 8
         assert np.allclose(np.diag(res.covariance), base, atol=1e-10)
         # report the slope-variance term the conditional formula adds
-        hf, _, _ = v.fit_bivariate_rcb_ml(ds, spec)
+        hf = v.fit_bivariate_rcb_ml(ds, spec)
         slope_term = cond.sigma_e2 * (hf.zbar_i - hf.zbar) ** 2 / hf.szz_within
         print(
             "naive-vs-conditional SE^2 discrepancy (slope term): "

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vcadjust as v
+from vcadjust.data_model import complete_records, group_codes
 from vcadjust.errors import SingularityError, ValidationError
+from vcadjust.orthogonal_conditional import _stratum_means
 from vcadjust.rcb_classical import rcb_arrays
 
 from conftest import drop_cells
@@ -82,7 +84,7 @@ class TestStratumSlopesOnFixture:
         # the two-stratum regrouping of the fitted block covariance carries
         # the block-mean slope in stratum 0 and the cell slope in stratum 1
         ds, spec = pearce
-        _, bp, _ = v.fit_bivariate_rcb_ml(ds, spec)
+        bp = v.fit_bivariate_rcb_ml(ds, spec).params
         t = 6
         kc = KroneckerCovariance(
             partition=rcb_partition(t),
@@ -189,43 +191,48 @@ LATIN_SPEC = v.DesignSpec(
 )
 
 
+def _stratum_columns(recipe, ds):
+    """The complete records of ``ds`` and the recipe's stratum-mean regressors
+    on them, each as (name, parent covariate index, column)."""
+    sub = complete_records(ds, recipe.treatment_factors)[0]
+    group = {g: group_codes(sub, g)[1] for g in recipe.mean_groupings}
+    return sub, _stratum_means(recipe, sub, group)
+
+
 class TestConditionalRegressors:
     def test_split_plot_appends_wholeplot_means(self):
         ds = split_plot_dataset(t=2, r=2, s=3, seed=1)
-        recipe = v.recipe_for(SPLIT_SPEC)
-        aug = v.conditional_regressors(recipe, ds)
-        assert aug.m == 2
-        added = aug.covariates[:, 1]
+        sub, cols = _stratum_columns(v.recipe_for(SPLIT_SPEC), ds)
+        assert [(name, j) for name, j, _ in cols] == [("mean(z|wp_trt,wp_rep)", 0)]
+        added = cols[0][2]
         # each appended value is the mean of the three cells of its wholeplot
         for i in ("A1", "A2"):
             for j in ("R1", "R2"):
-                sel = (ds.factors["wp_trt"] == i) & (ds.factors["wp_rep"] == j)
-                assert np.allclose(added[sel], ds.covariates[sel, 0].mean())
+                sel = (sub.factors["wp_trt"] == i) & (sub.factors["wp_rep"] == j)
+                assert np.allclose(added[sel], sub.covariates[sel, 0].mean())
 
     def test_latin_square_appends_row_and_col_means(self):
         ds = latin_square_dataset(b=4, seed=2)
-        recipe = v.recipe_for(LATIN_SPEC)
-        aug = v.conditional_regressors(recipe, ds)
-        assert aug.m == 3
-        rowcol = aug.covariates[:, 1]
-        for lab in np.unique(ds.factors["row"]):
-            sel = ds.factors["row"] == lab
-            assert np.allclose(rowcol[sel], ds.covariates[sel, 0].mean())
-        colcol = aug.covariates[:, 2]
-        for lab in np.unique(ds.factors["col"]):
-            sel = ds.factors["col"] == lab
-            assert np.allclose(colcol[sel], ds.covariates[sel, 0].mean())
+        sub, cols = _stratum_columns(v.recipe_for(LATIN_SPEC), ds)
+        assert len(cols) == 2
+        rowcol = cols[0][2]
+        for lab in np.unique(sub.factors["row"]):
+            sel = sub.factors["row"] == lab
+            assert np.allclose(rowcol[sel], sub.covariates[sel, 0].mean())
+        colcol = cols[1][2]
+        for lab in np.unique(sub.factors["col"]):
+            sel = sub.factors["col"] == lab
+            assert np.allclose(colcol[sel], sub.covariates[sel, 0].mean())
 
     def test_rcb_appends_block_means(self, rcb_dataset):
         ds, spec = rcb_dataset
-        recipe = v.recipe_for(spec)
-        aug = v.conditional_regressors(recipe, ds)
+        sub, cols = _stratum_columns(v.recipe_for(spec), ds)
         block_means = rcb_arrays(ds, spec)[1].mean(axis=0)
         # the appended column holds each record's block mean
         blocks = sorted(set(ds.factors["block"]))
         for j, lab in enumerate(blocks):
-            sel = ds.factors["block"] == lab
-            assert np.allclose(aug.covariates[sel, 1], block_means[j])
+            sel = sub.factors["block"] == lab
+            assert np.allclose(cols[0][2][sel], block_means[j])
 
     def test_ragged_strata_rejected(self, rcb_dataset):
         ds, spec = rcb_dataset
@@ -241,20 +248,19 @@ class TestConditionalRegressors:
             levels={},
         )
         with pytest.raises(ValidationError, match="general engine"):
-            v.conditional_regressors(v.recipe_for(spec), ds2)
+            _stratum_columns(v.recipe_for(spec), ds2)
 
     def test_projector_consistency(self):
         # appended stratum means equal the averaging operator applied to the
         # covariate within each replicate unit
         ds = split_plot_dataset(t=2, r=2, s=3, seed=4)
-        recipe = v.recipe_for(SPLIT_SPEC)
-        aug = v.conditional_regressors(recipe, ds)
+        sub, cols = _stratum_columns(v.recipe_for(SPLIT_SPEC), ds)
         A0 = averaging_matrix(3)
         for i in ("A1", "A2"):
             for j in ("R1", "R2"):
-                sel = (ds.factors["wp_trt"] == i) & (ds.factors["wp_rep"] == j)
-                z_unit = ds.covariates[sel, 0]
-                assert np.allclose(aug.covariates[sel, 1], A0 @ z_unit)
+                sel = (sub.factors["wp_trt"] == i) & (sub.factors["wp_rep"] == j)
+                z_unit = sub.covariates[sel, 0]
+                assert np.allclose(cols[0][2][sel], A0 @ z_unit)
 
 
 def _layout(blank=(), **factors) -> v.Dataset:
@@ -363,8 +369,8 @@ class TestOrthogonality:
 class TestFitOrthogonalConditional:
     def test_rcb_equivalence_with_closed_form(self, rcb_dataset):
         ds, spec = rcb_dataset
-        hf, _, _ = v.fit_bivariate_rcb_ml(ds, spec)
-        means_cf, _ = v.adjusted_means_bivariate(hf)
+        hf = v.fit_bivariate_rcb_ml(ds, spec)
+        means_cf = hf.adjusted_means
         fit = v.fit_orthogonal_conditional(v.recipe_for(spec), ds, method="ml")
         assert np.max(np.abs(fit.adjusted_means - means_cf)) < 1e-6
         assert abs(fit.loglik - hf.conditional_loglik) < 1e-6

@@ -82,11 +82,10 @@ class TestFixedFit:
         assert np.isclose(fit.effects.sum(), 0.0)
 
     def test_no_residual_df_after_the_slope_is_singular(self):
-        # 2 x 2: (t-1)(b-1) - 1 = 0, so neither divisor leaves a variance
+        # 2 x 2: (t-1)(b-1) - 1 = 0, so no variance is left
         ds = _dataset_from_matrices(Y_TOY, Z_TOY)
-        for divisor in ("ml", "unbiased"):
-            with pytest.raises(SingularityError, match="no residual degrees of freedom"):
-                v.fit_fixed_rcb(ds, SPEC, divisor=divisor)
+        with pytest.raises(SingularityError, match="no residual degrees of freedom"):
+            v.fit_fixed_rcb(ds, SPEC)
 
     def test_loglik_is_the_dense_least_squares_maximum(self, rcb_dataset):
         ds, spec = rcb_dataset
@@ -100,9 +99,8 @@ class TestFixedFit:
         ])
         r = Y.ravel() - X @ np.linalg.lstsq(X, Y.ravel(), rcond=None)[0]
         expected = -0.5 * n * (np.log(2 * np.pi) + np.log(r @ r / n) + 1.0)
-        for divisor in ("ml", "unbiased"):
-            fit = v.fit_fixed_rcb(ds, spec, divisor=divisor)
-            assert np.isclose(fit.loglik, expected, rtol=1e-10, atol=0.0)
+        fit = v.fit_fixed_rcb(ds, spec)
+        assert np.isclose(fit.loglik, expected, rtol=1e-10, atol=0.0)
 
     def test_block_centering_invariance(self, rcb_dataset):
         ds, spec = rcb_dataset
@@ -113,15 +111,6 @@ class TestFixedFit:
         assert np.isclose(f1.gamma_ols, f2.gamma_ols)
         assert np.allclose(f1.adjusted_means, f2.adjusted_means)
         assert np.allclose(f1.adjusted_se, f2.adjusted_se)
-
-    def test_unbiased_divisor_option(self, rcb_dataset):
-        ds, spec = rcb_dataset
-        f_ml = v.fit_fixed_rcb(ds, spec, divisor="ml")
-        f_ub = v.fit_fixed_rcb(ds, spec, divisor="unbiased")
-        t, b = 6, 8
-        assert np.isclose(
-            f_ub.sigma_e2_hat, f_ml.sigma_e2_hat * (t * b) / (t * b - t - b)
-        )
 
 
 class TestGammaMixed:
@@ -300,7 +289,7 @@ class TestIntraInter:
         ds, spec = rcb_dataset
         Y, Z, _, _ = rcb_arrays(ds, spec)
         fx = v.fit_fixed_rcb(ds, spec)
-        hf, _, _ = v.fit_bivariate_rcb_ml(ds, spec)
+        hf = v.fit_bivariate_rcb_ml(ds, spec)
         assert fx.gamma_ols == hf.gamma_e_hat
         # dense regressions: doubly-centered cells, then centered block means
         Zc = Z - Z.mean(axis=1, keepdims=True) - Z.mean(axis=0) + Z.mean()
@@ -320,7 +309,7 @@ class TestIntraInter:
 
     def test_treatment_permutation_invariance(self, rcb_dataset):
         ds, spec = rcb_dataset
-        fx1, (hf1, _, _) = v.fit_fixed_rcb(ds, spec), v.fit_bivariate_rcb_ml(ds, spec)
+        fx1, hf1 = v.fit_fixed_rcb(ds, spec), v.fit_bivariate_rcb_ml(ds, spec)
         rng = np.random.default_rng(0)
         perm = rng.permutation(ds.n_records)
         ds2 = v.Dataset(
@@ -330,6 +319,6 @@ class TestIntraInter:
             covariate_names=ds.covariate_names,
             levels={},
         )
-        fx2, (hf2, _, _) = v.fit_fixed_rcb(ds2, spec), v.fit_bivariate_rcb_ml(ds2, spec)
+        fx2, hf2 = v.fit_fixed_rcb(ds2, spec), v.fit_bivariate_rcb_ml(ds2, spec)
         assert np.isclose(fx1.gamma_ols, fx2.gamma_ols)
         assert np.isclose(hf1.gamma_be_hat, hf2.gamma_be_hat)
