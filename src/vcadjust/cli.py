@@ -117,6 +117,15 @@ def _is_complete_rcb(ds, spec) -> bool:
     return bool(np.all(rcb_cells(ds, spec)[-1] == 1))
 
 
+def _check_iter_flags(args):
+    """Refuse a ``--max-iter`` below 1 and a negative or non-finite ``--tol``."""
+    max_iter, tol = getattr(args, "max_iter", None), getattr(args, "tol", None)
+    if max_iter is not None and max_iter < 1:
+        raise ValidationError(f"--max-iter must be at least 1; got {max_iter}")
+    if tol is not None and not (np.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"--tol must be a finite number of at least 0; got {tol}")
+
+
 def _iter_options(args) -> dict:
     """``--tol``/``--max-iter`` when given; each fitter keeps its own defaults."""
     opts = {"tol": args.tol, "max_iter": args.max_iter}
@@ -395,14 +404,11 @@ _COMMANDS = {
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command line; returns the process exit code."""
     try:
+        _check_iter_flags(args)
         code = _COMMANDS[args.command](args)
         if code == EXIT_NONCONVERGENCE:
-            # for mvc, --tol only ends the EM start early: it cannot turn a
-            # max_iter or stall exit into a converged fit
-            mvc = getattr(args, "model", None) == "mvc"
-            _diag(code, "non-convergence", "the fit stopped before converging; " + (
-                "raise --max-iter (--tol only ends the EM start early)"
-                if mvc else "raise --max-iter or loosen --tol"))
+            # every iterative fit ends in Newton steps, capped by --max-iter
+            _diag(code, "non-convergence", "the fit stopped before converging; raise --max-iter")
         return code
     except (ValidationError, FileNotFoundError) as exc:
         _diag(EXIT_INPUT, "input", exc)

@@ -2,54 +2,45 @@
 
 Model: ``y = X b + sum_l Z_l u_l + e`` with ``u_l ~ N(0, s2_l I)`` and
 ``e ~ N(0, s2_e I)``.  The (restricted) log-likelihood is maximized over
-log-variances; the fixed effects are profiled out by GLS at each point.
-Reported standard errors are plug-in GLS (no small-sample inflation).
+log-variances theta, the fixed effects profiled out by GLS.  Reported
+standard errors are plug-in GLS (no small-sample inflation).
 
-Every evaluation goes through Henderson's mixed-model equations, in the
-form lme4 uses.  With Z = [Z_1 ... Z_L] (q columns in all) and
-Lambda = diag(sqrt(s2_l / s2_e)) repeated over each factor's levels,
-V = s2_e (I + Z Lambda^2 Z') and M = I + Lambda Z'Z Lambda is q x q.  Each
-random factor is one level code per record (no Z_l is formed), so Z_l'Z_l
-is the diagonal of its level counts.  The counts Z_i'Z_k and per-level sums
-Z'[X | y] (:class:`vcadjust.mme.Layout`), X'X, X'y and y'y are formed once
-per fit; from one
-factor F F' = M (:class:`vcadjust.mme.Factor`: the factor with the most
-levels eliminated level by level, a dense Cholesky factor of the Schur
-complement over the others) each evaluation takes
+Every point goes through Henderson's mixed-model equations in lme4's form.
+With Z = [Z_1 ... Z_L] (q columns, one level code per record: no Z_l is
+formed), Lambda = diag(sqrt(s2_l / s2_e)) over each factor's levels and
+A = Z Lambda, V = s2_e (I + A A') and M = I + A'A.  The counts Z_i'Z_k,
+Z'[X | y], X'X, X'y and y'y are formed once per fit.  One factor F F' = M
+(:class:`vcadjust.mme.Factor`) gives log det V = n log s2_e + log det M,
+K = s2_e X'V^-1 X = X'X - C'C with [C | c] = F^-1 Lambda Z'[X | y],
+prss = s2_e r'V^-1 r and b = M^-1 Lambda Z'r.  With P the GLS projection,
+P~ = V^-1 (ML) or P (REML) and Vdot_k = dV/dtheta_k, the gradient is
+g_k = (tr(P~ Vdot_k) - y'P Vdot_k P y) / 2 and the Hessian is
 
-* log det V = n log s2_e + log det M,
-* s2_e X'V^-1 X = X'X - C'C with [C | c] = F^-1 Lambda Z'[X | y],
-* the penalized residual sum of squares s2_e r'V^-1 r at the GLS fixed
-  effects, and the spherical random effects b = M^-1 Lambda Z'r,
+    H = 2 AI - E + diag(g),  AI = W'PW / 2,  E_kl = tr(P~ Vdot_k P~ Vdot_l) / 2,
 
-and the analytic gradient in log-variances.  Factor l's trace term
-s2_l tr(Z_l'V^-1 Z_l) is d_l minus the trace of M^-1 over its levels (from
-diag(M^-1) by selected inversion), its quadratic term is |b_l|^2 / s2_e, and
-the REML term is tr(K^-1 B_l'B_l) with K = X'X - C'C and B = M^-1 Lambda
-Z'X.  With one random factor an evaluation costs O(q p^2), p the number
-of fixed effects; a second factor adds O(q_r^2 q), q_r the effects outside
-the largest factor.  No n x n or, with one factor, q x q matrix is
-formed.  A point where M or K is not numerically positive definite (a
-variance ratio near 1e22 over a rank-deficient crossed Z'Z) gets a large
-finite objective.
+W = [e, Z_1 u_1, ...] with u = Lambda b and e = r - Z u.  As A'e = b,
+X'e = 0 and e'e = prss - |b|^2, the products of W come from the counts
+and one solve with F.  With S = A'P~A = I - M^-1 - B K^-1 B' (B = M^-1 A'X,
+REML only) and t_l the trace of its block l, g_l = (t_l - |b_l|^2 / s2_e) / 2;
+as Vdot_0 = V - sum_l Vdot_l and P~ V P~ = P~, E_lm = |S_lm|_F^2 / 2,
+E_0l = t_l / 2 - sum_m E_lm and E_00 = n~ / 2 - sum_l t_l + sum_lm E_lm
+(n~ = n, or n - p under REML).  diag(M^-1) and the block norms of M^-1
+come from F by selected inversion.  With one random factor a point costs
+O(q p^2) and no n x n or q x q matrix is formed; a second factor adds
+O(q_r^2 q), q_r the effects outside the largest factor.  Where M or K is
+not numerically positive definite the value is large and finite and the
+derivatives are zero.
 
-The objective is evaluated at a small grid of variance ratios, and
-L-BFGS-B runs once with this gradient, from the best grid point.  Projected
-Newton steps finish the fit: the Hessian is the central difference of the
-gradient, eigenvalues are taken in absolute value so that a flat coordinate
-next to a zero variance still descends, and a component within
-``_ACTIVE_GAP`` of zero (in standard deviation relative to the residual)
-whose gradient points at zero is put on its bound, so that it reports as
-exactly zero.  A fit has converged when its projected gradient is below
-``_GRAD_TOL`` and L-BFGS-B did not stop at ``max_iter``; the L-BFGS-B stop
-message is not read.  The GLS fixed effects, their covariance and the
-weak-identification check use the same equations.
+Projected Newton steps on H (:func:`_projected_newton`) run from the best
+point of a grid of variance ratios.  A fit has converged when its
+projected gradient is below ``_GRAD_TOL`` and it did not stop at
+``max_iter``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import optimize
@@ -60,10 +51,8 @@ from .mme import Factor, Layout, _chol, _tri
 _RATIO_STARTS = (1e-2, 1e-1, 1.0, 1e1, 1e2)
 _BOUNDARY_FRAC = 1e-10  # components below this times var(y) report as zero
 _GRAD_TOL = 1e-6  # projected log-variance gradient of a converged fit
-_NEWTON_STEPS = 8
-_HALVINGS = 20  # step halvings before a Newton finish gives up
+_HALVINGS = 20  # step halvings before a Newton step gives up
 _ACTIVE_GAP = 1e-3  # relative standard deviation below which a component may go to zero
-_HESS_STEP = 1e-4  # central-difference step of the Hessian, in log-variance
 _FAIL = 1e30  # objective where the equations are not numerically definite
 
 
@@ -108,10 +97,11 @@ class LmmFit:
     beta_cov: np.ndarray
     loglik: float
     method: str
-    converged: bool
-    iterations: int
+    converged: bool  # stop == "gradient"
+    iterations: int  # Newton steps
     flags: tuple[str, ...] = ()
     names: tuple[str, ...] = ()
+    stop: str = "gradient"  # or "max_iter", or "stall": see _projected_newton
 
     @property
     def var_comps(self) -> dict[str, float]:
@@ -131,6 +121,16 @@ class _CrossProducts:
     yty: float
     n: int
     factor: np.ndarray  # factor l of each of the q random effects
+    member: np.ndarray  # k x q: 1 where random effect a belongs to factor l
+
+    def ztz(self, U: np.ndarray) -> np.ndarray:
+        """Z'Z U from the level counts, for U with one row per random effect."""
+        lay, out = self.layout, np.zeros_like(U)
+        for i, si in enumerate(lay.slices):
+            for k, sk in enumerate(lay.slices):
+                N = lay.pair(i, k)
+                out[si] += N[:, None] * U[sk] if i == k else N @ U[sk]
+        return out
 
 
 def _cross_products(spec: LmmSpec) -> _CrossProducts:
@@ -138,14 +138,12 @@ def _cross_products(spec: LmmSpec) -> _CrossProducts:
     Xy = np.column_stack([X, y])
     levels = [int(g.max()) + 1 for g in codes]
     layout = Layout((1,) * len(codes), codes, levels)
+    factor = np.repeat(np.arange(len(codes)), levels)
     return _CrossProducts(
         layout=layout,
         ZtXy=np.vstack([np.zeros((0, Xy.shape[1]))] + [S.T for S in layout.level_sums(Xy.T)]),
-        XtX=X.T @ X,
-        Xty=X.T @ y,
-        yty=float(y @ y),
-        n=len(y),
-        factor=np.repeat(np.arange(len(codes)), levels),
+        XtX=X.T @ X, Xty=X.T @ y, yty=float(y @ y), n=len(y), factor=factor,
+        member=(factor == np.arange(len(codes))[:, None]).astype(float),
     )
 
 
@@ -175,183 +173,194 @@ def _solve(sig: np.ndarray, cp: _CrossProducts) -> _Mme:
     return _Mme(F=F, C=C, c=c, R=R, beta=beta, prss=float(cp.yty - c @ c - e @ e))
 
 
+class _Point:
+    """Negative (restricted) log-likelihood ``f`` at log-variances ``theta``,
+    taken on construction; its gradient and Hessian on demand, from the same
+    solve of the equations (``s``; where they are not definite, None, with
+    zero derivatives)."""
+
+    def __init__(self, theta: np.ndarray, cp: _CrossProducts, method: str):
+        self.theta, self.cp, self.reml = theta, cp, method == "reml"
+        self.sig = sig = np.exp(theta)
+        n, p = cp.n, len(cp.Xty)
+        self.nobs = n - p if self.reml else n
+        try:
+            self.s = s = _solve(sig, cp)
+            if not (np.isfinite(s.prss) and s.prss > 0):
+                raise np.linalg.LinAlgError("penalized residual sum of squares <= 0")
+        except np.linalg.LinAlgError:
+            self.s, self.f = None, _FAIL
+            self.grad, self.hess = np.zeros_like(theta), np.zeros((len(theta),) * 2)
+            return
+        logdet = n * theta[0] + s.F.logdet
+        if self.reml:
+            logdet += 2.0 * np.log(np.diag(s.R)).sum() - p * theta[0]
+        self.f = 0.5 * (self.nobs * np.log(2 * np.pi) + logdet + s.prss / sig[0])
+
+    @cached_property
+    def _b(self) -> np.ndarray:  # M^-1 Lambda Z'r, the spherical random effects
+        return self.s.F.upper(self.s.c - self.s.C @ self.s.beta)
+
+    @cached_property
+    def _G(self) -> np.ndarray:  # G' = R^-1 B', so that B K^-1 B' = G G'
+        return _tri(self.s.R, self.s.F.upper(self.s.C).T).T
+
+    @cached_property
+    def _trace(self) -> np.ndarray:  # t_l, the trace of block l of S
+        diag = self.s.F.diag() + (np.einsum("ij,ij->i", self._G, self._G) if self.reml else 0.0)
+        return np.array(self.cp.layout.levels) - self.cp.member @ diag
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        b_sq, t = self.cp.member @ self._b**2, self._trace
+        quad = np.r_[self.s.prss - b_sq.sum(), b_sq] / self.sig[0]  # e'e, |b_l|^2 over s2_e
+        return 0.5 * (np.r_[self.nobs - t.sum(), t] - quad)
+
+    @cached_property
+    def hess(self) -> np.ndarray:
+        k1, cp, s, t, b = len(self.theta), self.cp, self.s, self._trace, self._b
+        ratio = np.sqrt(self.sig[1:] / self.sig[0])[cp.factor]
+        U = cp.member.T * (ratio * b)[:, None]  # u_l, one column per factor
+        ZW = cp.ztz(U)  # Z'Z_l u_l
+        WW = np.empty((k1, k1))  # W'W
+        WW[0, 1:] = WW[1:, 0] = cp.member @ b**2
+        WW[0, 0], WW[1:, 1:] = s.prss - WW[0, 1:].sum(), U.T @ ZW
+        D = s.F.lower(np.column_stack([b, ratio[:, None] * ZW]))  # F^-1 Lambda Z'W
+        XW = np.column_stack([np.zeros(len(s.beta)), cp.ZtXy[:, :-1].T @ U])  # X'e = 0
+        XPW = _tri(s.R, XW - s.C.T @ D)
+        AI = 0.5 * (WW - D.T @ D - XPW.T @ XPW) / self.sig[0]
+        S2 = s.F.block_norms() + np.diag(2.0 * t - np.array(cp.layout.levels))  # |S_lm|_F^2
+        if self.reml and k1 > 1:  # plus 2 tr(G_l'(M^-1)_lm G_m) + |G_l G_m'|_F^2
+            Gs = [self._G[sl] for sl in cp.layout.slices]
+            S2 += 2.0 * np.array([[s.F.contract(l, m, Gl, Gm)[0, 0] for m, Gm in enumerate(Gs)]
+                                  for l, Gl in enumerate(Gs)])
+            GG = np.array([Gl.T @ Gl for Gl in Gs])
+            S2 += np.einsum("lij,mij->lm", GG, GG)
+        E = np.empty((k1, k1))
+        E[1:, 1:] = 0.5 * S2
+        E[0, 1:] = E[1:, 0] = 0.5 * t - E[1:, 1:].sum(axis=0)
+        E[0, 0] = 0.5 * self.nobs - t.sum() + E[1:, 1:].sum()
+        return 2.0 * AI - E + np.diag(self.grad)
+
+
 def _neg_loglik(theta, cp: _CrossProducts, method: str):
-    """Negative (restricted) log-likelihood at log-variances ``theta`` and
-    its gradient in ``theta``."""
-    sig = np.exp(theta)
-    try:
-        s = _solve(sig, cp)
-        if not (np.isfinite(s.prss) and s.prss > 0):
-            raise np.linalg.LinAlgError("penalized residual sum of squares <= 0")
-        diag = s.F.diag()  # diag M^-1
-    except np.linalg.LinAlgError:
-        return _FAIL, np.zeros_like(theta)
-    n, p, k = cp.n, len(s.beta), len(cp.layout.levels)
-
-    def per_factor(x):
-        return np.bincount(cp.factor, weights=x, minlength=k)
-
-    b = s.F.upper(s.c - s.C @ s.beta)  # M^-1 Lambda Z'r
-    b_sq = per_factor(b * b)
-    trace = np.array(cp.layout.levels) - per_factor(diag)
-    logdet = n * theta[0] + s.F.logdet
-    nobs, reml = n, np.zeros(k)
-    if method == "reml":
-        nobs = n - p
-        logdet += 2.0 * np.log(np.diag(s.R)).sum() - p * theta[0]
-        W = _tri(s.R, s.F.upper(s.C).T)  # R^-1 B', B = M^-1 Lambda Z'X
-        reml = per_factor(np.einsum("ij,ij->j", W, W))
-    f = 0.5 * (nobs * np.log(2 * np.pi) + logdet + s.prss / sig[0])
-    g = np.empty_like(theta)
-    g[0] = 0.5 * (
-        nobs - trace.sum() + reml.sum() - (s.prss - b_sq.sum()) / sig[0]
-    )
-    g[1:] = 0.5 * (trace - reml - b_sq / sig[0])
-    return f, g
+    """The value and gradient of the objective at log-variances ``theta``."""
+    pt = _Point(theta, cp, method)
+    return pt.f, pt.grad
 
 
-def _hessian(obj, theta, free):
-    """Central differences of the gradient over the ``free`` coordinates."""
-    idx = np.flatnonzero(free)
-    H = np.empty((len(idx), len(idx)))
-    for j, i in enumerate(idx):
-        step = np.zeros_like(theta)
-        step[i] = _HESS_STEP
-        H[:, j] = (obj(theta + step)[1][idx] - obj(theta - step)[1][idx]) / (2 * _HESS_STEP)
-    return 0.5 * (H + H.T)
+@dataclass(frozen=True)
+class _NewtonResult:
+    point: _Point  # the last point
+    nit: int  # Newton steps
+    nfev: int  # points solved
+    stop: str  # as LmmFit.stop
+    status: int  # 1 at max_iter
 
 
-def _newton_finish(obj, theta, lo, hi):
-    """Projected Newton steps on the analytic gradient from ``theta``.
+def _projected_newton(point, x0, bounds, maxiter, tol, start=None, **_):
+    """Projected Newton steps from ``start``, the point at ``x0``, as an
+    ``optimize.minimize`` method (``point(theta)`` is a _Point).
 
-    A variance component within ``_ACTIVE_GAP`` of zero on the standard
-    deviation scale (s2_l <= _ACTIVE_GAP**2 s2_e), or already at ``lo``,
-    whose gradient points at the bound moves onto ``lo`` (Bertsekas 1982);
-    a coordinate at ``hi`` whose gradient points outward stays fixed.  The
-    other coordinates take a Newton step on the central-difference Hessian,
-    its eigenvalues replaced by their absolute values, floored at ``1e-8``
-    of the largest, so that a flat or concave coordinate next to a zero
-    variance still descends.  The free step is halved until the objective
-    does not rise beyond rounding.  Returns the point, its value, gradient
-    and the number of steps taken.
-    """
-    f, g = obj(theta)
-    steps = 0
-    for _ in range(_NEWTON_STEPS):
+    A variance within ``_ACTIVE_GAP`` of zero (standard deviations relative
+    to the residual's) or at its lower bound whose gradient points at the
+    bound moves onto it (Bertsekas 1982); one at its upper bound whose
+    gradient points outward stays.  The others take a Newton step on H with
+    its eigenvalues in absolute value, floored at 1e-8 of the largest, so
+    that a flat coordinate next to a zero variance still descends, halved
+    until the value does not rise beyond rounding.  The steps stop at
+    ``maxiter`` (``max_iter``), or when no halving keeps the value or a step
+    moves no coordinate by more than ``tol`` or does not lower the value:
+    ``gradient`` if the projected gradient is then below ``_GRAD_TOL``,
+    else ``stall``."""
+    lo, hi = np.array(bounds, dtype=float).T
+    pt = point(x0) if start is None else start
+    nit, nfev = 0, int(start is None)
+    while nit < maxiter:
+        theta, g = pt.theta, pt.grad
         near = np.r_[False, theta[1:] - theta[0] <= 2.0 * np.log(_ACTIVE_GAP)]
         bound = (near | (theta <= lo)) & (g > 0)
         free = ~(bound | ((theta >= hi) & (g < 0)))
         step = np.zeros(int(free.sum()))
         if np.any(g[free]):
-            ev, Q = np.linalg.eigh(_hessian(obj, theta, free))
+            ev, Q = np.linalg.eigh(pt.hess[np.ix_(free, free)])
             top = np.max(np.abs(ev))
             if top > 0:
                 step = -Q @ ((Q.T @ g[free]) / np.maximum(np.abs(ev), 1e-8 * top))
-        new = theta.copy()
-        new[bound] = lo
+        new = np.where(bound, lo, theta)
         if not step.any() and np.array_equal(new, theta):
             break
         for _ in range(_HALVINGS):
-            new[free] = np.clip(theta[free] + step, lo, hi)
-            f_new, g_new = obj(new)
-            if f_new <= f + 1e-12 * max(1.0, abs(f)):
+            new[free] = np.clip(theta[free] + step, lo[free], hi[free])
+            trial = point(new.copy())
+            nfev += 1
+            if trial.f <= pt.f + 1e-12 * max(1.0, abs(pt.f)):
                 break
             step = 0.5 * step
         else:
             break
-        moved = np.max(np.abs(new - theta))
-        theta, f, g = new, f_new, g_new
-        steps += 1
-        if moved < 1e-10:
+        fell, pt, nit = trial.f < pt.f, trial, nit + 1
+        if not fell or np.max(np.abs(new - theta)) <= tol:
             break
-    return theta, f, g, steps
+    else:
+        return _NewtonResult(pt, nit, nfev, "max_iter", status=1)
+    projected = np.clip(pt.theta - pt.grad, lo, hi) - pt.theta
+    stop = "gradient" if np.max(np.abs(projected)) < _GRAD_TOL else "stall"
+    return _NewtonResult(pt, nit, nfev, stop, status=0)
 
 
-def fit_lmm(
-    spec: LmmSpec,
-    method: str = "ml",
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> LmmFit:
+def fit_lmm(spec: LmmSpec, method: str = "ml", tol: float = 1e-10, max_iter: int = 500) -> LmmFit:
     """Maximize the ML or REML likelihood over the variance components.
 
-    Returns the best iterate with ``converged=False`` plus a flag when the
-    optimizer hits ``max_iter`` or the projected gradient at the finish is
-    not below ``_GRAD_TOL``; variance estimates within a relative boundary
-    band of zero are reported as exactly zero and flagged.
-    """
+    ``tol`` is the log-variance step that ends the Newton steps and
+    ``max_iter`` caps their number.  A fit that stops at ``max_iter``, or
+    where the projected gradient is not below ``_GRAD_TOL``, is flagged
+    ``non_convergence``; variances within a relative band of zero are
+    reported as exactly zero and flagged ``boundary``."""
     if method not in ("ml", "reml"):
         raise ValidationError(f"method must be 'ml' or 'reml', got {method!r}")
-    y, X = spec.y, spec.X
-    vary = float(np.var(y))
+    vary = float(np.var(spec.y))
     if vary <= 0:
         raise ValidationError("response is constant; nothing to fit")
     cp = _cross_products(spec)
-    obj = partial(_neg_loglik, cp=cp, method=method)
+    point = partial(_Point, cp=cp, method=method)
 
-    # OLS residual variance seeds the scale of every grid point
-    beta0, *_ = np.linalg.lstsq(X, y, rcond=None)
-    s2_ols = max(float(np.mean((y - X @ beta0) ** 2)), 1e-12 * vary)
+    # the OLS residual variance seeds the scale of every grid point
+    rss = cp.yty - cp.Xty @ np.linalg.solve(cp.XtX, cp.Xty)
+    s2_ols = max(rss / cp.n, 1e-12 * vary)
     lo, hi = np.log(1e-14 * vary), np.log(1e8 * vary)
-
     k = len(cp.layout.levels)
-    starts = [np.log(np.r_[s2_ols, np.full(k, ratio * s2_ols)]) for ratio in _RATIO_STARTS]
-    res = optimize.minimize(
-        obj,
-        min(starts, key=lambda t: obj(t)[0]),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(lo, hi)] * (k + 1),
-        options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-10},
-    )
-    hit_max_iter = res.status == 1  # iteration or evaluation limit
-
-    theta, f, g, steps = _newton_finish(obj, np.asarray(res.x, dtype=float), lo, hi)
-    projected = np.clip(theta - g, lo, hi) - theta
-    flags: list[str] = []
-    converged = not hit_max_iter and float(np.max(np.abs(projected))) < _GRAD_TOL
-    if not converged:
-        flags.append("non_convergence")
+    grid = [point(np.log(np.r_[s2_ols, np.full(k, r * s2_ols)]))
+            for r in (_RATIO_STARTS if k else (1.0,))]
+    best = min(grid, key=lambda pt: pt.f)
+    res = optimize.minimize(point, best.theta, method=_projected_newton,
+                            bounds=[(lo, hi)] * (k + 1),
+                            options={"maxiter": max_iter, "tol": tol, "start": best})
+    pt, sig = res.point, res.point.sig
+    flags = [] if res.stop == "gradient" else ["non_convergence"]
 
     # boundary handling: tiny components are reported as exact zeros
-    sig = np.exp(theta)
     boundary = sig[1:] < _BOUNDARY_FRAC * vary
     if boundary.any():
         flags.append("boundary")
     sig2 = np.where(boundary, 0.0, sig[1:])
-
     try:
-        gls = _solve(np.r_[sig[0], sig2], cp)
+        gls = pt.s if pt.s is not None and not boundary.any() else _solve(np.r_[sig[0], sig2], cp)
     except np.linalg.LinAlgError as exc:
         raise SingularityError("GLS information matrix is singular") from exc
     Rinv = _tri(gls.R, np.eye(len(gls.R)))
-    beta_cov = sig[0] * (Rinv.T @ Rinv)
 
-    if _weakly_identified(obj, theta, boundary):
+    # weak identification: a singular Hessian over the free coordinates
+    free = np.r_[True, ~boundary]
+    ev = np.linalg.eigvalsh(pt.hess[np.ix_(free, free)])
+    top = np.max(np.abs(ev))
+    if free.sum() >= 2 and (top <= 0 or np.min(ev) < 1e-5 * top):
         flags.append("weakly_identified")
 
-    return LmmFit(
-        beta_hat=gls.beta,
-        sigma_e2=float(sig[0]),
-        sigma2=sig2,
-        beta_cov=beta_cov,
-        loglik=float(-f),
-        method=method,
-        converged=converged,
-        iterations=int(res.nit + steps),
-        flags=tuple(flags),
-        names=spec.names,
-    )
-
-
-def _weakly_identified(obj, theta, boundary):
-    """Flag a flat likelihood: singular Hessian over the free coordinates."""
-    free = np.r_[True, ~boundary]
-    if free.sum() < 2:
-        return False
-    ev = np.linalg.eigvalsh(_hessian(obj, theta, free))
-    top = np.max(np.abs(ev))
-    return bool(top <= 0 or np.min(ev) < 1e-5 * top)
+    return LmmFit(beta_hat=gls.beta, sigma_e2=float(sig[0]), sigma2=sig2,
+                  beta_cov=sig[0] * (Rinv.T @ Rinv), loglik=float(-pt.f), method=method,
+                  converged=res.stop == "gradient", iterations=res.nit, flags=tuple(flags),
+                  names=spec.names, stop=res.stop)
 
 
 def contrast(fit: LmmFit, coeffs: np.ndarray) -> tuple[float, float]:

@@ -213,6 +213,24 @@ class Factor:
         out[self.big] += (self.U**2 @ self._einv).ravel()
         return out
 
+    def block_norms(self) -> np.ndarray:
+        """|P_ik|_F^2 for every pair of terms, P = M^-1: block (i, k) of J'J
+        has the norm tr(J_i J_i' J_k J_k'), and term b's own block adds
+        |E^-1|^2 plus twice the E^-1-weighted squares of R'J_b'.  No block
+        of P is formed."""
+        lay = self.layout
+        n, qr = len(lay.levels), len(self.LS)
+        grams = np.zeros((n, qr, qr))
+        for k in range(n):
+            Jk = self._J[k].reshape(qr, lay.widths[k] * lay.levels[k])
+            grams[k] = Jk @ Jk.T
+        out = np.einsum("iab,kab->ik", grams, grams)
+        if lay.big is not None:
+            rotated = np.einsum("cj,scl->sjl", self.U, self._J[lay.big])
+            out[lay.big, lay.big] += (self._einv**2).sum() + 2.0 * np.einsum(
+                "jl,sjl->", self._einv, rotated**2)
+        return out
+
     def contract(self, i: int, k: int, A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
         """sum_ab P_(i,a),(k,b) W_ab, p_i x p_k: the blocks of P = M^-1
         between terms i and k weighted by W = A (d_i x d_k), or by W = A B'

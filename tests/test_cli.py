@@ -238,7 +238,32 @@ class TestAdjustAndFit:
         assert err.startswith("vcadjust: code=3 kind=non-convergence msg=")
         assert "raise --max-iter" in err and "loosen --tol" not in err
         assert main(["fit", "--model", "orthogonal", "--max-iter", "1"] + files) == 3
-        assert "raise --max-iter or loosen --tol" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            'msg="the fit stopped before converging; raise --max-iter"\n')
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--model", "orthogonal"], ["fit", "--model", "mvc"], ["fit", "--model", "fixed"],
+        ["adjust", "--model", "mixed"], ["compare"], ["contrast", "--coeffs", "T1=1,T2=-1"],
+    ])
+    @pytest.mark.parametrize("flag", [
+        ["--max-iter", "-3"], ["--max-iter", "0"], ["--tol", "-1"], ["--tol", "nan"],
+    ])
+    def test_iteration_limits_are_refused(self, command, flag, tmp_path, capsys):
+        """Every command that takes --max-iter and --tol refuses a cap below 1
+        and a tolerance that is negative or not finite, naming the flag."""
+        data, design = _write_rcb(tmp_path)
+        code = main(command + flag + ["--data", str(data), "--design", str(design)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f'vcadjust: code=2 kind=input msg="{flag[0]} must be ')
+        assert err.endswith(f'; got {float(flag[1]) if flag[0] == "--tol" else flag[1]}"\n')
+
+    def test_zero_tol_is_accepted(self, tmp_path, capsys):
+        data, design = _write_rcb(tmp_path)
+        files = ["--data", str(data), "--design", str(design)]
+        assert main(["fit", "--model", "orthogonal", "--tol", "0"] + files) == 0
+        assert main(["fit", "--model", "mvc", "--tol", "0", "--max-iter", "10"] + files) == 3
+        assert "raise --max-iter" in capsys.readouterr().err
 
     def test_equal_block_means_name_the_conditional_route(self, tmp_path, capsys):
         golden = Path(__file__).parent / "fixtures" / "golden_cli"

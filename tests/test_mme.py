@@ -178,3 +178,37 @@ def test_layout_counts_and_level_sums_match_dense():
     E = rng.normal(size=(3, 30))
     for S, Z in zip(lay.level_sums(E), Zs):
         _close(S, E @ Z)
+
+
+def _block_norms(P, lay):
+    return np.array([[np.sum(P[si, sk] ** 2) for sk in lay.slices] for si in lay.slices]
+                    ).reshape(len(lay.slices), len(lay.slices))
+
+
+@pytest.mark.parametrize("layout", ["split_plot", "latin_square", "custom", "no_random"])
+def test_lmm_block_norms_match_dense(layout):
+    """|P_ik|_F^2, the squared norms of the term blocks of P = M^-1 that the
+    exact Hessian of fit_lmm reads, against the dense inverse."""
+    spec = _layout(layout, np.random.default_rng(3))
+    cp = lmm._cross_products(spec)
+    Z = np.hstack([np.zeros((len(spec.y), 0))]
+                  + [_incidence(g, d) for g, d in zip(spec.random, cp.layout.levels)])
+    sig = np.r_[0.7, np.random.default_rng(4).uniform(0.1, 5.0, size=len(spec.random))]
+    lam = np.sqrt(sig[1:] / sig[0])[cp.factor]
+    M = np.eye(len(lam)) + lam[:, None] * (Z.T @ Z) * lam
+    P = np.linalg.inv(M) if len(lam) else M
+    _close(lmm._solve(sig, cp).F.block_norms(), _block_norms(P, cp.layout))
+
+
+def test_block_norms_of_wide_terms():
+    """Three crossed terms of widths 2, 1 and 3, the largest in the middle,
+    with a scale other than 1."""
+    rng = np.random.default_rng(6)
+    levels, widths = (5, 9, 3), (2, 1, 3)
+    codes = [rng.integers(0, d, size=40) for d in levels]
+    lay = Layout(widths, codes, levels)
+    loads = [rng.normal(size=(3, p)) for p in widths]
+    F = Factor(lay, {(i, k): loads[i].T @ loads[k] for i, k in lay.counts}, scale=1.3)
+    A = np.hstack([np.kron(a, _incidence(g, d)) for a, g, d in zip(loads, codes, levels)])
+    P = np.linalg.inv(1.3 * np.eye(A.shape[1]) + A.T @ A)
+    _close(F.block_norms(), _block_norms(P, lay))
