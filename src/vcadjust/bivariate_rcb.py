@@ -35,7 +35,8 @@ import numpy as np
 from .data_model import Dataset, DesignSpec
 from .errors import SingularityError, ValidationError
 # lmm goes ahead of orthogonal_conditional, which imports it: the other order
-# costs ~9000 more page faults inside scipy's import, ~60 ms of start-up
+# costs ~4000 more page faults inside numpy.f2py's import, which scipy.linalg
+# pulls in, and 0.02-0.1 s of start-up
 from .lmm import LmmFit  # noqa: F401
 from .orthogonal_conditional import (
     OrthogonalConditionalFit,

@@ -31,9 +31,9 @@ O(q_r^2 q), q_r the effects outside the largest factor.  Where M or K is
 not numerically positive definite the value is large and finite and the
 derivatives are zero.
 
-Projected Newton steps on H (:func:`_projected_newton`) run from the best
-point of a grid of variance ratios.  A fit has converged when its
-projected gradient is below ``_GRAD_TOL`` and it did not stop at
+Projected Newton steps on H (:func:`vcadjust.optimize.minimize`) run from
+the best point of a grid of variance ratios.  A fit has converged when its
+projected gradient is below ``optimize._GRAD_TOL`` and it did not stop at
 ``max_iter``.
 """
 
@@ -43,16 +43,13 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from scipy import optimize
 
+from . import optimize
 from .errors import SingularityError, ValidationError
 from .mme import Factor, Layout, _chol, _tri
 
 _RATIO_STARTS = (1e-2, 1e-1, 1.0, 1e1, 1e2)
 _BOUNDARY_FRAC = 1e-10  # components below this times var(y) report as zero
-_GRAD_TOL = 1e-6  # projected log-variance gradient of a converged fit
-_HALVINGS = 20  # step halvings before a Newton step gives up
-_ACTIVE_GAP = 1e-3  # relative standard deviation below which a component may go to zero
 _FAIL = 1e30  # objective where the equations are not numerically definite
 
 
@@ -101,7 +98,7 @@ class LmmFit:
     iterations: int  # Newton steps
     flags: tuple[str, ...] = ()
     names: tuple[str, ...] = ()
-    stop: str = "gradient"  # or "max_iter", or "stall": see _projected_newton
+    stop: str = "gradient"  # or "max_iter", or "stall": see optimize.minimize
 
     @property
     def var_comps(self) -> dict[str, float]:
@@ -249,72 +246,12 @@ def _neg_loglik(theta, cp: _CrossProducts, method: str):
     return pt.f, pt.grad
 
 
-@dataclass(frozen=True)
-class _NewtonResult:
-    point: _Point  # the last point
-    nit: int  # Newton steps
-    nfev: int  # points solved
-    stop: str  # as LmmFit.stop
-    status: int  # 1 at max_iter
-
-
-def _projected_newton(point, x0, bounds, maxiter, tol, start=None, **_):
-    """Projected Newton steps from ``start``, the point at ``x0``, as an
-    ``optimize.minimize`` method (``point(theta)`` is a _Point).
-
-    A variance within ``_ACTIVE_GAP`` of zero (standard deviations relative
-    to the residual's) or at its lower bound whose gradient points at the
-    bound moves onto it (Bertsekas 1982); one at its upper bound whose
-    gradient points outward stays.  The others take a Newton step on H with
-    its eigenvalues in absolute value, floored at 1e-8 of the largest, so
-    that a flat coordinate next to a zero variance still descends, halved
-    until the value does not rise beyond rounding.  The steps stop at
-    ``maxiter`` (``max_iter``), or when no halving keeps the value or a step
-    moves no coordinate by more than ``tol`` or does not lower the value:
-    ``gradient`` if the projected gradient is then below ``_GRAD_TOL``,
-    else ``stall``."""
-    lo, hi = np.array(bounds, dtype=float).T
-    pt = point(x0) if start is None else start
-    nit, nfev = 0, int(start is None)
-    while nit < maxiter:
-        theta, g = pt.theta, pt.grad
-        near = np.r_[False, theta[1:] - theta[0] <= 2.0 * np.log(_ACTIVE_GAP)]
-        bound = (near | (theta <= lo)) & (g > 0)
-        free = ~(bound | ((theta >= hi) & (g < 0)))
-        step = np.zeros(int(free.sum()))
-        if np.any(g[free]):
-            ev, Q = np.linalg.eigh(pt.hess[np.ix_(free, free)])
-            top = np.max(np.abs(ev))
-            if top > 0:
-                step = -Q @ ((Q.T @ g[free]) / np.maximum(np.abs(ev), 1e-8 * top))
-        new = np.where(bound, lo, theta)
-        if not step.any() and np.array_equal(new, theta):
-            break
-        for _ in range(_HALVINGS):
-            new[free] = np.clip(theta[free] + step, lo[free], hi[free])
-            trial = point(new.copy())
-            nfev += 1
-            if trial.f <= pt.f + 1e-12 * max(1.0, abs(pt.f)):
-                break
-            step = 0.5 * step
-        else:
-            break
-        fell, pt, nit = trial.f < pt.f, trial, nit + 1
-        if not fell or np.max(np.abs(new - theta)) <= tol:
-            break
-    else:
-        return _NewtonResult(pt, nit, nfev, "max_iter", status=1)
-    projected = np.clip(pt.theta - pt.grad, lo, hi) - pt.theta
-    stop = "gradient" if np.max(np.abs(projected)) < _GRAD_TOL else "stall"
-    return _NewtonResult(pt, nit, nfev, stop, status=0)
-
-
 def fit_lmm(spec: LmmSpec, method: str = "ml", tol: float = 1e-10, max_iter: int = 500) -> LmmFit:
     """Maximize the ML or REML likelihood over the variance components.
 
     ``tol`` is the log-variance step that ends the Newton steps and
     ``max_iter`` caps their number.  A fit that stops at ``max_iter``, or
-    where the projected gradient is not below ``_GRAD_TOL``, is flagged
+    where the projected gradient is not below ``optimize._GRAD_TOL``, is flagged
     ``non_convergence``; variances within a relative band of zero are
     reported as exactly zero and flagged ``boundary``."""
     if method not in ("ml", "reml"):
@@ -333,9 +270,7 @@ def fit_lmm(spec: LmmSpec, method: str = "ml", tol: float = 1e-10, max_iter: int
     grid = [point(np.log(np.r_[s2_ols, np.full(k, r * s2_ols)]))
             for r in (_RATIO_STARTS if k else (1.0,))]
     best = min(grid, key=lambda pt: pt.f)
-    res = optimize.minimize(point, best.theta, method=_projected_newton,
-                            bounds=[(lo, hi)] * (k + 1),
-                            options={"maxiter": max_iter, "tol": tol, "start": best})
+    res = optimize.minimize(point, best, bounds=[(lo, hi)] * (k + 1), maxiter=max_iter, tol=tol)
     pt, sig = res.point, res.point.sig
     flags = [] if res.stop == "gradient" else ["non_convergence"]
 

@@ -53,7 +53,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import linalg
 
 from .data_model import StackedData
 from .errors import SingularityError
@@ -810,8 +809,8 @@ def adjusted_means_mvc(fit: MVCFit) -> AdjustedMeansResult:
         info = np.linalg.cholesky(sd.X.T @ VinvX)
     except np.linalg.LinAlgError as exc:
         raise SingularityError("information matrix is singular") from exc
-    Y = linalg.cho_solve((info, True), VinvX[: sd.n_obs].T)  # info^-1 U0'
-    s0 = linalg.cho_solve((f.L0, True), np.eye(sd.m + 1)[:, 0])
+    Y = _tri(info, _tri(info, VinvX[: sd.n_obs].T), trans=True)  # info^-1 U0'
+    s0 = _tri(f.L0, _tri(f.L0, np.eye(sd.m + 1)[:, 0]), trans=True)
     h = [(s0 @ a)[None, :] for a in f.loads]
     hh = f.terms.grams(h)
     grams = {ik: s0[0] * g - hh[ik] for ik, g in f.terms.grams(f.wloads).items()}

@@ -411,7 +411,7 @@ class TestConvergenceFromGradient:
             theta = np.log(np.where(sig > 0, sig, 1e-14 * vary))
             _, g = lmm._neg_loglik(theta, lmm._cross_products(spec), method)
             projected = np.clip(theta - g, lo, hi) - theta
-            assert np.max(np.abs(projected)) < lmm._GRAD_TOL
+            assert np.max(np.abs(projected)) < lmm.optimize._GRAD_TOL
 
 
 def _boundary_draw(kind, seed, k=None):
