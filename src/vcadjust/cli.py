@@ -311,7 +311,7 @@ def _cmd_check_design(args) -> int:
 
 def _parse_coeffs(text: str, labels) -> np.ndarray:
     out = np.zeros(len(labels))
-    index = {lab: i for i, lab in enumerate(labels)}
+    index, seen = {lab: i for i, lab in enumerate(labels)}, set()
     for part in text.split(","):
         if "=" not in part:
             raise ValidationError(f"bad contrast term {part!r}; use LABEL=COEF")
@@ -319,6 +319,9 @@ def _parse_coeffs(text: str, labels) -> np.ndarray:
         lab = lab.strip()
         if lab not in index:
             raise ValidationError(f"unknown treatment {lab!r} in contrast")
+        if lab in seen:
+            raise ValidationError(f"treatment {lab!r} appears twice in contrast")
+        seen.add(lab)
         try:
             out[index[lab]] = float(val)
         except ValueError:

@@ -127,11 +127,11 @@ def load_design_spec(source) -> DesignSpec:
     treatment or blocking factor name to its declared levels, which only
     reject undeclared values).
     """
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
+    if isinstance(source, str) and ("\n" in source or source.lstrip().startswith("{")):
+        tree = json.loads(source)
+    elif isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             tree = json.load(fh)
-    elif isinstance(source, str):
-        tree = json.loads(source)
     elif isinstance(source, dict):
         tree = source
     else:
@@ -324,10 +324,12 @@ def _floats(fields: list[str]) -> tuple[np.ndarray, int | None]:
 def group_codes(ds: Dataset, grouping: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
     """Sorted labels of the groups of ``grouping`` present in ``ds`` (levels
     joined by ``:``) and each record's dense integer group code; ``()`` puts
-    every record in one group."""
+    every record in one group.  Raises when two groups join to one label."""
     cols = [ds.factors[f] for f in grouping]
     joined = [":".join(v) for v in zip(*cols)] if cols else [""] * ds.n_records
     labels = sorted(set(joined))
+    if cols and len(set(zip(*cols))) > len(labels):
+        raise ValidationError(f"two groups of {', '.join(grouping)} have one ':'-joined label")
     index = {lab: i for i, lab in enumerate(labels)}
     return labels, np.array([index[v] for v in joined], dtype=np.intp)
 

@@ -31,10 +31,10 @@ O(q_r^2 q), q_r the effects outside the largest factor.  Where M or K is
 not numerically positive definite the value is large and finite and the
 derivatives are zero.
 
-Projected Newton steps on H (:func:`vcadjust.optimize.minimize`) run from
-the best point of a grid of variance ratios.  A fit has converged when its
-projected gradient is below ``optimize._GRAD_TOL`` and it did not stop at
-``max_iter``.
+Projected Newton steps on H run from the best point of a grid of variance
+ratios in :func:`vcadjust.optimize.minimize`, the loop that also ends every
+``mvc_em.fit_em``.  A fit has converged when its projected gradient is below
+``optimize._GRAD_TOL`` and it did not stop at ``max_iter``.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import numpy as np
 from . import optimize
 from .errors import SingularityError, ValidationError
 from .mme import Factor, Layout, _chol, _tri
+from .optimize import _ACTIVE_GAP
 
 _RATIO_STARTS = (1e-2, 1e-1, 1.0, 1e1, 1e2)
 _BOUNDARY_FRAC = 1e-10  # components below this times var(y) report as zero
@@ -171,14 +172,14 @@ def _solve(sig: np.ndarray, cp: _CrossProducts) -> _Mme:
 
 
 class _Point:
-    """Negative (restricted) log-likelihood ``f`` at log-variances ``theta``,
+    """Negative (restricted) log-likelihood ``f`` at log-variances ``x``,
     taken on construction; its gradient and Hessian on demand, from the same
     solve of the equations (``s``; where they are not definite, None, with
     zero derivatives)."""
 
-    def __init__(self, theta: np.ndarray, cp: _CrossProducts, method: str):
-        self.theta, self.cp, self.reml = theta, cp, method == "reml"
-        self.sig = sig = np.exp(theta)
+    def __init__(self, x: np.ndarray, cp: _CrossProducts, method: str):
+        self.x, self.cp, self.reml = x, cp, method == "reml"
+        self.sig = sig = np.exp(x)
         n, p = cp.n, len(cp.Xty)
         self.nobs = n - p if self.reml else n
         try:
@@ -187,11 +188,11 @@ class _Point:
                 raise np.linalg.LinAlgError("penalized residual sum of squares <= 0")
         except np.linalg.LinAlgError:
             self.s, self.f = None, _FAIL
-            self.grad, self.hess = np.zeros_like(theta), np.zeros((len(theta),) * 2)
+            self.grad, self.hess = np.zeros_like(x), np.zeros((len(x),) * 2)
             return
-        logdet = n * theta[0] + s.F.logdet
+        logdet = n * x[0] + s.F.logdet
         if self.reml:
-            logdet += 2.0 * np.log(np.diag(s.R)).sum() - p * theta[0]
+            logdet += 2.0 * np.log(np.diag(s.R)).sum() - p * x[0]
         self.f = 0.5 * (self.nobs * np.log(2 * np.pi) + logdet + s.prss / sig[0])
 
     @cached_property
@@ -215,7 +216,7 @@ class _Point:
 
     @cached_property
     def hess(self) -> np.ndarray:
-        k1, cp, s, t, b = len(self.theta), self.cp, self.s, self._trace, self._b
+        k1, cp, s, t, b = len(self.x), self.cp, self.s, self._trace, self._b
         ratio = np.sqrt(self.sig[1:] / self.sig[0])[cp.factor]
         U = cp.member.T * (ratio * b)[:, None]  # u_l, one column per factor
         ZW = cp.ztz(U)  # Z'Z_l u_l
@@ -238,6 +239,12 @@ class _Point:
         E[0, 1:] = E[1:, 0] = 0.5 * t - E[1:, 1:].sum(axis=0)
         E[0, 0] = 0.5 * self.nobs - t.sum() + E[1:, 1:].sum()
         return 2.0 * AI - E + np.diag(self.grad)
+
+    def near(self, lo: np.ndarray, gap: float) -> np.ndarray:
+        """The log-variances at ``lo``, and the random factors' within
+        ``_ACTIVE_GAP`` of zero in standard deviation relative to the residual."""
+        rel = self.x[1:] - self.x[0] <= 2.0 * np.log(_ACTIVE_GAP)
+        return np.r_[False, rel] | (self.x <= lo)
 
 
 def _neg_loglik(theta, cp: _CrossProducts, method: str):

@@ -35,8 +35,9 @@ array; a second term adds O(q_r^2 q), q_r the effects outside the largest.
 Plain EM converges sublinearly, slowest when the maximum lies on the PSD
 boundary, so EM only starts a fit: ``_EM_START`` iterations at most, then
 projected Newton steps on the profile likelihood (EM then Newton, as in
-Lindstrom & Bates 1988) until its projected gradient is below
-``_GRAD_TOL``.  The Newton steps work in relative Cholesky coordinates:
+Lindstrom & Bates 1988) in :func:`.optimize.minimize`, the loop that also
+ends every ``fit_lmm``, until its projected gradient is below
+``optimize._GRAD_TOL``.  The steps work in relative Cholesky coordinates:
 log diag and lower triangle of L0, theta_j = sigma_j / L0_00 per random
 treatment term and the lower-triangular whitened loading T_k with
 Sigma_k = L0 T_k T_k' L0' per blocking factor, its diagonal bounded below
@@ -50,19 +51,18 @@ no Sigma_k inverted, so a component may reach rank zero or one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
+from . import optimize
 from .data_model import StackedData
 from .errors import SingularityError
 from .mme import Factor, Layout, _tri
+from .optimize import _ACTIVE_GAP, _GRAD_TOL
 
 _CLIP_FRAC = 1e-12  # eigenvalue floor relative to trace, float-noise guard
 _EM_START = 10  # EM iterations before Newton steps take over
-_GRAD_TOL = 1e-6  # projected gradient of a converged fit
-_ACTIVE_GAP = 1e-3  # coordinates this close to their bound may be held on it
-_HALVINGS = 30  # step halvings before a Newton step gives up
 
 
 @dataclass(frozen=True)
@@ -526,13 +526,14 @@ def _tril_units(mp1: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Profile:
-    """Negative profile log-likelihood at relative Cholesky coordinates x.
+    """Negative profile log-likelihood ``f`` at relative Cholesky
+    coordinates ``x``.
 
     Whitened by L0, the data are rw with covariance I + A A', A = [T_k (x)
     Z_k].  The value and the GLS fixed effects are taken on construction;
     the gradient and the curvature, on demand, from the same factor of
-    I + A'A.  V is linear in every S_k = a_k a_k' (and in Sigma_0 = L0 L0',
-    a_0 = L0, Z_0 = I), so each derivative goes through
+    I + A'A (``eqs``).  V is linear in every S_k = a_k a_k' (and in
+    Sigma_0 = L0 L0', a_0 = L0, Z_0 = I), so each derivative goes through
     Gamma_k = df/dS_k, whitened as L0' Gamma_k L0 =
     (n I - sum_ij T_i C^k_ij T_j' - F_k F_k') / 2.  There e = rw - A v is
     the whitened residual less the posterior mean v of the spherical
@@ -552,9 +553,9 @@ class _Profile:
     def __init__(self, x: np.ndarray, terms: _Terms, X: np.ndarray, z: np.ndarray):
         self.x, self.terms = x, terms
         self.L0, self.wloads = _loadings(x, terms)
-        self.f = f = _equations(self.L0, terms, self.wloads)
+        self.eqs = eqs = _equations(self.L0, terms, self.wloads)
         self.Xw, zw = _whiten(self.L0, X), _whiten(self.L0, z)
-        C = f.core(np.column_stack([self.Xw, zw]))
+        C = eqs.core(np.column_stack([self.Xw, zw]))
         self.Cx = C[:, :-1]
         try:
             self.LK = np.linalg.cholesky(self.Xw.T @ self.Xw - self.Cx.T @ self.Cx)
@@ -563,8 +564,8 @@ class _Profile:
         self.beta = _tri(self.LK, _tri(self.LK, self.Xw.T @ zw - self.Cx.T @ C[:, -1]), trans=True)
         self.rw = zw - self.Xw @ self.beta
         s = C[:, -1] - self.Cx @ self.beta
-        self.v = f.mme.upper(s)
-        self.nll = 0.5 * (len(z) * np.log(2 * np.pi) + f.logdet + self.rw @ self.rw - s @ s)
+        self.v = eqs.mme.upper(s)
+        self.f = 0.5 * (len(z) * np.log(2 * np.pi) + eqs.logdet + self.rw @ self.rw - s @ s)
 
     @cached_property
     def sums(self) -> list[np.ndarray]:
@@ -577,9 +578,9 @@ class _Profile:
     @cached_property
     def gammas(self) -> list[np.ndarray]:
         """L0' Gamma_k L0 per loading, the residual's first."""
-        terms, E = self.terms, self.sums[0]
+        terms, E, mme = self.terms, self.sums[0], self.eqs.mme
         return [
-            0.5 * (terms.n * np.eye(terms.mp1) - terms.trace(self.wloads, self.f.mme, c) - F @ E.T)
+            0.5 * (terms.n * np.eye(terms.mp1) - terms.trace(self.wloads, mme, c) - F @ E.T)
             for F, c in zip(self.sums, (None,) + tuple(range(len(terms.codes))))
         ]
 
@@ -610,72 +611,19 @@ class _Profile:
             dS = D @ T.T
             W[idx] += (dS + dS.transpose(0, 2, 1)) @ F
         W = W.reshape(nx, -1).T
-        Cw = self.f.core(W)
+        Cw = self.eqs.core(W)
         XPW = _tri(self.LK, self.Xw.T @ W - self.Cx.T @ Cw)
         AI = 0.5 * (W.T @ W - Cw.T @ Cw - XPW.T @ XPW)
         return AI, N
 
+    @cached_property
+    def hess(self) -> np.ndarray:
+        AI, N = self.curvature()
+        return AI + N
 
-def _newton(params: MVCParams, terms: _Terms, X, z, max_steps: int, trace: list):
-    """Projected Newton steps from ``params`` on the profile likelihood in
-    relative Cholesky coordinates, at most ``max_steps``.
-
-    Each step solves with H = AI + N on the free coordinates, its
-    eigenvalues taken in absolute value and floored, and moves the
-    coordinates within a gap of their bound whose gradient points outward
-    onto the bound (Bertsekas 1982); the step is halved until the value
-    falls.  Appends each step's log-likelihood to ``trace``.  Returns the
-    last point, the steps taken and the stop reason: ``gradient`` when the
-    projected gradient fell below ``_GRAD_TOL``, ``max_iter``, or
-    ``stall`` when no halving lowered the value.
-    """
-    lo = _coord_bounds(terms)
-    pt = _Profile(_coords(params, terms), terms, X, z)
-    steps, stop = 0, "max_iter"
-    while True:
-        x, g = pt.x, pt.grad
-        gap = _projected_norm(x, g, lo)
-        if gap < _GRAD_TOL:
-            stop = "gradient"
-            break
-        if steps == max_steps:
-            break
-        bound = (x <= lo + min(gap, _ACTIVE_GAP)) & (g > 0)
-        free = ~bound
-        AI, N = pt.curvature()
-        ev, Q = np.linalg.eigh((AI + N)[np.ix_(free, free)])
-        d = lo - x
-        d[free] = -Q @ ((Q.T @ g[free]) / np.maximum(np.abs(ev), 1e-8 * np.max(np.abs(ev))))
-        trial = _line_search(pt, d, lo, X, z)
-        if trial is None:
-            stop = "stall"
-            break
-        pt = trial
-        steps += 1
-        trace.append(-pt.nll)
-    return _params(pt.x, terms, pt.beta), steps, stop
-
-
-def _line_search(pt: _Profile, d: np.ndarray, lo: np.ndarray, X, z) -> _Profile | None:
-    """The first of x + d, x + d/2, ... (projected onto ``x >= lo``) whose
-    value falls by an Armijo fraction of the gradient's prediction, up to
-    rounding; None when none does."""
-    slack = 1e-12 * max(1.0, abs(pt.nll))
-    for _ in range(_HALVINGS):
-        x = np.maximum(pt.x + d, lo)
-        try:
-            trial = _Profile(x, pt.terms, X, z)
-        except (SingularityError, np.linalg.LinAlgError):
-            trial = None
-        if trial is not None and trial.nll <= pt.nll + 1e-4 * (pt.grad @ (x - pt.x)) + slack:
-            return trial
-        d = 0.5 * d
-    return None
-
-
-def _projected_norm(x, g, lo) -> float:
-    """Largest move of a gradient step projected onto ``x >= lo``."""
-    return float(np.max(np.abs(np.maximum(x - g, lo) - x), initial=0.0))
+    def near(self, lo: np.ndarray, gap: float) -> np.ndarray:
+        """The coordinates within ``min(gap, _ACTIVE_GAP)`` of ``lo``."""
+        return self.x <= lo + min(gap, _ACTIVE_GAP)
 
 
 @dataclass
@@ -683,10 +631,12 @@ class MVCFit:
     """EM output: final parameter point and the likelihood path.
 
     ``stop`` says why the fit ended: ``gradient`` (the projected gradient
-    of the profile likelihood fell below ``_GRAD_TOL``), ``max_iter``, or
-    ``stall`` (no Newton step lowered the value).  ``converged`` is
-    ``stop == "gradient"``.  ``iterations`` counts EM-start and Newton
-    steps together; ``finisher_iterations`` is the Newton share.
+    of the profile likelihood fell below ``optimize._GRAD_TOL``),
+    ``max_iter``, or ``stall`` (the Newton steps stopped short of that
+    gradient).  ``converged`` is ``stop == "gradient"``.  ``iterations``
+    counts EM-start and Newton steps together; ``finisher_iterations`` is
+    the Newton share.  ``loglik_trace`` holds the log-likelihood at the start
+    and after each EM and Newton step.
     """
 
     model: MultivariateModel
@@ -734,11 +684,12 @@ def fit_em(
 
     EM runs from the supplied starting point for at most ``_EM_START``
     iterations, fewer when the observed-data log-likelihood moves by less
-    than ``tol``.  Newton steps on the profile likelihood in relative
-    Cholesky coordinates (see :class:`_Profile`) follow, where a Cholesky
-    diagonal may reach zero, so PSD-boundary optima are reached rather than
-    approached sublinearly.  The fit has converged when the projected
-    gradient falls below ``_GRAD_TOL``.  ``max_iter`` caps EM and Newton
+    than ``tol``.  :func:`.optimize.minimize` follows, with Newton steps on
+    the profile likelihood in relative Cholesky coordinates (see
+    :class:`_Profile`), where a Cholesky diagonal may reach zero, so
+    PSD-boundary optima are reached rather than approached sublinearly.
+    The fit has converged when the projected gradient falls below
+    ``optimize._GRAD_TOL``.  ``max_iter`` caps EM and Newton
     steps together: with ``max_iter`` at most ``_EM_START`` a fit is plain
     EM, and a fit that reaches the cap returns its last point with
     ``converged=False``.
@@ -762,17 +713,16 @@ def fit_em(
         model = model.with_params(params)
     steps, stop = 0, "max_iter"
     if it < max_iter:
-        params, steps, stop = _newton(model.params, terms, sd.X, sd.z, max_iter - it, trace)
-        model = model.with_params(params)
-    return MVCFit(
-        model=model,
-        loglik_trace=np.array(trace),
-        iterations=it + steps,
-        converged=stop == "gradient",
-        events=tuple(events),
-        stop=stop,
-        finisher_iterations=steps,
-    )
+        point = partial(_Profile, terms=terms, X=sd.X, z=sd.z)
+        res = optimize.minimize(point, point(_coords(model.params, terms)),
+                                [(lo, np.inf) for lo in _coord_bounds(terms)],
+                                maxiter=max_iter - it, tol=0.0, gtol=_GRAD_TOL)
+        model = model.with_params(_params(res.point.x, terms, res.point.beta))
+        trace.extend(res.values)
+        steps, stop = res.nit, res.stop
+    return MVCFit(model=model, loglik_trace=np.array(trace), iterations=it + steps,
+                  converged=stop == "gradient", events=tuple(events), stop=stop,
+                  finisher_iterations=steps)
 
 
 @dataclass

@@ -526,6 +526,13 @@ class TestContrast:
         )
         assert code == 2
 
+    def test_repeated_label_rejected(self, tmp_path, capsys):
+        data, design = _write_rcb(tmp_path)
+        code = main(["contrast", "--coeffs", "T01=1,T01=-1", "--data", str(data),
+                     "--design", str(design)])
+        assert code == 2
+        assert "'T01' appears twice" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_generate_writes_csv(self, tmp_path):

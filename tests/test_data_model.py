@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vcadjust as v
+from vcadjust.data_model import group_codes
 from vcadjust.errors import ValidationError
 
 from oracle_utils import C_list, D_list, W_list, obs_index, position
@@ -105,6 +106,25 @@ class TestLoadDataset:
             v.load_dataset("treatment,block,yield\nA,1,2\n", SPEC)
 
 
+class TestGroupCodes:
+    @staticmethod
+    def _ds(a, b):
+        n = len(a)
+        return v.Dataset(factors={"A": a, "B": b}, response=np.zeros(n),
+                         covariates=np.zeros((n, 0)), covariate_names=(), levels={})
+
+    def test_groups_joining_to_one_label_rejected(self):
+        # (1:2, 3) and (1, 2:3) would both read as group 1:2:3
+        with pytest.raises(ValidationError, match="A, B"):
+            group_codes(self._ds(["1:2", "1"], ["3", "2:3"]), ("A", "B"))
+
+    def test_distinct_labels_with_colons_keep_their_codes(self):
+        ds = self._ds(["x", "1:2", "1:2", "x"], ["3", "4", "3", "3"])
+        labels, codes = group_codes(ds, ("A", "B"))
+        assert labels == ["1:2:3", "1:2:4", "x:3"]
+        assert codes.tolist() == [2, 1, 0, 2]
+
+
 class TestDesignSpecFile:
     def test_round_trip(self, tmp_path):
         tree = {
@@ -119,6 +139,13 @@ class TestDesignSpecFile:
         spec = v.load_design_spec(path)
         assert spec.recipe == "rcb"
         assert spec.m == 1
+
+    def test_one_line_json_text_is_parsed_not_opened(self):
+        tree = {"response": "yield", "treatment_factors": ["treatment"],
+                "blocking_factors": ["block"], "covariates": ["prev"], "recipe": "rcb"}
+        for text in (json.dumps(tree), "  " + json.dumps(tree)):
+            spec = v.load_design_spec(text)
+            assert spec.recipe == "rcb" and spec.covariates == ("prev",)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown design-spec"):

@@ -484,7 +484,7 @@ class TestFinisherAgainstDense:
         for pt in points:
             prof = _Profile(pt, terms, sd.X, sd.z)
             dense, dense_beta = _dense_coords_nll(sd, pt)
-            assert abs(prof.nll - dense) <= 1e-10 * abs(dense)
+            assert abs(prof.f - dense) <= 1e-10 * abs(dense)
             _assert_close(prof.beta, dense_beta, tol=1e-8)
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))

@@ -5,7 +5,8 @@ evaluations) from the results of the functions it wraps; a result that no
 longer has the field marks its span ``uncounted`` and the metric silently
 reads 0.  This installs the tracer, runs one ``mvc`` fit and one
 ``orthogonal`` adjustment through the CLI in-process, and checks that
-every counted span carries its counts.  Every wrapped attribute is
+every counted span carries its counts and that the ``lmm.minimize`` spans
+belong to LMM fits alone.  Every wrapped attribute is
 restored afterwards.
 """
 
@@ -19,7 +20,9 @@ from test_perfbench_sites import _tracing
 GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden_cli"
 
 
-def test_every_counted_span_carries_its_counts(monkeypatch, tmp_path, capsys):
+def _traced_golden_rcb(monkeypatch, tmp_path, capsys):
+    """The installed tracer after ``fit --model mvc`` (fit 0) and
+    ``adjust --model orthogonal`` (fit 1) on the golden ``rcb``."""
     tracing = _tracing()
     for module_name, attr, _span in tracing.TRACED:
         module = importlib.import_module(module_name)
@@ -37,6 +40,11 @@ def test_every_counted_span_carries_its_counts(monkeypatch, tmp_path, capsys):
         args = words + ["--data", str(data), "--design", str(design), "--out", str(tmp_path / f"{k}.tsv")]
         assert cli.main(args) == 0
     capsys.readouterr()
+    return tracing, tracer
+
+
+def test_every_counted_span_carries_its_counts(monkeypatch, tmp_path, capsys):
+    tracing, tracer = _traced_golden_rcb(monkeypatch, tmp_path, capsys)
 
     assert tracing.absent_spans(tracer.absent) == set()
     base = {"name", "parent", "fit", "start", "end"}
@@ -50,3 +58,17 @@ def test_every_counted_span_carries_its_counts(monkeypatch, tmp_path, capsys):
     assert set(metrics) == set(tracing.PER_LAYER)
     for name in ("mvc_em.iterations", "lmm.objective_evals", "lmm.optimizer_iters"):
         assert metrics[name]["value"] > 0, name
+
+
+def test_lmm_minimize_spans_count_only_lmm_fits(monkeypatch, tmp_path, capsys):
+    """``fit_em`` ends in the same ``optimize.minimize`` as ``fit_lmm``, but
+    through ``mvc_em``'s own module name, so the ``mvc`` fit records no
+    ``lmm.minimize`` span and each LMM fit records exactly one."""
+    _, tracer = _traced_golden_rcb(monkeypatch, tmp_path, capsys)
+    spans = tracer.spans
+    minimize = [s for s in spans if s["name"] == "lmm.minimize"]
+    assert [s for s in spans if s["fit"] == 0 and s["name"] == "mvc_em.fit_em"]
+    assert not [s for s in minimize if s["fit"] == 0]
+    fits = [k for k, s in enumerate(spans) if s["fit"] == 1 and s["name"] == "lmm.fit_lmm"]
+    assert fits
+    assert sorted(s["parent"] for s in minimize) == fits
