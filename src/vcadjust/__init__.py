@@ -13,7 +13,6 @@ from .bivariate_rcb import (
     ConditionalParams,
     JointRcbFit,
     conditional_from_bivariate,
-    direct_treatment_effects,
     fit_bivariate_rcb_ml,
     fit_conditional_ibd,
     fit_mixed_rcb,
@@ -78,7 +77,6 @@ __all__ = [
     "build_stacked",
     "conditional_from_bivariate",
     "contrast",
-    "direct_treatment_effects",
     "e_step",
     "fit_bivariate_rcb_ml",
     "fit_conditional_ibd",

@@ -27,27 +27,18 @@ an ML default).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data_model import Dataset, DesignSpec
 from .errors import SingularityError, ValidationError
-# lmm goes ahead of orthogonal_conditional, which imports it: the other order
-# costs ~4000 more page faults inside numpy.f2py's import, which scipy.linalg
-# pulls in, and 0.02-0.1 s of start-up
-from .lmm import LmmFit  # noqa: F401
 from .orthogonal_conditional import (
     OrthogonalConditionalFit,
     _block_recipe,
     fit_orthogonal_conditional,
 )
 from .rcb_classical import _rcb_table, rcb_arrays
-
-
-class HiddenExtrapolationWarning(UserWarning):
-    """Treatment covariate means far apart relative to within-group spread."""
 
 
 @dataclass(frozen=True)
@@ -363,31 +354,3 @@ def fit_mixed_rcb(
     default.
     """
     return _block_fit(ds, spec, False, method, tol, max_iter)
-
-
-def direct_treatment_effects(
-    fit, covariate_treatment_means, within_group_sd: float
-) -> np.ndarray:
-    """Treatment effects when the treatments also move the covariate.
-
-    ``fit`` is any fit with sum-to-zero ``effects`` (a fixed-blocks or a
-    random-blocks fit).  Covariate-adjusted effects already measure the
-    direct effect on the response (net of the route through the covariate),
-    so they are returned unchanged.  Comparing treatments at a common
-    covariate value is suspect when their covariate means sit far apart, so
-    a spread beyond two within-group standard deviations raises a warning.
-    """
-    effects = np.asarray(fit.effects, dtype=float)
-    zmeans = np.asarray(covariate_treatment_means, dtype=float)
-    if len(zmeans) != len(effects):
-        raise ValidationError("one covariate mean per treatment is required")
-    spread = float(zmeans.max() - zmeans.min())
-    if within_group_sd > 0 and spread > 2.0 * within_group_sd:
-        warnings.warn(
-            "treatment covariate means differ by more than two within-group "
-            "standard deviations; adjusted comparisons extrapolate beyond "
-            "the observed covariate range",
-            HiddenExtrapolationWarning,
-            stacklevel=2,
-        )
-    return effects

@@ -326,6 +326,8 @@ def _parse_coeffs(text: str, labels) -> np.ndarray:
             out[index[lab]] = float(val)
         except ValueError:
             raise ValidationError(f"non-numeric coefficient {val!r}") from None
+        if not np.isfinite(out[index[lab]]):
+            raise ValidationError(f"--coeffs takes finite coefficients; got {val!r} for {lab!r}")
     return out
 
 
@@ -353,11 +355,16 @@ def _sym2(flag: str, text: str) -> np.ndarray:
         raise ValidationError(str(exc)) from None
     if len(v) != 3:
         raise ValidationError(f"{flag} takes three numbers yy,yz,zz; got {len(v)}")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{flag} takes finite numbers; got {text!r}")
     return np.array([[v[0], v[1]], [v[1], v[2]]])
 
 
 def _cmd_simulate(args) -> int:
     Sigma_B, Sigma_E = _sym2("--sigma-b", args.sigma_b), _sym2("--sigma-e", args.sigma_e)
+    for flag, value in (("--mu-y", args.mu_y), ("--mu-z", args.mu_z)):
+        if not np.isfinite(value):
+            raise ValidationError(f"{flag} must be a finite number; got {value}")
     bias = args.study == "bias"
     least = 2 if bias else 1  # the study needs within-block contrasts and a Monte Carlo SE
     # generate draws one replicate unless told otherwise; the study has no default

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -244,7 +245,8 @@ class Dataset:
 def load_dataset(source, schema: DesignSpec) -> Dataset:
     """Parse delimited text (comma or tab, sniffed from the header row).
 
-    Empty fields mark missing values; a record must blank its response and
+    Empty fields mark missing values, and every other response or covariate
+    field must be a finite number; a record must blank its response and
     every covariate together.  Rows are reported 1-based (excluding the
     header) in error messages.
     """
@@ -285,8 +287,9 @@ def load_dataset(source, schema: DesignSpec) -> Dataset:
         vals, bad = _floats(columns[name])
         values.append(vals)
         if bad is not None:
-            errors.append((bad, len(needed) + j, f"row {rows[bad][0]}: non-numeric value "
-                                                   f"{columns[name][bad]!r} in column {name!r}"))
+            i, kind = bad
+            errors.append((i, len(needed) + j, f"row {rows[i][0]}: {kind} value "
+                                                 f"{columns[name][i]!r} in column {name!r}"))
     first = min(errors, default=(len(rows), 0, ""))
     present = ~np.isnan(np.column_stack([v[: first[0]] for v in values]))
     partial = np.flatnonzero(present.any(axis=1) & ~present.all(axis=1))
@@ -307,17 +310,21 @@ def load_dataset(source, schema: DesignSpec) -> Dataset:
     )
 
 
-def _floats(fields: list[str]) -> tuple[np.ndarray, int | None]:
-    """Floats of stripped fields, NaN for an empty one, and the index of the
-    first field ``float`` rejects (None when there is none); the values stop
-    before that field."""
-    nan = float("nan")
+def _floats(fields: list[str]) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """Floats of stripped fields, NaN for an empty one, and the index and
+    kind (``non-numeric`` or ``non-finite``) of the first other field that
+    is not a finite number (None when there is none); the values stop
+    before that field.  Only an empty field is missing: ``nan``, ``inf``
+    and an overflowing ``1e999`` are refused."""
     out = []
     for i, v in enumerate(fields):
         try:
-            out.append(float(v) if v else nan)
+            x = float(v) if v else math.nan
         except ValueError:
-            return np.array(out, dtype=float), i
+            return np.array(out, dtype=float), (i, "non-numeric")
+        if v and not math.isfinite(x):
+            return np.array(out, dtype=float), (i, "non-finite")
+        out.append(x)
     return np.array(out, dtype=float), None
 
 

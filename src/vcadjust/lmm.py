@@ -46,7 +46,7 @@ import numpy as np
 
 from . import optimize
 from .errors import SingularityError, ValidationError
-from .mme import Factor, Layout, _chol, _tri
+from .mme import Factor, Layout, _cholesky
 from .optimize import _ACTIVE_GAP
 
 _RATIO_STARTS = (1e-2, 1e-1, 1.0, 1e1, 1e2)
@@ -153,6 +153,7 @@ class _Mme:
     C: np.ndarray  # F^-1 Lambda Z'X
     c: np.ndarray  # F^-1 Lambda Z'y
     R: np.ndarray  # lower Cholesky factor of K = X'X - C'C = s2_e X'V^-1 X
+    Rinv: np.ndarray  # R^-1
     beta: np.ndarray  # GLS fixed effects
     prss: float  # penalized residual sum of squares, s2_e r'V^-1 r
 
@@ -165,10 +166,9 @@ def _solve(sig: np.ndarray, cp: _CrossProducts) -> _Mme:
     F = Factor(cp.layout, {(i, k): outer[i : i + 1, k : k + 1] for i, k in cp.layout.counts})
     Cc = F.lower(ratio[cp.factor][:, None] * cp.ZtXy)
     C, c = Cc[:, :-1], Cc[:, -1]
-    R = _chol(cp.XtX - C.T @ C)
-    e = _tri(R, cp.Xty - C.T @ c)
-    beta = _tri(R, e, trans=True)
-    return _Mme(F=F, C=C, c=c, R=R, beta=beta, prss=float(cp.yty - c @ c - e @ e))
+    R, Rinv = _cholesky(cp.XtX - C.T @ C)
+    e = Rinv @ (cp.Xty - C.T @ c)
+    return _Mme(F=F, C=C, c=c, R=R, Rinv=Rinv, beta=Rinv.T @ e, prss=float(cp.yty - c @ c - e @ e))
 
 
 class _Point:
@@ -201,7 +201,7 @@ class _Point:
 
     @cached_property
     def _G(self) -> np.ndarray:  # G' = R^-1 B', so that B K^-1 B' = G G'
-        return _tri(self.s.R, self.s.F.upper(self.s.C).T).T
+        return self.s.F.upper(self.s.C) @ self.s.Rinv.T
 
     @cached_property
     def _trace(self) -> np.ndarray:  # t_l, the trace of block l of S
@@ -225,7 +225,7 @@ class _Point:
         WW[0, 0], WW[1:, 1:] = s.prss - WW[0, 1:].sum(), U.T @ ZW
         D = s.F.lower(np.column_stack([b, ratio[:, None] * ZW]))  # F^-1 Lambda Z'W
         XW = np.column_stack([np.zeros(len(s.beta)), cp.ZtXy[:, :-1].T @ U])  # X'e = 0
-        XPW = _tri(s.R, XW - s.C.T @ D)
+        XPW = s.Rinv @ (XW - s.C.T @ D)
         AI = 0.5 * (WW - D.T @ D - XPW.T @ XPW) / self.sig[0]
         S2 = s.F.block_norms() + np.diag(2.0 * t - np.array(cp.layout.levels))  # |S_lm|_F^2
         if self.reml and k1 > 1:  # plus 2 tr(G_l'(M^-1)_lm G_m) + |G_l G_m'|_F^2
@@ -245,12 +245,6 @@ class _Point:
         ``_ACTIVE_GAP`` of zero in standard deviation relative to the residual."""
         rel = self.x[1:] - self.x[0] <= 2.0 * np.log(_ACTIVE_GAP)
         return np.r_[False, rel] | (self.x <= lo)
-
-
-def _neg_loglik(theta, cp: _CrossProducts, method: str):
-    """The value and gradient of the objective at log-variances ``theta``."""
-    pt = _Point(theta, cp, method)
-    return pt.f, pt.grad
 
 
 def fit_lmm(spec: LmmSpec, method: str = "ml", tol: float = 1e-10, max_iter: int = 500) -> LmmFit:
@@ -290,7 +284,6 @@ def fit_lmm(spec: LmmSpec, method: str = "ml", tol: float = 1e-10, max_iter: int
         gls = pt.s if pt.s is not None and not boundary.any() else _solve(np.r_[sig[0], sig2], cp)
     except np.linalg.LinAlgError as exc:
         raise SingularityError("GLS information matrix is singular") from exc
-    Rinv = _tri(gls.R, np.eye(len(gls.R)))
 
     # weak identification: a singular Hessian over the free coordinates
     free = np.r_[True, ~boundary]
@@ -300,7 +293,7 @@ def fit_lmm(spec: LmmSpec, method: str = "ml", tol: float = 1e-10, max_iter: int
         flags.append("weakly_identified")
 
     return LmmFit(beta_hat=gls.beta, sigma_e2=float(sig[0]), sigma2=sig2,
-                  beta_cov=sig[0] * (Rinv.T @ Rinv), loglik=float(-pt.f), method=method,
+                  beta_cov=sig[0] * (gls.Rinv.T @ gls.Rinv), loglik=float(-pt.f), method=method,
                   converged=res.stop == "gradient", iterations=res.nit, flags=tuple(flags),
                   names=spec.names, stop=res.stop)
 

@@ -27,9 +27,11 @@ inversion) come from U, e, G and L_S:
     P = R (E^-1 (+) 0) R' + J'J,  J = L_S^-1 [-G E^-1/2 | I] R',
 
 so a level block of term b is U diag(1/e_l) U' plus a product of q_r-row
-columns of J, q_r the number of effects outside term b.  With one term an
-evaluation costs O(q p_b^2) and no q x q array exists; otherwise the cost
-adds O(q_r^2 q) for the Schur complement and J.
+columns of J, q_r the number of effects outside term b.  The factor forms
+L_S^-1 once (:func:`_inverse`): it is J's block over the other terms, and
+every solve with L_S is a product with it.  With one term an evaluation
+costs O(q p_b^2) and no q x q array exists; otherwise the cost adds
+O(q_r^2 q) for the Schur complement and J.
 """
 
 from __future__ import annotations
@@ -37,33 +39,38 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack
+
+_BLOCK = 64  # order up to which _inverse takes one numpy inverse
 
 
-def _tri(L: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
-    """L^-1 b, or L^-T b when ``trans``, for a lower-triangular factor L.
+def _inverse(L: np.ndarray) -> np.ndarray:
+    """L^-1 for a lower-triangular L.
 
-    LAPACK ``dtrtrs`` on the Fortran-ordered view of L, as scipy's
-    ``solve_triangular`` calls it, without that wrapper's per-call checks.
+    numpy has no triangular solve, and a general solve factors L again on
+    every call, so each solve with a triangular factor in the package is a
+    product with its inverse, formed once per factor and reused.  It is
+    taken by halves, [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]],
+    so a large L costs matrix products: numpy's general inverse of a
+    600 x 600 L takes four times as long.  Blocks of order up to ``_BLOCK``
+    invert L' by an LU that takes no row exchanges, which is back
+    substitution, so L^-1 is exactly lower triangular.
     """
-    if not b.size:
-        return np.zeros(b.shape)
-    if L.flags.f_contiguous:
-        x, info = lapack.dtrtrs(L, b, lower=1, trans=int(trans))
-    else:
-        x, info = lapack.dtrtrs(L.T, b, lower=0, trans=int(not trans))
-    if info:
-        raise np.linalg.LinAlgError("triangular factor is singular")
-    return x
+    n = len(L)
+    if n <= _BLOCK:
+        return np.linalg.inv(L.T).T if n else L
+    h = n // 2
+    A, D = _inverse(L[:h, :h]), _inverse(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h], out[h:, h:] = A, D
+    out[h:, :h] = -D @ (L[h:, :h] @ A)
+    return out
 
 
-def _chol(A: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor (LAPACK ``dpotrf``); LinAlgError when A is not
-    numerically positive definite."""
-    L, info = lapack.dpotrf(A, lower=1)
-    if info:
-        raise np.linalg.LinAlgError("matrix is not positive definite")
-    return L
+def _cholesky(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lower Cholesky factor L of A and L^-1; LinAlgError when A is not
+    numerically positive definite.  An empty A skips numpy's per-call cost."""
+    L = np.linalg.cholesky(A) if A.size else A
+    return L, _inverse(L)
 
 
 def _kron(a: np.ndarray, N: np.ndarray) -> np.ndarray:
@@ -145,9 +152,8 @@ class Factor:
         if b is None:  # no random effects
             g, self.U, counts, self.big = np.zeros(0), np.zeros((0, 0)), np.zeros(0), slice(0, 0)
         else:
-            g, self.U, info = lapack.dsyevd(grams[b, b])
-            if info:
-                raise np.linalg.LinAlgError("eigendecomposition did not converge")
+            Gb = grams[b, b]  # a 1 x 1 Gram (every LMM factor) is its own eigenvalue: no call
+            g, self.U = np.linalg.eigh(Gb) if len(Gb) > 1 else (Gb[0], np.ones((1, 1)))
             counts, self.big = lay.counts[b, b], lay.slices[b]
         self.e = scale + g[:, None] * counts  # p_b x d_b: the diagonal of E
         if not (self.e > 0).all():
@@ -166,7 +172,7 @@ class Factor:
         for i, si in zip(lay.rest, lay.rest_slices):
             for k, sk in zip(lay.rest, lay.rest_slices):
                 C[si, sk] += _kron(gram(i, k), lay.pair(i, k))
-        self.LS = _chol(C - self.G @ self.G.T)
+        self.LS, self.LSinv = _cholesky(C - self.G @ self.G.T)
         self.logdet = float(np.log(self.e).sum() + 2.0 * np.log(self.LS.diagonal()).sum())
 
     def lower(self, y: np.ndarray) -> np.ndarray:
@@ -176,7 +182,7 @@ class Factor:
         Y = _columns(y)
         (p, d), s = self.e.shape, Y.shape[1]
         xb = (self.U.T @ Y[self.big].reshape(p, d * s)).reshape(p * d, s) / self.root
-        xr = _tri(self.LS, Y[self.layout.rest_idx] - self.G @ xb)
+        xr = self.LSinv @ (Y[self.layout.rest_idx] - self.G @ xb)
         return np.concatenate([xb, xr]).reshape(y.shape)
 
     def upper(self, x: np.ndarray) -> np.ndarray:
@@ -184,7 +190,7 @@ class Factor:
         the terms' order.  ``upper(lower(y))`` is M^-1 y."""
         X = _columns(x)
         (p, d), s = self.e.shape, X.shape[1]
-        xr = _tri(self.LS, X[p * d :], trans=True)
+        xr = self.LSinv.T @ X[p * d :]
         xb = (X[: p * d] - self.G.T @ xr) / self.root
         out = np.empty_like(X)
         out[self.big] = (self.U @ xb.reshape(p, d * s)).reshape(p * d, s)
@@ -195,10 +201,9 @@ class Factor:
     def _J(self) -> dict[int, np.ndarray]:
         """The columns of J per term, each q_r x p_k x d_k."""
         lay, (p, d) = self.layout, self.e.shape
-        Jr = _tri(self.LS, np.eye(len(self.LS)))
-        out = {k: Jr[:, s].reshape(-1, lay.widths[k], lay.levels[k])
+        out = {k: self.LSinv[:, s].reshape(-1, lay.widths[k], lay.levels[k])
                for k, s in zip(lay.rest, lay.rest_slices)}
-        out[lay.big] = self.U @ (_tri(self.LS, self.G) / -self.root.T).reshape(-1, p, d)
+        out[lay.big] = self.U @ (self.LSinv @ self.G / -self.root.T).reshape(-1, p, d)
         return out
 
     @cached_property

@@ -58,7 +58,7 @@ import numpy as np
 from . import optimize
 from .data_model import StackedData
 from .errors import SingularityError
-from .mme import Factor, Layout, _tri
+from .mme import Factor, Layout, _cholesky, _inverse
 from .optimize import _ACTIVE_GAP, _GRAD_TOL
 
 _CLIP_FRAC = 1e-12  # eigenvalue floor relative to trace, float-noise guard
@@ -116,10 +116,11 @@ def make_model(stacked: StackedData, params: MVCParams | None = None) -> Multiva
     )
 
 
-def _whiten(L0: np.ndarray, y: np.ndarray, trans: bool = False) -> np.ndarray:
+def _whiten(L0inv: np.ndarray, y: np.ndarray, trans: bool = False) -> np.ndarray:
     """(L0^-1 (x) I_n) y, or (L0^-T (x) I_n) y when ``trans``, for a stacked
     vector or the columns of a stacked matrix."""
-    return _tri(L0, y.reshape(len(L0), -1), trans).reshape(y.shape)
+    W = L0inv.T if trans else L0inv
+    return (W @ y.reshape(len(W), -1)).reshape(y.shape)
 
 
 def _component_root(S: np.ndarray, name: str) -> np.ndarray:
@@ -226,6 +227,7 @@ class _Factor:
     """Mixed-model-equations factorisation of V at one parameter point."""
 
     L0: np.ndarray  # Cholesky factor of Sigma_0
+    L0inv: np.ndarray  # L0^-1
     terms: _Terms
     roots: tuple[np.ndarray, ...]  # Q_k, p_k x p_k: Lambda = diag(Q_k (x) I)
     loads: tuple[np.ndarray, ...]  # a_k = c_k Q_k: M Lambda = [a_k (x) Z_k]
@@ -240,15 +242,15 @@ class _Factor:
     def quad(self, r: np.ndarray) -> tuple[float, np.ndarray]:
         """r' V^-1 r = |rw|^2 - |s|^2 with rw the whitened r, and
         s = F^-1 A' rw."""
-        rw = _whiten(self.L0, r)
+        rw = _whiten(self.L0inv, r)
         s = self.core(rw)
         return float(rw @ rw - s @ s), s
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """V^-1 y = (L0^-T (x) I)(I - A (I + A'A)^-1 A')(L0^-1 (x) I) y."""
-        yw = _whiten(self.L0, y)
+        yw = _whiten(self.L0inv, y)
         w = self.mme.upper(self.core(yw))
-        return _whiten(self.L0, yw - self.terms.apply(self.wloads, w), trans=True)
+        return _whiten(self.L0inv, yw - self.terms.apply(self.wloads, w), trans=True)
 
     def loglik(self, r: np.ndarray) -> tuple[float, np.ndarray]:
         """Gaussian log-density of the stacked residual r, and the core
@@ -262,23 +264,23 @@ def _factorise(model: MultivariateModel, terms: _Terms | None = None) -> _Factor
     sd, p = model.stacked, model.params
     terms = terms if terms is not None else _terms(sd)
     try:
-        L0 = np.linalg.cholesky(p.Sigmas[0])
+        L0, L0inv = _cholesky(p.Sigmas[0])
     except np.linalg.LinAlgError as exc:
         raise SingularityError("Sigma0 is not positive definite") from exc
     roots = [_component_root(s2, f"sigma2[{j}]") for j, s2 in enumerate(p.sigma2)]
     roots += [_component_root(S, f"Sigma{i}") for i, S in enumerate(p.Sigmas[1:], start=1)]
     loads = [c @ Q for c, Q in zip(terms.carriers, roots)]
-    return _equations(L0, terms, [_tri(L0, a) for a in loads], roots, loads)
+    return _equations(L0, L0inv, terms, [L0inv @ a for a in loads], roots, loads)
 
 
-def _equations(L0, terms: _Terms, wloads, roots=(), loads=()) -> _Factor:
+def _equations(L0, L0inv, terms: _Terms, wloads, roots=(), loads=()) -> _Factor:
     """Factor I + A'A for the whitened loadings ``wloads``; the roots and
     loadings are carried along for the E-step."""
     mme = Factor(terms.layout, terms.grams(wloads))
     # log det V = n log det Sigma_0 + log det (I + A'A)
     logdet = 2.0 * terms.n * np.log(np.diag(L0)).sum() + mme.logdet
     return _Factor(
-        L0=L0, terms=terms, roots=tuple(roots), loads=tuple(loads),
+        L0=L0, L0inv=L0inv, terms=terms, roots=tuple(roots), loads=tuple(loads),
         wloads=tuple(wloads), mme=mme, logdet=float(logdet),
     )
 
@@ -329,7 +331,7 @@ def e_step(
     sd, p = model.stacked, model.params
     mp1, r = sd.m + 1, len(sd.treatment_random_codes)
     f = _factor if _factor is not None else _factorise(model)
-    s = _core if _core is not None else f.core(_whiten(f.L0, sd.z - sd.X @ p.beta))
+    s = _core if _core is not None else f.core(_whiten(f.L0inv, sd.z - sd.X @ p.beta))
     v_mean = f.mme.upper(s)
 
     t_mean, t_sq, b_mean, b_sq = [], [], [], []
@@ -378,11 +380,11 @@ def m_step(
     events: list[str] = []
 
     try:
-        L0 = np.linalg.cholesky(p.Sigmas[0])
+        L0inv = _cholesky(p.Sigmas[0])[1]
     except np.linalg.LinAlgError as exc:
         raise SingularityError("current Sigma0 is not positive definite") from exc
-    Xw = _whiten(L0, sd.X)
-    yw = _whiten(L0, moments.resid_less_effects)
+    Xw = _whiten(L0inv, sd.X)
+    yw = _whiten(L0inv, moments.resid_less_effects)
     try:
         beta = np.linalg.solve(Xw.T @ Xw, Xw.T @ yw)
     except np.linalg.LinAlgError as exc:
@@ -427,7 +429,7 @@ def _coords(params: MVCParams, terms: _Terms) -> np.ndarray:
     """
     il = np.tril_indices(terms.mp1)
     try:
-        L0 = np.linalg.cholesky(params.Sigmas[0])
+        L0, L0inv = _cholesky(params.Sigmas[0])
     except np.linalg.LinAlgError as exc:
         raise SingularityError("Sigma0 is not positive definite") from exc
     part = L0[il]
@@ -435,30 +437,32 @@ def _coords(params: MVCParams, terms: _Terms) -> np.ndarray:
     x = [part, np.sqrt(params.sigma2) / L0[0, 0]]
     for i, S in enumerate(params.Sigmas[1:], start=1):
         # L0^-1 Q = R'Q' for Q R = (L0^-1 Q)', so R'R = L0^-1 Sigma_k L0^-T
-        R = np.linalg.qr(_tri(L0, _component_root(S, f"Sigma{i}")).T, mode="r")
+        R = np.linalg.qr((L0inv @ _component_root(S, f"Sigma{i}")).T, mode="r")
         x.append((R.T * np.where(np.diag(R) < 0, -1.0, 1.0))[il])
     return np.concatenate(x)
 
 
 def _loadings(x: np.ndarray, terms: _Terms):
-    """L0 and the whitened loadings T_k = L0^-1 a_k at coordinates ``x``."""
+    """L0, L0^-1 and the whitened loadings T_k = L0^-1 a_k at coordinates
+    ``x``."""
     mp1, r = terms.mp1, terms.r
     il = np.tril_indices(mp1)
     k = len(il[0])
     L0 = np.zeros((mp1, mp1))
     L0[il] = x[:k]
     L0[np.diag_indices(mp1)] = np.exp(np.diag(L0))
-    wloads = [th * L0[0, 0] * _tri(L0, c) for th, c in zip(x[k : k + r], terms.carriers)]
+    L0inv = _inverse(L0)
+    wloads = [th * L0[0, 0] * (L0inv @ c) for th, c in zip(x[k : k + r], terms.carriers)]
     for j in range(k + r, len(x), k):
         T = np.zeros((mp1, mp1))
         T[il] = x[j : j + k]
         wloads.append(T)
-    return L0, wloads
+    return L0, L0inv, wloads
 
 
 def _params(x: np.ndarray, terms: _Terms, beta: np.ndarray) -> MVCParams:
     """The parameter point at coordinates ``x`` and fixed effects ``beta``."""
-    L0, wloads = _loadings(x, terms)
+    L0, _, wloads = _loadings(x, terms)
     loads = [L0 @ T for T in wloads]  # a_k; sigma_j c_j for a treatment term
     sigma2 = np.array([a[0, 0] ** 2 for a in loads[: terms.r]])
     Sigmas = [L0 @ L0.T] + [a @ a.T for a in loads[terms.r :]]
@@ -473,7 +477,7 @@ def _coord_bounds(terms: _Terms) -> np.ndarray:
     return np.concatenate([np.full(len(diag), -np.inf), np.zeros(terms.r)] + [diag] * blocks)
 
 
-def _loading_derivatives(x: np.ndarray, L0: np.ndarray, wloads, terms: _Terms):
+def _loading_derivatives(x: np.ndarray, L0: np.ndarray, L0inv: np.ndarray, wloads, terms: _Terms):
     """First and second derivatives of every loading in the coordinates,
     whitened by L0^-1: the residual's loading L0 first, then each a_k.
 
@@ -489,7 +493,7 @@ def _loading_derivatives(x: np.ndarray, L0: np.ndarray, wloads, terms: _Terms):
     k = len(unit)
     dL = unit.copy()
     dL[diag] *= np.diag(L0)[:, None, None]
-    wdL = _tri(L0, np.eye(mp1)) @ dL
+    wdL = L0inv @ dL
 
     def second(D, cross):
         D2 = np.zeros((len(D),) + D.shape)
@@ -501,7 +505,7 @@ def _loading_derivatives(x: np.ndarray, L0: np.ndarray, wloads, terms: _Terms):
     own = np.arange(k)
     out = [(own, wdL, second(wdL, np.zeros((k, 0, mp1, mp1))))]
     for j, c in enumerate(terms.carriers[:r]):
-        u = L0[0, 0] * _tri(L0, c)
+        u = L0[0, 0] * (L0inv @ c)
         D = np.zeros((k + 1,) + u.shape)
         D[0], D[k] = x[k + j] * u, u
         cross = np.zeros((k, 1) + u.shape)
@@ -552,16 +556,16 @@ class _Profile:
 
     def __init__(self, x: np.ndarray, terms: _Terms, X: np.ndarray, z: np.ndarray):
         self.x, self.terms = x, terms
-        self.L0, self.wloads = _loadings(x, terms)
-        self.eqs = eqs = _equations(self.L0, terms, self.wloads)
-        self.Xw, zw = _whiten(self.L0, X), _whiten(self.L0, z)
+        self.L0, L0inv, self.wloads = _loadings(x, terms)
+        self.eqs = eqs = _equations(self.L0, L0inv, terms, self.wloads)
+        self.Xw, zw = _whiten(L0inv, X), _whiten(L0inv, z)
         C = eqs.core(np.column_stack([self.Xw, zw]))
         self.Cx = C[:, :-1]
         try:
-            self.LK = np.linalg.cholesky(self.Xw.T @ self.Xw - self.Cx.T @ self.Cx)
+            self.LKinv = _cholesky(self.Xw.T @ self.Xw - self.Cx.T @ self.Cx)[1]
         except np.linalg.LinAlgError as exc:
             raise SingularityError("weighted normal equations are singular") from exc
-        self.beta = _tri(self.LK, _tri(self.LK, self.Xw.T @ zw - self.Cx.T @ C[:, -1]), trans=True)
+        self.beta = self.LKinv.T @ (self.LKinv @ (self.Xw.T @ zw - self.Cx.T @ C[:, -1]))
         self.rw = zw - self.Xw @ self.beta
         s = C[:, -1] - self.Cx @ self.beta
         self.v = eqs.mme.upper(s)
@@ -587,7 +591,7 @@ class _Profile:
     @cached_property
     def _parts(self):
         """Per loading: its coordinates, derivatives, T_k, Gamma_k and sums."""
-        derivs = _loading_derivatives(self.x, self.L0, self.wloads, self.terms)
+        derivs = _loading_derivatives(self.x, self.L0, self.eqs.L0inv, self.wloads, self.terms)
         Ts = [np.eye(self.terms.mp1)] + list(self.wloads)
         return [d + (T, G, F) for d, T, G, F in zip(derivs, Ts, self.gammas, self.sums)]
 
@@ -612,7 +616,7 @@ class _Profile:
             W[idx] += (dS + dS.transpose(0, 2, 1)) @ F
         W = W.reshape(nx, -1).T
         Cw = self.eqs.core(W)
-        XPW = _tri(self.LK, self.Xw.T @ W - self.Cx.T @ Cw)
+        XPW = self.LKinv @ (self.Xw.T @ W - self.Cx.T @ Cw)
         AI = 0.5 * (W.T @ W - Cw.T @ Cw - XPW.T @ XPW)
         return AI, N
 
@@ -756,11 +760,11 @@ def adjusted_means_mvc(fit: MVCFit) -> AdjustedMeansResult:
     f = _factorise(model)
     VinvX = f.solve(sd.X)
     try:
-        info = np.linalg.cholesky(sd.X.T @ VinvX)
+        info_inv = _cholesky(sd.X.T @ VinvX)[1]
     except np.linalg.LinAlgError as exc:
         raise SingularityError("information matrix is singular") from exc
-    Y = _tri(info, _tri(info, VinvX[: sd.n_obs].T), trans=True)  # info^-1 U0'
-    s0 = _tri(f.L0, _tri(f.L0, np.eye(sd.m + 1)[:, 0]), trans=True)
+    Y = info_inv.T @ (info_inv @ VinvX[: sd.n_obs].T)  # info^-1 U0'
+    s0 = f.L0inv.T @ f.L0inv[:, 0]
     h = [(s0 @ a)[None, :] for a in f.loads]
     hh = f.terms.grams(h)
     grams = {ik: s0[0] * g - hh[ik] for ik, g in f.terms.grams(f.wloads).items()}

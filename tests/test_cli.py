@@ -526,6 +526,15 @@ class TestContrast:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("coeffs", ["T01=nan,T02=-1", "T01=inf", "T01=1,T02=-inf"])
+    def test_non_finite_coefficient_names_the_flag(self, coeffs, tmp_path, capsys):
+        data, design = _write_rcb(tmp_path)
+        code = main(["contrast", "--model", "mixed", "--coeffs", coeffs, "--data", str(data),
+                     "--design", str(design)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith('vcadjust: code=2 kind=input msg="--coeffs takes finite coefficients')
+
     def test_repeated_label_rejected(self, tmp_path, capsys):
         data, design = _write_rcb(tmp_path)
         code = main(["contrast", "--coeffs", "T01=1,T01=-1", "--data", str(data),
@@ -592,6 +601,12 @@ class TestSimulateCommand:
         (["--b", "0"], "--b"),
         (["--study", "bias", "--t", "1", "--replicates", "5"], "--t"),
         (["--study", "bias", "--replicates", "1"], "--replicates"),
+        (["--sigma-b", "nan,0,1"], "--sigma-b"),
+        (["--sigma-e", "inf,0,1"], "--sigma-e"),
+        (["--sigma-e", "1,1e999,1"], "--sigma-e"),
+        (["--mu-y", "nan"], "--mu-y"),
+        (["--mu-z", "inf"], "--mu-z"),
+        (["--mu-z=-inf"], "--mu-z"),
     ])
     def test_bad_request_names_its_flag(self, extra, flag, capsys):
         code = main(["simulate", "--t", "3", "--b", "4", *extra])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -58,13 +59,16 @@ class TestLoadDataset:
 
     def test_non_numeric_rejected(self):
         # "np.float64(17.0)" is what f"{x!r}" writes for a numpy-2 float64
-        # scalar; the loader must keep rejecting it
-        for token in ("oops", "np.float64(17.0)"):
+        # scalar; the loader must keep rejecting it.  Only an empty field is
+        # missing: nan, the infinities and an overflowing literal are refused
+        for token, kind in (("oops", "non-numeric"), ("np.float64(17.0)", "non-numeric"),
+                            ("nan", "non-finite"), ("inf", "non-finite"),
+                            ("-inf", "non-finite"), ("1e999", "non-finite")):
             bad = _rcb_csv().splitlines()
             parts = bad[1].split(",")
             parts[2] = token
             bad[1] = ",".join(parts)
-            with pytest.raises(ValidationError, match="non-numeric"):
+            with pytest.raises(ValidationError, match=f"^row 1: {kind} value '{re.escape(token)}'"):
                 v.load_dataset("\n".join(bad) + "\n", SPEC)
 
     @pytest.mark.parametrize(
@@ -75,6 +79,10 @@ class TestLoadDataset:
             ([" ,1,2,3", "A,1,2,x", "A,"], "row 3: factor 'treatment' is empty"),
             (["A,", "A,1,2,x", ",1,2,3"], "row 3: expected 4 fields"),
             (["A,1,2,3", "A,1,x,", "A,"], "row 4: non-numeric value 'x' in column 'yield'"),
+            (["A,1,2,inf", "B,1,2,", "A,"], "row 3: non-finite value 'inf' in column 'prev'"),
+            (["B,1,2,", "A,1,2,-inf", "A,"], "row 3: partially missing cell"),
+            (["A,1,2,3", "A,1,nan,", "A,"], "row 4: non-finite value 'nan' in column 'yield'"),
+            (["A,1,1e999,x", "A,"], "row 3: non-finite value '1e999' in column 'yield'"),
         ],
     )
     def test_first_error_in_row_order_counts_blank_lines(self, rows, message):

@@ -14,7 +14,7 @@ from vcadjust.errors import ValidationError
 from vcadjust.rcb_classical import rcb_arrays
 
 from conftest import interior_bivariate_params
-from oracle_utils import lmm_best_of_starts
+from oracle_utils import lmm_best_of_starts, lmm_neg_loglik
 
 GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden_cli"
 
@@ -292,7 +292,7 @@ class TestMmeObjectiveAgainstDense:
         center = np.log(np.var(spec.y))
         for _ in range(20):
             theta = center + rng.uniform(-4.0, 4.0, size=k)
-            f, g = lmm._neg_loglik(theta, cp, method)
+            f, g = lmm_neg_loglik(theta, cp, method)
             ref = _dense_neg_loglik(theta, spec, method)
             assert abs(f - ref) <= 1e-10 * abs(ref)
             cd = _central_gradient(lambda t: _dense_neg_loglik(t, spec, method), theta, 1e-5)
@@ -331,7 +331,7 @@ class TestMmeObjectiveAgainstDense:
         lo, hi = np.log(1e-14 * vary), np.log(1e8 * vary)
         fit = v.fit_lmm(spec, method=method)
         for corner in np.array(np.meshgrid(*[[lo, hi]] * k)).reshape(k, -1).T:
-            f, g = lmm._neg_loglik(corner, cp, method)
+            f, g = lmm_neg_loglik(corner, cp, method)
             assert np.isfinite(f) and np.all(np.isfinite(g))
             # no point beats the maximum, and a point where every variance
             # sits at one bound (ratios 1) is well conditioned
@@ -409,7 +409,7 @@ class TestConvergenceFromGradient:
             lo, hi = np.log(1e-14 * vary), np.log(1e8 * vary)
             sig = np.r_[fit.sigma_e2, fit.sigma2]
             theta = np.log(np.where(sig > 0, sig, 1e-14 * vary))
-            _, g = lmm._neg_loglik(theta, lmm._cross_products(spec), method)
+            _, g = lmm_neg_loglik(theta, lmm._cross_products(spec), method)
             projected = np.clip(theta - g, lo, hi) - theta
             assert np.max(np.abs(projected)) < lmm.optimize._GRAD_TOL
 

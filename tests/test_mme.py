@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vcadjust import lmm
-from vcadjust.mme import Factor, Layout
+from vcadjust.mme import _BLOCK, Factor, Layout, _inverse
 from vcadjust.mvc_em import _factorise, make_model
 
 from test_lmm import _layout
@@ -161,6 +161,33 @@ def test_largest_term_between_two_others():
     weights = {(i, k): [(lay.pair(i, k),)] + [(lay.pair(i, m), lay.pair(k, m)) for m in range(3)]
                for i, k in counts}
     _check_factor(F, 1.3 * np.eye(A.shape[1]) + A.T @ A, weights)
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_triangular_inverse_by_halves(n):
+    """L^-1 of a Cholesky factor at orders that take one numpy inverse, one
+    halving and two levels of halving, an odd split included: exactly lower
+    triangular, and L^-1 L = I."""
+    A = np.random.default_rng(n).normal(size=(n, n))
+    L = np.linalg.cholesky(A @ A.T + n * np.eye(n)) if n else np.zeros((0, 0))
+    X = _inverse(L)
+    assert X.shape == (n, n) and not np.triu(X, 1).any()
+    _close(X @ L, np.eye(n))
+
+
+def test_schur_complement_wider_than_a_block():
+    """Two crossed terms, the Schur complement over the smaller one wider
+    than ``_BLOCK``, so L_S^-1 is taken by halves."""
+    rng = np.random.default_rng(8)
+    levels = (_BLOCK + 20, 2 * _BLOCK)
+    codes = [rng.integers(0, d, size=600) for d in levels]
+    lay = Layout((1, 1), codes, levels)
+    loads = [rng.normal(size=(2, 1)) for _ in levels]
+    F = Factor(lay, {(i, k): loads[i].T @ loads[k] for i, k in lay.counts})
+    assert lay.big == 1 and len(F.LS) > _BLOCK
+    A = np.hstack([np.kron(a, _incidence(g, d)) for a, g, d in zip(loads, codes, levels)])
+    weights = {(i, k): [(lay.pair(i, k),)] for i, k in lay.counts}
+    _check_factor(F, np.eye(A.shape[1]) + A.T @ A, weights)
 
 
 def test_layout_counts_and_level_sums_match_dense():
