@@ -28,7 +28,7 @@ from .bivariate_rcb import (
     fit_mixed_rcb,
     fit_naive_block_mixed,
 )
-from .data_model import build_stacked, load_dataset, load_design_spec
+from .data_model import build_stacked, complete_records, load_dataset, load_design_spec
 from .errors import SingularityError, ValidationError
 from .lmm import contrast as lmm_contrast
 from .mvc_em import adjusted_means_mvc, fit_em, make_model
@@ -335,9 +335,9 @@ def _cmd_contrast(args) -> int:
     if not args.coeffs:
         raise ValidationError("--coeffs is required for contrast")
     ds, spec = _load(args)
+    c = _parse_coeffs(args.coeffs, complete_records(ds, spec.treatment_factors)[1])
     fitter = fit_naive_block_mixed if args.model == "mixed" else fit_conditional_ibd
     f = fitter(ds, spec, args.method, **_iter_options(args))
-    c = _parse_coeffs(args.coeffs, f.treatments)
     full = np.zeros(len(f.lmm_fit.beta_hat))
     full[: len(c)] = c
     est, se = lmm_contrast(f.lmm_fit, full)

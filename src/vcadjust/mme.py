@@ -198,7 +198,7 @@ class Factor:
         return out.reshape(x.shape)
 
     @cached_property
-    def _J(self) -> dict[int, np.ndarray]:
+    def J(self) -> dict[int, np.ndarray]:
         """The columns of J per term, each q_r x p_k x d_k."""
         lay, (p, d) = self.layout, self.e.shape
         out = {k: self.LSinv[:, s].reshape(-1, lay.widths[k], lay.levels[k])
@@ -214,7 +214,7 @@ class Factor:
         """diag(M^-1), in the terms' order."""
         out = np.empty(self.layout.q)
         for k, s in enumerate(self.layout.slices):
-            out[s] = np.einsum("scl,scl->cl", self._J[k], self._J[k]).ravel()
+            out[s] = np.einsum("scl,scl->cl", self.J[k], self.J[k]).ravel()
         out[self.big] += (self.U**2 @ self._einv).ravel()
         return out
 
@@ -227,11 +227,11 @@ class Factor:
         n, qr = len(lay.levels), len(self.LS)
         grams = np.zeros((n, qr, qr))
         for k in range(n):
-            Jk = self._J[k].reshape(qr, lay.widths[k] * lay.levels[k])
+            Jk = self.J[k].reshape(qr, lay.widths[k] * lay.levels[k])
             grams[k] = Jk @ Jk.T
         out = np.einsum("iab,kab->ik", grams, grams)
         if lay.big is not None:
-            rotated = np.einsum("cj,scl->sjl", self.U, self._J[lay.big])
+            rotated = np.einsum("cj,scl->sjl", self.U, self.J[lay.big])
             out[lay.big, lay.big] += (self._einv**2).sum() + 2.0 * np.einsum(
                 "jl,sjl->", self._einv, rotated**2)
         return out
@@ -242,8 +242,8 @@ class Factor:
         (A d_i x d_m, B d_k x d_m), a vector standing for its diagonal
         matrix; W is not formed, nor any block of P outside term b's level
         blocks and J.  For i = k, A is a vector or B is A."""
-        Ti = _weigh(self._J[i], A)
-        Tk = self._J[k] if B is None else _weigh(self._J[k], B)
+        Ti = _weigh(self.J[i], A)
+        Tk = self.J[k] if B is None else _weigh(self.J[k], B)
         S = np.einsum("sca,sda->cd", Ti, Tk)
         if i == k == self.layout.big:  # plus the E^-1 part, on diag(W)
             w = A if B is None else A * B

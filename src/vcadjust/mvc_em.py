@@ -26,11 +26,12 @@ blocks diagonalised by one eigendecomposition, and the Schur complement
 over the other terms takes a dense Cholesky factor.  Products with A and A'
 are gathers and per-level sums over the codes.  The log-determinant, the
 quadratic forms, the posterior of the random effects, the GLS fixed effects
-and the SEs of the adjusted means all go through L0 and F, and the E-step
-and the curvature read only the blocks of (I + A'A)^-1 that meet a count
-matrix.  With one blocking factor an iteration costs O(q (m+1)^2 + N (m+1)^2),
-q the number of random effects, and forms no q x q, N x q, n x n or N x N
-array; a second term adds O(q_r^2 q), q_r the effects outside the largest.
+and the SEs of the adjusted means all go through L0 and F, the E-step and
+the gradient read only the blocks of (I + A'A)^-1 that meet a count matrix,
+and the Newton Hessian its level blocks and J.  With one blocking factor
+an iteration costs O(q (m+1)^2 + N (m+1)^2), q the number of random
+effects, and forms no q x q, N x q, n x n or N x N array; a second term
+adds O(q_r^2 q), q_r the effects outside the largest.
 
 Plain EM converges sublinearly, slowest when the maximum lies on the PSD
 boundary, so EM only starts a fit: ``_EM_START`` iterations at most, then
@@ -41,11 +42,12 @@ ends every ``fit_lmm``, until its projected gradient is below
 log diag and lower triangle of L0, theta_j = sigma_j / L0_00 per random
 treatment term and the lower-triangular whitened loading T_k with
 Sigma_k = L0 T_k T_k' L0' per blocking factor, its diagonal bounded below
-by exactly 0.  The value, the analytic gradient and the curvature (the
-average-information matrix of Gilmour, Thompson & Cullis 1995, plus the
-second-derivative term that carries the curvature at the boundary) come
-from one factorisation per point, the gathers and the count matrices, with
-no Sigma_k inverted, so a component may reach rank zero or one.
+by exactly 0.  The value, the analytic gradient and the exact Hessian
+(twice the average-information matrix of Gilmour, Thompson & Cullis 1995,
+less the expected information, plus the second-derivative term that
+carries the curvature at the boundary) come from one factorisation per
+point, the gathers and the count matrices, with no Sigma_k inverted, so a
+component may reach rank zero or one, and the steps converge quadratically.
 """
 
 from __future__ import annotations
@@ -149,6 +151,7 @@ class _Terms:
     r: int  # random treatment terms, the first r terms
     carriers: tuple[np.ndarray, ...]  # c_k: e_0 or 1 (one column) or I_{m+1}
     layout: Layout
+    _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def codes(self) -> tuple[np.ndarray, ...]:
@@ -178,14 +181,23 @@ class _Terms:
         s = int(np.prod(tail))
         Y = y.reshape(-1, self.n * s)
         parts = [np.zeros((0,) + tail)]
-        for a, g, d in zip(loads, self.codes, self.levels):
+        for k, (a, d) in enumerate(zip(loads, self.levels)):
             p = a.shape[1]
             T = (a.T @ Y).reshape(p, self.n, s)
-            idx = (g[:, None] + d * np.arange(p))[:, :, None] * s + np.arange(s)
-            T = T.transpose(1, 0, 2).ravel()  # record-major, like idx
-            sums = np.bincount(idx.ravel(), weights=T, minlength=p * d * s)
+            T = T.transpose(1, 0, 2).ravel()  # record-major, like the index
+            sums = np.bincount(self._bins(k, p, s), weights=T, minlength=p * d * s)
             parts.append(sums.reshape((p * d,) + tail))
         return np.concatenate(parts)
+
+    def _bins(self, k: int, p: int, s: int) -> np.ndarray:
+        """The bincount index of :meth:`scatter` for term k, p loading
+        columns and s stacked columns, formed once per fit."""
+        idx = self._index.get((k, p, s))
+        if idx is None:
+            g, d = self.codes[k], self.levels[k]
+            idx = ((g[:, None] + d * np.arange(p))[:, :, None] * s + np.arange(s)).ravel()
+            self._index[k, p, s] = idx
+        return idx
 
     def grams(self, loads) -> dict[tuple[int, int], np.ndarray]:
         """a_i'a_k for every pair i <= k: [a_k (x) Z_k]'[a_k (x) Z_k] has
@@ -303,6 +315,7 @@ class EStepMoments:
     b0_sq: np.ndarray
     resid_less_effects: np.ndarray = field(repr=False)  # z - sum C E[T] - sum D E[B]
     b0_trace: np.ndarray = field(repr=False)  # trace matrix of var(B_0 | z)
+    L0inv: np.ndarray | None = field(default=None, repr=False)  # of the current Sigma_0
 
 
 def _block_gram(x: np.ndarray, k: int) -> np.ndarray:
@@ -361,6 +374,7 @@ def e_step(
         b0_sq=0.5 * (b0_sq + b0_sq.T),
         resid_less_effects=reduced,
         b0_trace=b0_trace,
+        L0inv=f.L0inv,
     )
 
 
@@ -379,10 +393,12 @@ def m_step(
     n, mp1 = sd.n_obs, sd.m + 1
     events: list[str] = []
 
-    try:
-        L0inv = _cholesky(p.Sigmas[0])[1]
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError("current Sigma0 is not positive definite") from exc
+    L0inv = moments.L0inv
+    if L0inv is None:
+        try:
+            L0inv = _cholesky(p.Sigmas[0])[1]
+        except np.linalg.LinAlgError as exc:
+            raise SingularityError("current Sigma0 is not positive definite") from exc
     Xw = _whiten(L0inv, sd.X)
     yw = _whiten(L0inv, moments.resid_less_effects)
     try:
@@ -402,8 +418,7 @@ def m_step(
         Sigmas.append(sq / d)
 
     clipped = []
-    for i, S in enumerate(Sigmas):
-        vals, vecs = np.linalg.eigh(S)
+    for i, (S, vals, vecs) in enumerate(zip(Sigmas, *np.linalg.eigh(np.stack(Sigmas)))):
         floor = _CLIP_FRAC * max(float(np.trace(S)), 1e-300)
         if vals.min() < floor:
             if i == 0 and vals.min() < -1e-6 * max(float(np.trace(S)), 1.0):
@@ -517,6 +532,13 @@ def _loading_derivatives(x: np.ndarray, L0: np.ndarray, L0inv: np.ndarray, wload
     return out
 
 
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b for count matrices, a vector standing for its diagonal matrix."""
+    if a.ndim == 1:
+        return a * b if b.ndim == 1 else a[:, None] * b
+    return a * b if b.ndim == 1 else a @ b
+
+
 @lru_cache
 def _tril_units(mp1: int) -> tuple[np.ndarray, np.ndarray]:
     """The unit lower-triangular matrices in the order of the coordinates
@@ -535,7 +557,7 @@ class _Profile:
 
     Whitened by L0, the data are rw with covariance I + A A', A = [T_k (x)
     Z_k].  The value and the GLS fixed effects are taken on construction;
-    the gradient and the curvature, on demand, from the same factor of
+    the gradient and the Hessian, on demand, from the same factor of
     I + A'A (``eqs``).  V is linear in every S_k = a_k a_k' (and in
     Sigma_0 = L0 L0', a_0 = L0, Z_0 = I), so each derivative goes through
     Gamma_k = df/dS_k, whitened as L0' Gamma_k L0 =
@@ -544,14 +566,27 @@ class _Profile:
     random effects, F_k = e Z_k its level sums, and C^k_ij the contraction
     of P = (I + A'A)^-1 with the count products Z_i'Z_k Z_k'Z_j, taken as
     two products with count matrices (no product is formed).  The
-    gradient is 2 <Gamma_k a_k, da_k>.  The curvature is H = AI + N:
+    gradient is 2 <Gamma_k a_k, da_k>.  The Hessian is H = 2 AI - E + N:
     AI = W'PW / 2 with W_i = (dV/dx_i) V^-1 r and P here the GLS projection
-    V^-1 - V^-1 X K^-1 X'V^-1 (the average-information matrix), and
-    N = sum_k <Gamma_k, d2 S_k>, the part of the Hessian that is not
-    quadratic in W.  N is what carries the curvature where V is quadratic
-    in a vanishing Cholesky factor, on the PSD boundary, where AI goes to 0.
-    Nothing here inverts a Sigma_k, and with one blocking factor no array is
-    larger than N x (p + number of coordinates).
+    V^-1 - V^-1 X K^-1 X'V^-1 (the average-information matrix),
+    E_ij = tr(V^-1 Vdot_i V^-1 Vdot_j) / 2 (the expected information) and
+    N = sum_k <Gamma_k, d2 S_k>, the part that is not quadratic in the
+    derivatives of V.  N is what carries the curvature where V is
+    quadratic in a vanishing Cholesky factor, on the PSD boundary, where AI
+    and E go to 0.
+
+    Whitened, Vdot_i = sum_k Delta_ik (x) Z_k Z_k', Delta_ik = D T_k' + T_k D'
+    with D = L0^-1 da_k/dx_i, and Vw^-1 = I - Q with Q = A P A'.  The term
+    the factor eliminates first, b, splits P into its level blocks
+    U diag(1/e_l) U' and J'J (:mod:`.mme`).  With term b alone, Vw^-1 is
+    block diagonal over b's levels: on the n_l cells of level l it is I on
+    the contrasts within the level and C_l = (I + n_l T_b T_b')^-1 on their
+    sum, so 2 E_ij = (n - d_b) tr(R_i R_j) + sum_l tr(C_l X_il C_l X_jl),
+    with R_i the residual's Delta_ik and X_il = R_i + n_l Delta_ib: per-level
+    (m+1) x (m+1) algebra.  Every other term adds its own Delta_ik and the
+    J'J part of Q (:meth:`_crossed`), at the O(q_r^2 q) cost of the factor.
+    Nothing here inverts a Sigma_k, and with one blocking factor no q x q,
+    N x q or N x N array is formed.
     """
 
     def __init__(self, x: np.ndarray, terms: _Terms, X: np.ndarray, z: np.ndarray):
@@ -602,28 +637,131 @@ class _Profile:
             g[idx] += 2.0 * D.reshape(len(D), -1) @ (G @ T).ravel()
         return g
 
+    @cached_property
+    def _dots(self) -> np.ndarray:
+        """Delta_ik = D T_k' + T_k D' with D = L0^-1 da_k/dx_i, so that the
+        whitened dV/dx_i is sum_k Delta_ik (x) Z_k Z_k': coordinates x
+        loadings (the residual's first) x (m+1) x (m+1)."""
+        mp1 = self.terms.mp1
+        out = np.zeros((len(self.x), len(self._parts), mp1, mp1))
+        for k, (idx, D, _, T, _, _) in enumerate(self._parts):
+            dS = D @ T.T
+            out[idx, k] = dS + dS.transpose(0, 2, 1)
+        return out
+
     def curvature(self) -> tuple[np.ndarray, np.ndarray]:
         """The average-information matrix AI and the second-derivative part
-        N of the Hessian H = AI + N."""
+        N of the Hessian H = 2 AI - E + N."""
         nx, mp1, n = len(self.x), self.terms.mp1, self.terms.n
         N = np.zeros((nx, nx))
         W = np.zeros((nx, mp1, n))  # whitened W_i, one variable block per row
-        for idx, D, D2, T, G, F in self._parts:
+        for k, (idx, D, D2, T, G, F) in enumerate(self._parts):
             m = len(D)
             second = (D2.reshape(m * m, -1) @ (G @ T).ravel()).reshape(m, m)
             N[np.ix_(idx, idx)] += 2.0 * (second + D.reshape(m, -1) @ (G @ D).reshape(m, -1).T)
-            dS = D @ T.T
-            W[idx] += (dS + dS.transpose(0, 2, 1)) @ F
+            W[idx] += self._dots[idx, k] @ F
         W = W.reshape(nx, -1).T
         Cw = self.eqs.core(W)
         XPW = self.LKinv @ (self.Xw.T @ W - self.Cx.T @ Cw)
         AI = 0.5 * (W.T @ W - Cw.T @ Cw - XPW.T @ XPW)
         return AI, N
 
+    def information(self) -> np.ndarray:
+        """E_ij = tr(V^-1 Vdot_i V^-1 Vdot_j) / 2 (see the class docstring)."""
+        terms, mme, dots = self.terms, self.eqs.mme, self._dots
+        n, b = terms.n, terms.layout.big
+        R = dots[:, 0].reshape(len(dots), -1)  # the residual's Delta_i
+        if b is None:
+            return 0.5 * n * R @ R.T
+        nu = terms.layout.counts[b, b]
+        TU = self.wloads[b] @ mme.U
+        C = np.eye(terms.mp1) - np.einsum("xp,pl,yp->lxy", TU, nu / mme.e, TU)
+        CX = C[:, None] @ (dots[:, 0] + nu[:, None, None, None] * dots[:, b + 1])
+        E = (n - len(nu)) * R @ R.T + np.tensordot(CX, CX.swapaxes(2, 3), ([0, 2, 3], [0, 2, 3]))
+        if len(terms.codes) > 1:
+            E += self._crossed(TU)
+        return 0.5 * E
+
+    def _crossed(self, TU: np.ndarray) -> np.ndarray:
+        """What the level blocks of term b leave out of 2 E when there are
+        other terms.
+
+        2 E_ij = sum_kl <Delta_ik, Theta_kl Delta_jl> over pairs of loadings
+        (the residual's is None, with K = I; K_k = Z_k Z_k' otherwise), where
+        Theta_kl[a, b, c, d] = tr(B_da K_k B_bc K_l) for B = I - Q expands into
+        tr(K_k K_l), F_kl[x, y] = tr(Q_xy K_k K_l) and G_kl = tr(Q_da K_k Q_bc
+        K_l).  Q is Q_b, term b's level blocks T_b P_l T_b' at its cells, plus
+        Y Y' with Y = A J' (q_r columns).  Q_b's parts are count products
+        along b's levels, Z_b'K_k K_l Z_b and Z_b'K_k Z_b (vectors where they
+        are diagonal); Y's come from its level sums Z_k'Y, from Z_b'K_k Y and
+        from the q_r x q_r products Y_y'K_k Y_z.  The pairs of the residual
+        and term b without Y are the part :meth:`information` takes per
+        level, and are left out here."""
+        terms, mme = self.terms, self.eqs.mme
+        lay, mp1, b, qr = terms.layout, terms.mp1, terms.layout.big, len(mme.LS)
+        ts = tuple(range(len(terms.codes)))  # the random terms
+        loads = (None,) + ts
+
+        def chain(*path):  # Z_b'K_k K_l Z_b, say, for the path (b, k, l, b)
+            path = [t for t in path if t is not None]
+            out = lay.pair(path[0], path[1])
+            for i, k in zip(path[1:-1], path[2:]):
+                out = _times(out, lay.pair(i, k))
+            return out
+
+        def times(N, X):  # N X over the levels of X
+            return _times(N, X.reshape(len(X), -1)).reshape(-1, mp1, qr)
+
+        def diag(N):
+            return N if N.ndim == 1 else N.diagonal()
+
+        def gram(X, Z):  # [X_y'Z_z]_yz over the levels, y, z, s, t
+            G = X.reshape(len(X), -1).T @ Z.reshape(len(Z), -1)
+            return G.reshape(mp1, qr, mp1, qr).transpose(0, 2, 1, 3)
+
+        M = np.einsum("xp,pl,yp->lxy", TU, 1.0 / mme.e, TU)  # Q_b: T_b P_l T_b' per level l
+        Mf = M.reshape(len(M), -1)
+        # Y = A J' through its level sums S_k = Z_k'Y; Rk[k] = Z_b'K_k Y
+        Jx = [np.einsum("xp,spl->lxs", self.wloads[t], mme.J[t]) for t in ts]
+        S = [sum(times(lay.pair(k, t), Jx[t]) for t in ts) for k in ts]
+        omega = {k: gram(S[k], S[k]) for k in ts}  # Y_y'K_k Y_z, so [z, y] is [y, z]'
+        omega[None] = sum(gram(Jx[t], S[t]) for t in ts)
+        Rk = {k: times(lay.pair(b, k), S[k]) for k in ts}
+        Rk[None] = S[b]
+        flat = {k: om.reshape(mp1 * mp1, -1) for k, om in omega.items()}
+
+        eye = np.eye(mp1)
+        theta = np.zeros((len(loads), mp1, mp1) * 2)
+        for i, k in enumerate(loads):
+            for j, l in enumerate(loads[i:], start=i):
+                if k is None or l is None:
+                    F = np.einsum("yxss->xy", omega[l if k is None else k])
+                else:
+                    F = np.tensordot(times(lay.pair(k, l), S[l]), S[k], ([0, 2], [0, 2]))
+                # Z_b'K_k Y_b' Y_c K_l Z_b per level; th[a, b, c, d] sums M_l[d, a]
+                # times ``left`` at [b, c] and M_l[b, c] times RR_l[a, d]
+                RR = (Rk[k] @ Rk[l].transpose(0, 2, 1)).reshape(len(M), -1)
+                left = RR
+                th = (flat[k] @ flat[l].T).reshape((mp1,) * 4).transpose(0, 1, 3, 2)
+                if not {k, l} <= {None, b}:  # I and Q_b, else taken per level
+                    t = terms.n if k is None or l is None else (lay.pair(k, l) ** 2).sum()
+                    th += t * np.einsum("ad,bc->abcd", eye, eye)
+                    F += np.tensordot(diag(chain(b, k, l, b)), M, 1)
+                    ck, cl = chain(b, k, b), chain(b, l, b)
+                    w = ck * cl if ck.ndim == cl.ndim == 2 else diag(ck) * diag(cl)
+                    left = left + _times(w, Mf)
+                th += (Mf.T @ left).reshape((mp1,) * 4).transpose(1, 2, 3, 0)
+                th += (RR.T @ Mf).reshape((mp1,) * 4).transpose(0, 2, 3, 1)
+                th -= np.einsum("bc,da->abcd", eye, F) + np.einsum("ad,cb->abcd", eye, F)
+                theta[i, :, :, j] = th
+                theta[j, :, :, i] = th.transpose(2, 3, 0, 1)
+        D = self._dots.reshape(len(self.x), -1)
+        return D @ theta.reshape(D.shape[1], -1) @ D.T
+
     @cached_property
     def hess(self) -> np.ndarray:
         AI, N = self.curvature()
-        return AI + N
+        return 2.0 * AI - self.information() + N
 
     def near(self, lo: np.ndarray, gap: float) -> np.ndarray:
         """The coordinates within ``min(gap, _ACTIVE_GAP)`` of ``lo``."""

@@ -542,6 +542,22 @@ class TestContrast:
         assert code == 2
         assert "'T01' appears twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["mixed", "bivariate"])
+    @pytest.mark.parametrize("coeffs", ["NOPE=1", "T01=1,T01=-1", "T01=x", "T01=nan", "T01"])
+    def test_bad_coefficients_exit_before_the_fit(self, model, coeffs, tmp_path, capsys,
+                                                  monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit ran before --coeffs was parsed")
+
+        for name in ("fit_naive_block_mixed", "fit_conditional_ibd"):
+            monkeypatch.setattr(f"vcadjust.cli.{name}", refuse)
+        data, design = _write_rcb(tmp_path)
+        code = main(["contrast", "--model", model, "--coeffs", coeffs, "--data", str(data),
+                     "--design", str(design)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("vcadjust: code=2 kind=input")
+
 
 class TestSimulateCommand:
     def test_generate_writes_csv(self, tmp_path):

@@ -45,6 +45,23 @@ rose by 2e-7 and 8e-8, and ``iterations`` now reads 13 or 20.
 ``test_mvc_em.py::test_golden_mvc_fits_are_stationary`` checks all five
 ``fit`` cases; ``fit --model mvc --max-iter 3`` did not change.
 
+The same ten cases were re-captured again when those Newton steps moved
+from the curvature AI + N onto the exact Hessian of the profile
+likelihood, 2 AI - E + N.  The fits stop at the same maxima in fewer
+steps, nearer to them (dense gradient at the printed point 1.7e-8 to
+8.9e-7, from 2.7e-7 to 7.8e-7).  Exit codes, text fields, ``loglik`` and
+``mu_z`` did not change; the largest relative change of any other number:
+
+    input          iterations  Sigma0   Sigma1   Sigma2   adj_mean  std_err
+    rcb            13 -> 11    5.7e-9   1.5e-9   -        7.5e-10   0
+    rcb_missing    13 -> 11    5.1e-9   6.8e-9   -        0         2.0e-9
+    bib            13 -> 12    3.5e-8   9.7e-9   -        9.2e-10   0
+    split_plot     20 -> 14    1.2e-7   6.2e-8   -        5.2e-9    0
+    latin_square   20 -> 13    2.7e-7   2.3e-8   8.9e-8   1.1e-10   0
+
+The ``adjust`` cases print the same ``adj_mean`` and ``std_err`` as the
+``fit`` cases; ``fit --model mvc --max-iter 3``, plain EM, did not change.
+
 The four ``check-design`` cases were re-captured, and ``check-design`` on
 ``rcb_missing`` appended as the last case, when ``check-design`` stopped
 checking the projectors of one replicate unit and began testing whether
