@@ -34,9 +34,7 @@ from .mvc_em import (
     MVCFit,
     MVCParams,
     adjusted_means_mvc,
-    e_step,
     fit_em,
-    m_step,
     make_model,
     observed_loglik,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "build_stacked",
     "conditional_from_bivariate",
     "contrast",
-    "e_step",
     "fit_bivariate_rcb_ml",
     "fit_conditional_ibd",
     "fit_em",
@@ -90,7 +87,6 @@ __all__ = [
     "gen_bivariate_rcb",
     "load_dataset",
     "load_design_spec",
-    "m_step",
     "make_model",
     "observed_loglik",
     "orthogonality",

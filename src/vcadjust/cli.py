@@ -420,7 +420,7 @@ def run(args: argparse.Namespace) -> int:
             # every iterative fit ends in Newton steps, capped by --max-iter
             _diag(code, "non-convergence", "the fit stopped before converging; raise --max-iter")
         return code
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError) as exc:  # OSError: a missing or unreadable file
         _diag(EXIT_INPUT, "input", exc)
         return EXIT_INPUT
     except SingularityError as exc:

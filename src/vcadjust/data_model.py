@@ -70,6 +70,8 @@ class DesignSpec:
     levels: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.response, str):
+            raise ValidationError(f"'response' must be a string, got {self.response!r}")
         for key in ("treatment_factors", "blocking_factors", "covariates"):
             object.__setattr__(self, key, _names(repr(key), getattr(self, key)))
         if not isinstance(self.levels, dict):
@@ -128,15 +130,18 @@ def load_design_spec(source) -> DesignSpec:
     treatment or blocking factor name to its declared levels, which only
     reject undeclared values).
     """
-    if isinstance(source, str) and ("\n" in source or source.lstrip().startswith("{")):
-        tree = json.loads(source)
-    elif isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            tree = json.load(fh)
-    elif isinstance(source, dict):
-        tree = source
-    else:
-        tree = json.load(source)
+    try:
+        if isinstance(source, str) and ("\n" in source or source.lstrip().startswith("{")):
+            tree = json.loads(source)
+        elif isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8") as fh:
+                tree = json.load(fh)
+        elif isinstance(source, dict):
+            tree = source
+        else:
+            tree = json.load(source)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"design spec is not valid JSON: {exc}") from exc
     if not isinstance(tree, dict):
         raise ValidationError("design spec must be a JSON object")
     known = {
@@ -251,8 +256,11 @@ def load_dataset(source, schema: DesignSpec) -> Dataset:
     header) in error messages.
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8", newline="") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"data file is not UTF-8 text: {exc}") from exc
     elif isinstance(source, str):
         text = source
     else:

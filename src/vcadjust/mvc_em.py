@@ -1,25 +1,25 @@
-"""General engine: joint response/covariate mixed model fit by EM.
+"""General engine: joint response/covariate mixed model fit by ML.
 
 The stacked vector of responses and covariates follows a linear model with
 random treatment-associated factors (scalar variances) and random blocking
 factors (one small covariance matrix each, the first being the residual).
-The EM iteration alternates conditional moments of the random effects given
-the data with closed-form complete-data updates, handles all-or-none cell
-missingness by simply dropping the empty cells, and reports treatment means
-adjusted at the estimated covariate means with a plug-in covariance.
+A fit takes a short EM start and then projected Newton steps on the profile
+likelihood, both on one parametrisation of the covariance; it handles
+all-or-none cell missingness by simply dropping the empty cells, and
+reports treatment means adjusted at the estimated covariate means with a
+plug-in covariance.
 
 Every quantity of a parameter point comes from one factorisation of
-Henderson's mixed-model equations, in the form lme4 uses.  The stacked
-covariance is V = Sigma_0 (x) I_n + M Psi M', M the incidence of all random
-effects and Psi their block-diagonal prior covariance with symmetric root
-Lambda.  Every random term is a Kronecker product: blocking factor i spans
-Q_i (x) W_i (Q_i the root of Sigma_i), random treatment term j spans
-sigma_j c_j (x) U_j (c_j = e_0, or 1 when treatments affect the covariates),
-and each incidence is fixed by one integer code per cell.  With L0 the
-Cholesky factor of Sigma_0 and whitened loadings L0^-1 a_k,
-A = (L0^-1 (x) I_n) M Lambda = [L0^-1 a_k (x) Z_k], so I + A'A has blocks
-(a_i' L0^-T L0^-1 a_k) (x) (Z_i'Z_k), whose count matrices Z_i'Z_k (diagonal
-when i = k) are formed once per fit by :class:`vcadjust.mme.Layout`.
+Henderson's mixed-model equations, in the form lme4 uses.  Every random
+term is a Kronecker product a_k a_k' (x) Z_k Z_k' with Z_k one integer
+level code per cell: blocking factor i has Sigma_i = a_i a_i', random
+treatment term j has a_j = sigma_j c_j (c_j = e_0, or 1 when treatments
+affect the covariates).  With L0 the Cholesky factor of Sigma_0 and the
+whitened loadings T_k = L0^-1 a_k, the stacked covariance is
+V = (L0 (x) I_n)(I + A A')(L0 (x) I_n)' with A = [T_k (x) Z_k]: the random
+effects are u_k = a_k v_k with spherical v ~ N(0, I).  I + A'A has blocks
+(T_i'T_k) (x) (Z_i'Z_k), whose count matrices Z_i'Z_k (diagonal when
+i = k) are formed once per fit by :class:`vcadjust.mme.Layout`.
 I + A'A is factored as F F' by :class:`vcadjust.mme.Factor`: the term with
 the most levels is eliminated level by level, its (m+1) x (m+1) level
 blocks diagonalised by one eigendecomposition, and the Schur complement
@@ -33,21 +33,25 @@ an iteration costs O(q (m+1)^2 + N (m+1)^2), q the number of random
 effects, and forms no q x q, N x q, n x n or N x N array; a second term
 adds O(q_r^2 q), q_r the effects outside the largest.
 
-Plain EM converges sublinearly, slowest when the maximum lies on the PSD
-boundary, so EM only starts a fit: ``_EM_START`` iterations at most, then
+A point (:class:`_Profile`) is given by relative Cholesky coordinates: log
+diag and lower triangle of L0, theta_j = sigma_j / L0_00 per random
+treatment term and the lower triangle of T_k per blocking factor, its
+diagonal bounded below by exactly 0; the fixed effects are profiled out at
+their GLS values.  Plain EM converges sublinearly, slowest when the maximum
+lies on the PSD boundary, so EM only starts a fit: at most ``_EM_START``
+ECME steps (Liu & Rubin 1994), each an E-step of the spherical second
+moments of the effects at the point's GLS fixed effects and an M-step that
+is closed form in the coordinates (:func:`e_step`, :func:`m_step`).  Then
 projected Newton steps on the profile likelihood (EM then Newton, as in
 Lindstrom & Bates 1988) in :func:`.optimize.minimize`, the loop that also
-ends every ``fit_lmm``, until its projected gradient is below
-``optimize._GRAD_TOL``.  The steps work in relative Cholesky coordinates:
-log diag and lower triangle of L0, theta_j = sigma_j / L0_00 per random
-treatment term and the lower-triangular whitened loading T_k with
-Sigma_k = L0 T_k T_k' L0' per blocking factor, its diagonal bounded below
-by exactly 0.  The value, the analytic gradient and the exact Hessian
-(twice the average-information matrix of Gilmour, Thompson & Cullis 1995,
-less the expected information, plus the second-derivative term that
-carries the curvature at the boundary) come from one factorisation per
-point, the gathers and the count matrices, with no Sigma_k inverted, so a
-component may reach rank zero or one, and the steps converge quadratically.
+ends every ``fit_lmm``, run until its projected gradient is below
+``optimize._GRAD_TOL``.  The value, the analytic gradient and the exact
+Hessian (twice the average-information matrix of Gilmour, Thompson &
+Cullis 1995, less the expected information, plus the second-derivative
+term that carries the curvature at the boundary) come from one
+factorisation per point, the gathers and the count matrices, with no
+Sigma_k inverted, so a component may reach rank zero or one, and the steps
+converge quadratically.
 """
 
 from __future__ import annotations
@@ -63,8 +67,8 @@ from .errors import SingularityError
 from .mme import Factor, Layout, _cholesky, _inverse
 from .optimize import _ACTIVE_GAP, _GRAD_TOL
 
-_CLIP_FRAC = 1e-12  # eigenvalue floor relative to trace, float-noise guard
-_EM_START = 10  # EM iterations before Newton steps take over
+_CLIP_FRAC = 1e-12  # negative eigenvalue of a component taken as float noise, relative
+_EM_START = 10  # EM steps before Newton steps take over
 
 
 @dataclass(frozen=True)
@@ -234,204 +238,12 @@ def _terms(sd: StackedData) -> _Terms:
     )
 
 
-@dataclass(frozen=True)
-class _Factor:
-    """Mixed-model-equations factorisation of V at one parameter point."""
-
-    L0: np.ndarray  # Cholesky factor of Sigma_0
-    L0inv: np.ndarray  # L0^-1
-    terms: _Terms
-    roots: tuple[np.ndarray, ...]  # Q_k, p_k x p_k: Lambda = diag(Q_k (x) I)
-    loads: tuple[np.ndarray, ...]  # a_k = c_k Q_k: M Lambda = [a_k (x) Z_k]
-    wloads: tuple[np.ndarray, ...]  # L0^-1 a_k: A = [L0^-1 a_k (x) Z_k]
-    mme: Factor  # F with F F' = I + A'A
-    logdet: float  # log det V
-
-    def core(self, yw: np.ndarray) -> np.ndarray:
-        """F^-1 A' yw for a whitened vector or matrix yw."""
-        return self.mme.lower(self.terms.scatter(self.wloads, yw))
-
-    def quad(self, r: np.ndarray) -> tuple[float, np.ndarray]:
-        """r' V^-1 r = |rw|^2 - |s|^2 with rw the whitened r, and
-        s = F^-1 A' rw."""
-        rw = _whiten(self.L0inv, r)
-        s = self.core(rw)
-        return float(rw @ rw - s @ s), s
-
-    def solve(self, y: np.ndarray) -> np.ndarray:
-        """V^-1 y = (L0^-T (x) I)(I - A (I + A'A)^-1 A')(L0^-1 (x) I) y."""
-        yw = _whiten(self.L0inv, y)
-        w = self.mme.upper(self.core(yw))
-        return _whiten(self.L0inv, yw - self.terms.apply(self.wloads, w), trans=True)
-
-    def loglik(self, r: np.ndarray) -> tuple[float, np.ndarray]:
-        """Gaussian log-density of the stacked residual r, and the core
-        vector s of :meth:`quad`."""
-        quad, s = self.quad(r)
-        return -0.5 * (len(r) * np.log(2 * np.pi) + self.logdet + quad), s
-
-
-def _factorise(model: MultivariateModel, terms: _Terms | None = None) -> _Factor:
-    """Build the one factorisation every EM quantity is taken from."""
-    sd, p = model.stacked, model.params
-    terms = terms if terms is not None else _terms(sd)
-    try:
-        L0, L0inv = _cholesky(p.Sigmas[0])
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError("Sigma0 is not positive definite") from exc
-    roots = [_component_root(s2, f"sigma2[{j}]") for j, s2 in enumerate(p.sigma2)]
-    roots += [_component_root(S, f"Sigma{i}") for i, S in enumerate(p.Sigmas[1:], start=1)]
-    loads = [c @ Q for c, Q in zip(terms.carriers, roots)]
-    return _equations(L0, L0inv, terms, [L0inv @ a for a in loads], roots, loads)
-
-
-def _equations(L0, L0inv, terms: _Terms, wloads, roots=(), loads=()) -> _Factor:
-    """Factor I + A'A for the whitened loadings ``wloads``; the roots and
-    loadings are carried along for the E-step."""
-    mme = Factor(terms.layout, terms.grams(wloads))
-    # log det V = n log det Sigma_0 + log det (I + A'A)
-    logdet = 2.0 * terms.n * np.log(np.diag(L0)).sum() + mme.logdet
-    return _Factor(
-        L0=L0, L0inv=L0inv, terms=terms, roots=tuple(roots), loads=tuple(loads),
-        wloads=tuple(wloads), mme=mme, logdet=float(logdet),
-    )
-
-
-def observed_loglik(model: MultivariateModel) -> float:
-    """Exact Gaussian log-density of the stacked data at the current params."""
-    sd, p = model.stacked, model.params
-    return _factorise(model).loglik(sd.z - sd.X @ p.beta)[0]
-
-
-@dataclass
-class EStepMoments:
-    """Conditional moments of every random factor given the data."""
-
-    t_mean: tuple[np.ndarray, ...]
-    t_sq: tuple[float, ...]  # E[T_i' T_i]
-    b_mean: tuple[np.ndarray, ...]
-    b_sq: tuple[np.ndarray, ...]  # (m+1)x(m+1) matrices of E[B_ij' B_ik]
-    b0_mean: np.ndarray  # residual-factor mean at the current fixed effects
-    b0_sq: np.ndarray
-    resid_less_effects: np.ndarray = field(repr=False)  # z - sum C E[T] - sum D E[B]
-    b0_trace: np.ndarray = field(repr=False)  # trace matrix of var(B_0 | z)
-    L0inv: np.ndarray | None = field(default=None, repr=False)  # of the current Sigma_0
-
-
-def _block_gram(x: np.ndarray, k: int) -> np.ndarray:
-    """k x k Gram matrix of the k variable blocks of a variable-major
-    vector, or of the rows of a matrix: entry (j, l) is sum x_j * x_l."""
-    R = x.reshape(k, -1)
-    return R @ R.T
-
-
-def e_step(
-    model: MultivariateModel,
-    _factor: _Factor | None = None,
-    _core: np.ndarray | None = None,
-) -> EStepMoments:
-    """Conditional means and second moments of the random factors.
-
-    The random effects are u = Lambda v with v | z ~ N(F^-T s, P),
-    s = F^-1 A' times the whitened residual and P = (I + A'A)^-1 = (F F')^-1.
-    Second moments add the per-level sum of the conditional covariance blocks,
-    Q_k [sum_l P_kk(., l), (., l)] Q_k', to the outer product of conditional
-    means; the residual factor's moments come from the identity that it
-    equals the data minus fixed effects minus every other random term,
-    whose conditional covariance M Lambda P Lambda M' is summed over cells
-    through the count matrices.
-    """
-    sd, p = model.stacked, model.params
-    mp1, r = sd.m + 1, len(sd.treatment_random_codes)
-    f = _factor if _factor is not None else _factorise(model)
-    s = _core if _core is not None else f.core(_whiten(f.L0inv, sd.z - sd.X @ p.beta))
-    v_mean = f.mme.upper(s)
-
-    t_mean, t_sq, b_mean, b_sq = [], [], [], []
-    for k, (Q, d, sl) in enumerate(zip(f.roots, f.terms.levels, f.terms.slices)):
-        p_k = len(Q)
-        U = Q @ v_mean[sl].reshape(p_k, d)  # E[u_k], one row per variable
-        var = Q @ f.mme.contract(k, k, np.ones(d)) @ Q.T
-        sq = U @ U.T + var
-        if k < r:
-            t_mean.append(U.ravel())
-            t_sq.append(float(sq[0, 0]))
-        else:
-            b_mean.append(U.ravel())
-            b_sq.append(0.5 * (sq + sq.T))
-
-    # residual factor via its defining identity; M u = M Lambda v
-    reduced = sd.z - f.terms.apply(f.loads, v_mean)
-    b0_mean = reduced - sd.X @ p.beta
-    b0_trace = f.terms.trace(f.loads, f.mme)
-    b0_sq = _block_gram(b0_mean, mp1) + b0_trace
-    return EStepMoments(
-        t_mean=tuple(t_mean),
-        t_sq=tuple(t_sq),
-        b_mean=tuple(b_mean),
-        b_sq=tuple(b_sq),
-        b0_mean=b0_mean,
-        b0_sq=0.5 * (b0_sq + b0_sq.T),
-        resid_less_effects=reduced,
-        b0_trace=b0_trace,
-        L0inv=f.L0inv,
-    )
-
-
-def m_step(
-    moments: EStepMoments, model: MultivariateModel
-) -> tuple[MVCParams, list[str]]:
-    """Complete-data maximizers at the conditional moments.
-
-    Fixed effects first (weighted by the current residual covariance), then
-    the residual covariance from moments recomputed at the new fixed
-    effects, then the remaining components from their own moments.  Any
-    indefinite update is clipped at a relative eigenvalue floor and the
-    event reported.
-    """
-    sd, p = model.stacked, model.params
-    n, mp1 = sd.n_obs, sd.m + 1
-    events: list[str] = []
-
-    L0inv = moments.L0inv
-    if L0inv is None:
-        try:
-            L0inv = _cholesky(p.Sigmas[0])[1]
-        except np.linalg.LinAlgError as exc:
-            raise SingularityError("current Sigma0 is not positive definite") from exc
-    Xw = _whiten(L0inv, sd.X)
-    yw = _whiten(L0inv, moments.resid_less_effects)
-    try:
-        beta = np.linalg.solve(Xw.T @ Xw, Xw.T @ yw)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError("weighted normal equations are singular") from exc
-
-    b0 = moments.resid_less_effects - sd.X @ beta
-    S0 = _block_gram(b0, mp1) + moments.b0_trace
-    S0 = 0.5 * (S0 + S0.T) / n
-
-    sigma2 = np.array(
-        [sq / d for sq, d in zip(moments.t_sq, sd.treatment_random_levels)]
-    )
-    Sigmas = [S0]
-    for sq, d in zip(moments.b_sq, sd.block_levels):
-        Sigmas.append(sq / d)
-
-    clipped = []
-    for i, (S, vals, vecs) in enumerate(zip(Sigmas, *np.linalg.eigh(np.stack(Sigmas)))):
-        floor = _CLIP_FRAC * max(float(np.trace(S)), 1e-300)
-        if vals.min() < floor:
-            if i == 0 and vals.min() < -1e-6 * max(float(np.trace(S)), 1.0):
-                raise SingularityError(
-                    "residual covariance update is indefinite; the model is "
-                    "degenerate at the current iterate"
-                )
-            vals = np.clip(vals, floor, None)
-            S = vecs @ np.diag(vals) @ vecs.T
-            events.append(f"clipped eigenvalues of component {i}")
-        clipped.append(0.5 * (S + S.T))
-    sigma2 = np.clip(sigma2, 0.0, None)
-    return MVCParams(beta=beta, sigma2=sigma2, Sigmas=tuple(clipped)), events
+def _pack(L0: np.ndarray, thetas, Ts) -> np.ndarray:
+    """Relative Cholesky coordinates of L0, the theta_j and the T_k."""
+    il = np.tril_indices(len(L0))
+    part = L0[il]
+    part[il[0] == il[1]] = np.log(np.diag(L0))
+    return np.concatenate([part, np.asarray(thetas, dtype=float)] + [T[il] for T in Ts])
 
 
 def _coords(params: MVCParams, terms: _Terms) -> np.ndarray:
@@ -442,19 +254,18 @@ def _coords(params: MVCParams, terms: _Terms) -> np.ndarray:
     treatment term and the lower triangle of T_k, the triangular factor of
     L0^-1 Sigma_k L0^-T with a non-negative diagonal, for a blocking factor.
     """
-    il = np.tril_indices(terms.mp1)
     try:
         L0, L0inv = _cholesky(params.Sigmas[0])
     except np.linalg.LinAlgError as exc:
         raise SingularityError("Sigma0 is not positive definite") from exc
-    part = L0[il]
-    part[il[0] == il[1]] = np.log(np.diag(L0))
-    x = [part, np.sqrt(params.sigma2) / L0[0, 0]]
+    thetas = [_component_root(s2, f"sigma2[{j}]")[0, 0] / L0[0, 0]
+              for j, s2 in enumerate(params.sigma2)]
+    Ts = []
     for i, S in enumerate(params.Sigmas[1:], start=1):
         # L0^-1 Q = R'Q' for Q R = (L0^-1 Q)', so R'R = L0^-1 Sigma_k L0^-T
         R = np.linalg.qr((L0inv @ _component_root(S, f"Sigma{i}")).T, mode="r")
-        x.append((R.T * np.where(np.diag(R) < 0, -1.0, 1.0))[il])
-    return np.concatenate(x)
+        Ts.append(R.T * np.where(np.diag(R) < 0, -1.0, 1.0))
+    return _pack(L0, thetas, Ts)
 
 
 def _loadings(x: np.ndarray, terms: _Terms):
@@ -557,8 +368,8 @@ class _Profile:
 
     Whitened by L0, the data are rw with covariance I + A A', A = [T_k (x)
     Z_k].  The value and the GLS fixed effects are taken on construction;
-    the gradient and the Hessian, on demand, from the same factor of
-    I + A'A (``eqs``).  V is linear in every S_k = a_k a_k' (and in
+    the gradient and the Hessian, on demand, from the same factor F of
+    I + A'A (``mme``).  V is linear in every S_k = a_k a_k' (and in
     Sigma_0 = L0 L0', a_0 = L0, Z_0 = I), so each derivative goes through
     Gamma_k = df/dS_k, whitened as L0' Gamma_k L0 =
     (n I - sum_ij T_i C^k_ij T_j' - F_k F_k') / 2.  There e = rw - A v is
@@ -590,34 +401,52 @@ class _Profile:
     """
 
     def __init__(self, x: np.ndarray, terms: _Terms, X: np.ndarray, z: np.ndarray):
-        self.x, self.terms = x, terms
-        self.L0, L0inv, self.wloads = _loadings(x, terms)
-        self.eqs = eqs = _equations(self.L0, L0inv, terms, self.wloads)
-        self.Xw, zw = _whiten(L0inv, X), _whiten(L0inv, z)
-        C = eqs.core(np.column_stack([self.Xw, zw]))
-        self.Cx = C[:, :-1]
+        self.x, self.terms, self.X, self.z = x, terms, X, z
+        self.L0, self.L0inv, self.wloads = _loadings(x, terms)
+        self.mme = Factor(terms.layout, terms.grams(self.wloads))  # F F' = I + A'A
+        # log det V = n log det Sigma_0 + log det (I + A'A)
+        self.logdet = float(2.0 * terms.n * np.log(np.diag(self.L0)).sum() + self.mme.logdet)
+        self.Xw, self.zw = _whiten(self.L0inv, X), _whiten(self.L0inv, z)
+        C = self.core(np.column_stack([self.Xw, self.zw]))
+        self.Cx, self.Cz = C[:, :-1], C[:, -1]
         try:
             self.LKinv = _cholesky(self.Xw.T @ self.Xw - self.Cx.T @ self.Cx)[1]
         except np.linalg.LinAlgError as exc:
             raise SingularityError("weighted normal equations are singular") from exc
-        self.beta = self.LKinv.T @ (self.LKinv @ (self.Xw.T @ zw - self.Cx.T @ C[:, -1]))
-        self.rw = zw - self.Xw @ self.beta
-        s = C[:, -1] - self.Cx @ self.beta
-        self.v = eqs.mme.upper(s)
-        self.f = 0.5 * (len(z) * np.log(2 * np.pi) + eqs.logdet + self.rw @ self.rw - s @ s)
+        self.beta = self.LKinv.T @ (self.LKinv @ (self.Xw.T @ self.zw - self.Cx.T @ self.Cz))
+        self.rw, s, self.f = self.at(self.beta)
+        self.v = self.mme.upper(s)
+
+    def core(self, yw: np.ndarray) -> np.ndarray:
+        """F^-1 A' yw for a whitened vector or matrix yw."""
+        return self.mme.lower(self.terms.scatter(self.wloads, yw))
+
+    def at(self, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """At fixed effects ``beta``: the whitened residual rw, the core
+        vector s = F^-1 A' rw, and the negative log-density, with
+        r'V^-1 r = |rw|^2 - |s|^2."""
+        rw = self.zw - self.Xw @ beta
+        s = self.Cz - self.Cx @ beta
+        return rw, s, 0.5 * (len(rw) * np.log(2 * np.pi) + self.logdet + rw @ rw - s @ s)
+
+    @cached_property
+    def resid(self) -> np.ndarray:
+        """e = rw - A v, the whitened residual less the posterior mean of
+        the random effects, one variable per row."""
+        terms = self.terms
+        return (self.rw - terms.apply(self.wloads, self.v)).reshape(terms.mp1, terms.n)
 
     @cached_property
     def sums(self) -> list[np.ndarray]:
         """e Z_k Z_k' per loading, the residual's (e itself) first: the level
-        sums of the whitened residual e, each at its cells."""
-        terms = self.terms
-        E = (self.rw - terms.apply(self.wloads, self.v)).reshape(terms.mp1, terms.n)
+        sums of e, each at its cells."""
+        terms, E = self.terms, self.resid
         return [E] + [F[:, g] for F, g in zip(terms.layout.level_sums(E), terms.codes)]
 
     @cached_property
     def gammas(self) -> list[np.ndarray]:
         """L0' Gamma_k L0 per loading, the residual's first."""
-        terms, E, mme = self.terms, self.sums[0], self.eqs.mme
+        terms, E, mme = self.terms, self.resid, self.mme
         return [
             0.5 * (terms.n * np.eye(terms.mp1) - terms.trace(self.wloads, mme, c) - F @ E.T)
             for F, c in zip(self.sums, (None,) + tuple(range(len(terms.codes))))
@@ -626,7 +455,7 @@ class _Profile:
     @cached_property
     def _parts(self):
         """Per loading: its coordinates, derivatives, T_k, Gamma_k and sums."""
-        derivs = _loading_derivatives(self.x, self.L0, self.eqs.L0inv, self.wloads, self.terms)
+        derivs = _loading_derivatives(self.x, self.L0, self.L0inv, self.wloads, self.terms)
         Ts = [np.eye(self.terms.mp1)] + list(self.wloads)
         return [d + (T, G, F) for d, T, G, F in zip(derivs, Ts, self.gammas, self.sums)]
 
@@ -661,14 +490,14 @@ class _Profile:
             N[np.ix_(idx, idx)] += 2.0 * (second + D.reshape(m, -1) @ (G @ D).reshape(m, -1).T)
             W[idx] += self._dots[idx, k] @ F
         W = W.reshape(nx, -1).T
-        Cw = self.eqs.core(W)
+        Cw = self.core(W)
         XPW = self.LKinv @ (self.Xw.T @ W - self.Cx.T @ Cw)
         AI = 0.5 * (W.T @ W - Cw.T @ Cw - XPW.T @ XPW)
         return AI, N
 
     def information(self) -> np.ndarray:
         """E_ij = tr(V^-1 Vdot_i V^-1 Vdot_j) / 2 (see the class docstring)."""
-        terms, mme, dots = self.terms, self.eqs.mme, self._dots
+        terms, mme, dots = self.terms, self.mme, self._dots
         n, b = terms.n, terms.layout.big
         R = dots[:, 0].reshape(len(dots), -1)  # the residual's Delta_i
         if b is None:
@@ -697,7 +526,7 @@ class _Profile:
         from the q_r x q_r products Y_y'K_k Y_z.  The pairs of the residual
         and term b without Y are the part :meth:`information` takes per
         level, and are left out here."""
-        terms, mme = self.terms, self.eqs.mme
+        terms, mme = self.terms, self.mme
         lay, mp1, b, qr = terms.layout, terms.mp1, terms.layout.big, len(mme.LS)
         ts = tuple(range(len(terms.codes)))  # the random terms
         loads = (None,) + ts
@@ -768,26 +597,82 @@ class _Profile:
         return self.x <= lo + min(gap, _ACTIVE_GAP)
 
 
+def _point(model: MultivariateModel, terms: _Terms | None = None) -> _Profile:
+    """The point of a model's parameters (its fixed effects aside)."""
+    sd = model.stacked
+    terms = terms if terms is not None else _terms(sd)
+    return _Profile(_coords(model.params, terms), terms, sd.X, sd.z)
+
+
+def observed_loglik(model: MultivariateModel) -> float:
+    """Exact Gaussian log-density of the stacked data at the current params."""
+    return -_point(model).at(model.params.beta)[2]
+
+
+def e_step(pt: _Profile) -> list[np.ndarray]:
+    """Second moments of the spherical effects given the data, averaged
+    over levels, at the point's GLS fixed effects: the residual's first.
+
+    The whitened residual has posterior mean e = rw - A v and variance
+    A P A', P = (I + A'A)^-1, so M_0 = (e e' + the cell sums of the
+    variable blocks of A P A') / n.  Term k's effects v_k (p_k x d_k) have
+    posterior mean V_k, from v, and variance P_kk, so M_k = (V_k V_k' + the
+    level sum of the blocks of P_kk) / d_k.  This equals
+    I - (2 / d_k) T_k' Gamma_k T_k (:attr:`_Profile.gammas`, whitened), the
+    EM update S <- S - (2/d) S Gamma S of S_k = a_k a_k', without its
+    cancellation.
+    """
+    terms, mme, E = pt.terms, pt.mme, pt.resid
+    out = [(E @ E.T + terms.trace(pt.wloads, mme)) / terms.n]
+    for k, (d, sl) in enumerate(zip(terms.levels, terms.slices)):
+        V = pt.v[sl].reshape(-1, d)
+        out.append((V @ V.T + mme.contract(k, k, np.ones(d))) / d)
+    return out
+
+
+def m_step(pt: _Profile, moments: list[np.ndarray]) -> tuple[_Profile, list[str]]:
+    """The next point: the complete-data maximiser at the moments of
+    :func:`e_step`, with the fixed effects profiled out (ECME).
+
+    Sigma_0 <- L0 M_0 L0' and Sigma_k <- a_k M_k a_k' in coordinates: with
+    C = chol(M_0), L0 <- L0 C, T_k <- C^-1 T_k chol(M_k) and
+    theta_j <- theta_j sqrt(M_j) / C_00.  Products of lower-triangular
+    factors with non-negative diagonals, they stay in the coordinates'
+    domain, and a zero column of T_k stays zero.  No event is reported.
+    """
+    terms, r = pt.terms, pt.terms.r
+    k = terms.mp1 * (terms.mp1 + 1) // 2  # coordinates of L0
+    try:
+        C, Cinv = _cholesky(moments[0])
+        Ts = [Cinv @ T @ np.linalg.cholesky(M) for T, M in zip(pt.wloads[r:], moments[r + 1 :])]
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError("an EM update is not positive definite") from exc
+    thetas = pt.x[k : k + r] * np.sqrt([M[0, 0] for M in moments[1 : r + 1]]) / C[0, 0]
+    return _Profile(_pack(pt.L0 @ C, thetas, Ts), terms, pt.X, pt.z), []
+
+
 @dataclass
 class MVCFit:
-    """EM output: final parameter point and the likelihood path.
+    """The fit: its last point, its parameters and the likelihood path.
 
     ``stop`` says why the fit ended: ``gradient`` (the projected gradient
     of the profile likelihood fell below ``optimize._GRAD_TOL``),
     ``max_iter``, or ``stall`` (the Newton steps stopped short of that
     gradient).  ``converged`` is ``stop == "gradient"``.  ``iterations``
     counts EM-start and Newton steps together; ``finisher_iterations`` is
-    the Newton share.  ``loglik_trace`` holds the log-likelihood at the start
-    and after each EM and Newton step.
+    the Newton share.  ``loglik_trace`` holds the profile log-likelihood at
+    the start and after each EM and Newton step.  ``point`` is the last
+    :class:`_Profile`, whose factor :func:`adjusted_means_mvc` reuses; a
+    fit built by hand leaves it None, and a point is taken from ``params``.
     """
 
     model: MultivariateModel
     loglik_trace: np.ndarray
     iterations: int
     converged: bool
-    events: tuple[str, ...] = ()
     stop: str = "gradient"
     finisher_iterations: int = 0
+    point: _Profile | None = field(default=None, repr=False)
 
     @property
     def em_iterations(self) -> int:
@@ -824,47 +709,39 @@ def fit_em(
 ) -> MVCFit:
     """Fit by a short EM start, then projected Newton steps.
 
-    EM runs from the supplied starting point for at most ``_EM_START``
-    iterations, fewer when the observed-data log-likelihood moves by less
-    than ``tol``.  :func:`.optimize.minimize` follows, with Newton steps on
-    the profile likelihood in relative Cholesky coordinates (see
-    :class:`_Profile`), where a Cholesky diagonal may reach zero, so
-    PSD-boundary optima are reached rather than approached sublinearly.
-    The fit has converged when the projected gradient falls below
-    ``optimize._GRAD_TOL``.  ``max_iter`` caps EM and Newton
-    steps together: with ``max_iter`` at most ``_EM_START`` a fit is plain
-    EM, and a fit that reaches the cap returns its last point with
-    ``converged=False``.
+    Both run on the points of :class:`_Profile`, from the supplied
+    parameters (their fixed effects aside).  EM takes at most
+    ``_EM_START`` steps (:func:`e_step`, :func:`m_step`), fewer when the
+    profile log-likelihood moves by less than ``tol``.
+    :func:`.optimize.minimize` follows from the last EM point, with Newton
+    steps on the profile likelihood in relative Cholesky coordinates,
+    where a Cholesky diagonal may reach zero, so PSD-boundary optima are
+    reached rather than approached sublinearly.  The fit has converged
+    when the projected gradient falls below ``optimize._GRAD_TOL``.
+    ``max_iter`` caps EM and Newton steps together: with ``max_iter`` at
+    most ``_EM_START`` a fit is plain EM, and a fit that reaches the cap
+    returns its last point with ``converged=False``.
     """
     sd = model_init.stacked
-    model = model_init
-    trace: list[float] = []
-    events: list[str] = []
-    it = 0
     terms = _terms(sd)
-    em_limit = min(max_iter, _EM_START)
-    for it in range(em_limit + 1):
-        factor = _factorise(model, terms)
-        ll, core = factor.loglik(sd.z - sd.X @ model.params.beta)
-        trace.append(ll)
-        if it == em_limit or (it and abs(trace[-1] - trace[-2]) < tol):
-            break
-        moments = e_step(model, _factor=factor, _core=core)
-        params, ev = m_step(moments, model)
-        events.extend(ev)
-        model = model.with_params(params)
+    pt = _point(model_init, terms)
+    trace = [-pt.f]
+    it, em_limit = 0, min(max_iter, _EM_START)
+    while it < em_limit and (it == 0 or abs(trace[-1] - trace[-2]) >= tol):
+        pt = m_step(pt, e_step(pt))[0]
+        trace.append(-pt.f)
+        it += 1
     steps, stop = 0, "max_iter"
     if it < max_iter:
-        point = partial(_Profile, terms=terms, X=sd.X, z=sd.z)
-        res = optimize.minimize(point, point(_coords(model.params, terms)),
+        res = optimize.minimize(partial(_Profile, terms=terms, X=sd.X, z=sd.z), pt,
                                 [(lo, np.inf) for lo in _coord_bounds(terms)],
                                 maxiter=max_iter - it, tol=0.0, gtol=_GRAD_TOL)
-        model = model.with_params(_params(res.point.x, terms, res.point.beta))
+        pt, steps, stop = res.point, res.nit, res.stop
         trace.extend(res.values)
-        steps, stop = res.nit, res.stop
-    return MVCFit(model=model, loglik_trace=np.array(trace), iterations=it + steps,
-                  converged=stop == "gradient", events=tuple(events), stop=stop,
-                  finisher_iterations=steps)
+    return MVCFit(model=model_init.with_params(_params(pt.x, terms, pt.beta)),
+                  loglik_trace=np.array(trace), iterations=it + steps,
+                  converged=stop == "gradient", stop=stop, finisher_iterations=steps,
+                  point=pt)
 
 
 @dataclass
@@ -887,34 +764,36 @@ def adjusted_means_mvc(fit: MVCFit) -> AdjustedMeansResult:
     fitted fixed effects.  The covariance treats the fitted covariance as
     known and conditions on the covariates: the response block of the
     stacked covariance is replaced by its covariate-conditional Schur
-    complement inside the GLS sandwich.  That complement is the inverse of
-    the response block S = s00 I_n - B0 P B0' of V^-1 (s00 = (Sigma0^-1)_00,
-    B0 = [h_k (x) Z_k] with h_k row 0 of Sigma0^-1 a_k), taken by Woodbury
-    as S^-1 = (I + B0 H^-1 B0') / s00 with H = s00 (I + A'A) - B0'B0, which
-    has the pattern of I + A'A and is factored the same way.
+    complement inside the GLS sandwich K^-1 U0' S^-1 U0 K^-1, K = X'V^-1 X
+    and U0 the response rows of V^-1 X.  S^-1 is the inverse of the
+    response block S = s00 I_n - B0 P B0' of V^-1 (s00 = (Sigma0^-1)_00,
+    B0 = [h_k (x) Z_k] with h_k row 0 of L0^-T T_k), taken by Woodbury as
+    S^-1 = (I + B0 H^-1 B0') / s00 with H = s00 (I + A'A) - B0'B0, which
+    has the pattern of I + A'A and is factored the same way.  The factor
+    of I + A'A, K^-1 and C_x = F^-1 A'(L0^-1 (x) I) X come from the fit's
+    last point.
     """
     model = fit.model
-    sd, p = model.stacked, model.params
-    f = _factorise(model)
-    VinvX = f.solve(sd.X)
+    sd = model.stacked
+    pt = fit.point if fit.point is not None else _point(model)
+    terms = pt.terms
+    # V^-1 X = (L0^-T (x) I)(Xw - A (I + A'A)^-1 A'Xw)
+    VinvX = _whiten(pt.L0inv, pt.Xw - terms.apply(pt.wloads, pt.mme.upper(pt.Cx)), trans=True)
+    Y = pt.LKinv.T @ (pt.LKinv @ VinvX[: sd.n_obs].T)  # K^-1 U0'
+    l0 = pt.L0inv[:, 0]
+    s00 = l0 @ l0
+    h = [(l0 @ T)[None, :] for T in pt.wloads]
+    hh = terms.grams(h)
+    grams = {ik: s00 * g - hh[ik] for ik, g in terms.grams(pt.wloads).items()}
     try:
-        info_inv = _cholesky(sd.X.T @ VinvX)[1]
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError("information matrix is singular") from exc
-    Y = info_inv.T @ (info_inv @ VinvX[: sd.n_obs].T)  # info^-1 U0'
-    s0 = f.L0inv.T @ f.L0inv[:, 0]
-    h = [(s0 @ a)[None, :] for a in f.loads]
-    hh = f.terms.grams(h)
-    grams = {ik: s0[0] * g - hh[ik] for ik, g in f.terms.grams(f.wloads).items()}
-    try:
-        H = Factor(f.terms.layout, grams, scale=s0[0])
+        H = Factor(terms.layout, grams, scale=s00)
     except np.linalg.LinAlgError as exc:
         raise SingularityError("response block of V^-1 is singular") from exc
-    R = H.lower(f.terms.scatter(h, Y.T))
-    full = (Y @ Y.T + R.T @ R) / s0[0]
+    R = H.lower(terms.scatter(h, Y.T))
+    full = (Y @ Y.T + R.T @ R) / s00
     idx = sd.treat_cols
     return AdjustedMeansResult(
-        means=p.beta[idx].copy(),
+        means=model.params.beta[idx].copy(),
         covariance=full[np.ix_(idx, idx)],
         evaluated_at=fit.mu_z_hat,
         treatments=sd.treatments,

@@ -359,6 +359,42 @@ class TestAdjustAndFit:
         assert code == 2
 
 
+class TestUnreadableInput:
+    """A file the CLI cannot read or write exits 2 with one input line."""
+
+    @staticmethod
+    def _run(args, capsys):
+        code = main(["fit", "--model", "mixed"] + args)
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "kind=input" in err, err
+        return err
+
+    def test_malformed_design_json(self, tmp_path, capsys):
+        data, design = _write_rcb(tmp_path)
+        design.write_text('{"response": "y",')
+        err = self._run(["--data", str(data), "--design", str(design)], capsys)
+        assert "design spec is not valid JSON" in err
+
+    def test_data_file_not_utf8(self, tmp_path, capsys):
+        data, design = _write_rcb(tmp_path)
+        data.write_bytes(data.read_bytes().replace(b"B01", b"B\xe901"))
+        err = self._run(["--data", str(data), "--design", str(design)], capsys)
+        assert "data file is not UTF-8 text" in err
+
+    @pytest.mark.parametrize("flag", ["--data", "--design", "--out"])
+    def test_directory_in_place_of_a_file(self, flag, tmp_path, capsys):
+        data, design = _write_rcb(tmp_path)
+        files = {"--data": str(data), "--design": str(design), "--out": str(tmp_path / "o.tsv")}
+        files[flag] = str(tmp_path)
+        self._run([word for pair in files.items() for word in pair], capsys)
+
+    def test_response_must_be_a_string(self, tmp_path, capsys):
+        data, design = _write_rcb(tmp_path)
+        design.write_text(json.dumps({**json.loads(design.read_text()), "response": 3}))
+        err = self._run(["--data", str(data), "--design", str(design)], capsys)
+        assert "'response' must be a string, got 3" in err
+
+
 class TestDesignSpecInput:
     def _fit(self, tmp_path, capsys, **changes):
         data, design = _write_rcb(tmp_path)

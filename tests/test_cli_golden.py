@@ -72,6 +72,22 @@ check refused with "replicate units have unequal cell counts".  ``rcb``,
 ``split_plot`` and ``latin_square`` pass with deviation 0.  ``simulate
 --study bias`` was re-captured when its ``gamma_ols`` row, a copy of the
 ``gamma_e_bivariate`` row, was removed; no other line changed.
+
+Three ``mvc`` cases were re-captured when the ten-step EM start moved onto
+the points of the Newton steps: ECME steps in the same relative Cholesky
+coordinates, each E-step at its point's GLS fixed effects.  ``fit`` and
+``adjust --model mvc`` on ``rcb_missing`` stop at another point inside the
+gradient tolerance.  ``fit --model mvc --max-iter 3`` on ``rcb``, plain
+EM, now prints the GLS fixed effects of its third point, whose
+log-likelihood is higher; its covariances did not change.  Exit codes,
+text fields, ``iterations``, ``converged`` and ``mu_z`` did not change;
+the largest relative change of any other number:
+
+    case                        loglik                          Sigma0   Sigma1  adj_mean  std_err
+    rcb_missing fit, adjust     0                               9.4e-10  5.6e-9  0         3.0e-9
+    rcb fit --max-iter 3        -141.2276892 -> -141.1816309    0        0       5.5e-3    0
+
+Every other case passed unchanged.
 Text fields must match exactly and numbers to 1e-9 relative.
 
 Every case on ``rcb``, ``rcb_missing`` and ``bib`` runs a second time with

@@ -9,7 +9,7 @@ import pytest
 
 from vcadjust import lmm
 from vcadjust.mme import _BLOCK, Factor, Layout, _inverse
-from vcadjust.mvc_em import _factorise, make_model
+from vcadjust.mvc_em import _point, make_model
 
 from test_lmm import _layout
 from test_mvc_em import LAYOUTS
@@ -86,7 +86,7 @@ def test_lmm_factor_matches_dense(layout):
 
 
 def _dense_A(f, sd):
-    """[a_k (x) Z_k] with the factor's whitened loadings, dense."""
+    """[a_k (x) Z_k] with the point's whitened loadings, dense."""
     terms = f.terms
     Zs = [_incidence(g, d) for g, d in zip(terms.codes, terms.levels)]
     A = np.hstack([np.zeros((sd.n_stacked, 0))] + [np.kron(w, Z) for w, Z in zip(f.wloads, Zs)])
@@ -96,7 +96,7 @@ def _dense_A(f, sd):
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_mvc_factor_matches_dense(layout):
     sd, params = LAYOUTS[layout]()
-    f = _factorise(make_model(sd, params))
+    f = _point(make_model(sd, params))
     terms, lay = f.terms, f.mme.layout
     if layout in ("_rcb", "_tau_rcb"):  # the treatment x block term is eliminated
         assert lay.big == 0 and terms.r == 1
@@ -118,9 +118,9 @@ def test_mvc_adjusted_means_factor_matches_dense(layout):
     """The factor of H = s00 (I + A'A) - B0'B0 that adjusted_means_mvc
     solves with: the same pattern, a scale and a subtracted Gram."""
     sd, params = LAYOUTS[layout]()
-    f = _factorise(make_model(sd, params))
+    f = _point(make_model(sd, params))
     s0 = np.linalg.solve(f.L0 @ f.L0.T, np.eye(sd.m + 1)[:, 0])
-    h = [(s0 @ a)[None, :] for a in f.loads]
+    h = [(s0 @ f.L0 @ w)[None, :] for w in f.wloads]  # row 0 of Sigma0^-1 a_k
     hh = f.terms.grams(h)
     grams = {ik: s0[0] * g - hh[ik] for ik, g in f.terms.grams(f.wloads).items()}
     H = Factor(f.mme.layout, grams, scale=s0[0])
@@ -135,7 +135,7 @@ def test_one_term_factor_has_an_empty_schur_complement():
     sd, params = LAYOUTS["_rcb"]()
     sd = replace(sd, treatment_random_codes=(), treatment_random_levels=())
     model = make_model(sd, replace(params, sigma2=np.zeros(0)))
-    f = _factorise(model)
+    f = _point(model)
     assert f.mme.LS.shape == (0, 0) and f.mme.G.shape == (0, f.mme.layout.q)
     A, _ = _dense_A(f, model.stacked)
     lay = f.mme.layout

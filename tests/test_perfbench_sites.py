@@ -1,8 +1,8 @@
 """Every span the benchmark tracer records still has a site to wrap.
 
 ``perfbench/tracing.py`` wraps package functions where their callers look
-them up (``TRACED``) and scipy's ``minimize`` inside ``vcadjust.lmm``
-(``MINIMIZE_SITE``).  A span none of whose sites exists is left out of the
+them up (``TRACED``) and the package's ``optimize.minimize`` where
+``vcadjust.lmm`` looks it up (``MINIMIZE_SITE``).  A span none of whose sites exists is left out of the
 per-layer metrics, so a refactor that moves or renames such a name would
 silently drop metrics.  This resolves every site with ``getattr``, as
 ``tracing.install`` does, without installing anything.  ``install`` imports
